@@ -136,8 +136,15 @@ def cmd_probe(args) -> int:
 def cmd_project(args) -> int:
     model = make_cone(args.n)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, rho=args.rho)
-    with open(args.input_path) as fh:
-        text = fh.read()
+    try:
+        with open(args.input_path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot read {args.input_path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"cannot read {args.input_path}: not a text file") from exc
     if args.target in ("K", "polar"):
         point = read_cone_point(text)
         if args.target == "K":

@@ -13,8 +13,9 @@ block plus the two doubling chains). Its shadow on (x1, x2, x3) is the
 kappa-norm cone { ||(x1,x2)||_kappa <= x3 } with kappa = 2^n, whose polar is
 governed by the conjugate exponent lambda = 2^n / (2^n - 1).
 
-A ConeModel is immutable after construction and may be shared read-only
-across concurrent workers; every operation here is a pure function.
+A ConeModel may be shared across concurrent workers: apart from a cache of
+solver operators, written whole on first use, it is immutable after
+construction, and every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -132,7 +133,12 @@ class ConeModel:
     kappa and lam are the conjugate exponents 2^n and 2^n/(2^n - 1); gram is
     the Gram operator of the LMI map (positive definite since the map is
     injective) with a Cholesky factorization good for linear solves; gamma
-    is the safe step 0.9 / lam_max(gram) for the fixed-point projector.
+    is the safe step 0.9 / lam_max(gram) for the fixed-point projector;
+    range_proj is the orthogonal projector onto the range of the LMI map in
+    weighted block coordinates.
+
+    admm_cache, the only mutable part, holds the cone projector's ADMM
+    operators, one per penalty rho, built on first use by sliceproj.project.
     """
 
     n: int
@@ -145,7 +151,10 @@ class ConeModel:
     lam_max: float
     lam_min: float
     lmi_weighted: np.ndarray = field(repr=False)
-    det_forms: tuple = field(repr=False)
+    det_forms: np.ndarray = field(repr=False)
+    range_proj: np.ndarray = field(repr=False)
+    admm_cache: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """Solve gram @ x = rhs using the cached factorization."""
@@ -166,20 +175,24 @@ def make_cone(n: int) -> ConeModel:
     eigs = np.linalg.eigvalsh(gram_dense)
     if eigs[0] <= 0.0:
         raise InvalidInputError("Gram operator is not positive definite")
-    weighted.setflags(write=False)
-    gram_dense.setflags(write=False)
+    gram_factor = cho_factor(gram_dense)
+    range_proj = weighted @ cho_solve(gram_factor, weighted.T)
+    det_forms = np.array(_det_forms(n))
+    for arr in (weighted, gram_dense, range_proj, det_forms):
+        arr.setflags(write=False)
     return ConeModel(
         n=int(n),
         kappa=float(2.0 ** n),
         lam=float(2.0 ** n / (2.0 ** n - 1.0)),
         gram=SymMatrix.from_dense(gram_dense),
         gram_dense=gram_dense,
-        gram_factor=cho_factor(gram_dense),
+        gram_factor=gram_factor,
         gamma=0.9 / float(eigs[-1]),
         lam_max=float(eigs[-1]),
         lam_min=float(eigs[0]),
         lmi_weighted=weighted,
-        det_forms=tuple(_det_forms(n)),
+        det_forms=det_forms,
+        range_proj=range_proj,
     )
 
 

@@ -119,15 +119,26 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
     if not (fd_step > 0.0):
         raise InvalidInputError("fd_step must be positive")
+    _check_polar_fixed_point(model, 0.0, cfg)
+    return _residual_at(model, t, cfg, fd_step)
+
+
+def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig):
+    point = polar_curve(model, t)
+    proj, stats = project_polar(model, point, cfg)
+    drift = float(np.linalg.norm(proj.coords - point.coords))
+    if drift > 10.0 * cfg.tol:
+        raise NumericFailureError(
+            f"curve point at t={t:g} is not a polar fixed point "
+            f"(drift {drift:.3e})", stats=stats)
+
+
+def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
+                 fd_step: float) -> NumericResidual:
+    """:func:`residual_numeric` on checked arguments, minus the t = 0
+    fixed-point check, which does not depend on t."""
+    _check_polar_fixed_point(model, t, cfg)
     base = polar_curve(model, t)
-    origin = polar_curve(model, 0.0)
-    for point, label in ((origin, "t=0"), (base, f"t={t:g}")):
-        proj, stats = project_polar(model, point, cfg)
-        drift = float(np.linalg.norm(proj.coords - point.coords))
-        if drift > 10.0 * cfg.tol:
-            raise NumericFailureError(
-                f"curve point at {label} is not a polar fixed point "
-                f"(drift {drift:.3e})", stats=stats)
     h = curve_step(model, t)
     # analytic variant: strip the normal component
     dd_analytic = tangent_project(normal_ray(model, t), h)
@@ -185,7 +196,8 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     """Run the scaling probe on a log-spaced grid and fit the exponent.
 
     Exact mode uses the closed-form residual; numeric mode uses the
-    finite-difference variant of :func:`residual_numeric`. The implied
+    finite-difference variant of :func:`residual_numeric`, checking the
+    shared t = 0 endpoint once for the whole grid. The implied
     order is the fitted slope minus one, reported against lam - 1 (since
     the step norm is of order t, which the report's h_norms let callers
     verify).
@@ -203,8 +215,13 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     if mode == "exact":
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
     else:
+        if not (fd_step > 0.0):
+            raise InvalidInputError("fd_step must be positive")
+        # the t = 0 endpoint is the same for every grid point: check it once
+        _check_polar_fixed_point(model, 0.0, cfg)
+
         def at(i):
-            return residual_numeric(model, float(t_grid[i]), cfg, fd_step).norm
+            return _residual_at(model, float(t_grid[i]), cfg, fd_step).norm
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 residuals = np.array(list(pool.map(at, range(points))))

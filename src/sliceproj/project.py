@@ -21,8 +21,21 @@ raw ADMM iterate is kept. The certificate uses nothing beyond the cone's
 defining inequalities, so the refined answers remain an independent check
 on any closed-form prediction.
 
-Solver invocations are independent and thread-safe given a shared immutable
-ConeModel; each call owns its iterate state.
+The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
+number of numpy calls per iteration, not flops. The p-update therefore
+uses operators built once per model and penalty rho and cached on the
+ConeModel: Minv = (I + rho A*A)^-1 and the gain K = rho Minv A*. A solve
+computes Minv q once; each iteration is then p = Minv q + K (Z - U), the
+product A p, one PSD clip of the flat block vector and one product with
+A* for the dual residual. Dykstra's range step uses the model's
+precomputed orthogonal projector onto the range of A.
+
+Solver invocations are independent and thread-safe given a shared
+ConeModel; each call owns its iterate state. The operator cache is the
+one piece of shared mutable state: an entry is a tuple of read-only
+arrays stored whole under its rho, so two threads that miss together both
+build equal operators and either may keep its own; none sees a partial
+entry.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .cones import ConeModel, ConePoint
 from .errors import InvalidInputError
-from .symmat import RT2, BlockSymMatrix, SymMatrix, jacobi_eig, psd_clip_rows
+from .symmat import RT2, BlockSymMatrix, SymMatrix, jacobi_eig, psd_clip_flat
 
 log = logging.getLogger("sliceproj.project")
 
@@ -44,6 +57,8 @@ log = logging.getLogger("sliceproj.project")
 _STALL_FACTOR = 1e-3
 _STALL_WINDOW = 2000
 _CERT_TOL = 1e-12
+# ADMM operators kept per model; a model that sees more penalties starts over
+_ADMM_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -86,21 +101,47 @@ class SolveStats:
         }
 
 
-def _psd_clip_weighted(flat: np.ndarray) -> np.ndarray:
-    """Blockwise PSD projection of a weighted-coordinate block vector."""
-    rows = flat.reshape(-1, 3).copy()
-    rows[:, 1] /= RT2
-    rows = psd_clip_rows(rows)
-    rows[:, 1] *= RT2
-    return rows.ravel()
-
-
 def _block_min_eigs(model: ConeModel, p: np.ndarray) -> np.ndarray:
     rows = (model.lmi_weighted @ p).reshape(-1, 3)
     a = rows[:, 0]
     b = rows[:, 1] / RT2
     c = rows[:, 2]
     return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(float(x @ x))
+
+
+def _kkt_residual(Bs: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Residual of the rescaled KKT system at u = (mu, pi, nu).
+
+    Rows: stationarity mu pi - q - 2 sum_k nu_k B_k pi, the active block
+    determinants pi^T B_k pi, and the normalisation pi^T pi - 1. Bs stacks
+    the active forms B_k as an (nJ, d, d) array.
+    """
+    d = q.shape[0]
+    pi, nu = u[1:1 + d], u[1 + d:]
+    Bpi = Bs @ pi
+    out = np.empty(u.shape[0])
+    out[:d] = u[0] * pi - q - 2.0 * (nu @ Bpi)
+    out[d:-1] = Bpi @ pi
+    out[-1] = pi @ pi - 1.0
+    return out
+
+
+def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Jacobian of :func:`_kkt_residual` with respect to u."""
+    d = Bs.shape[1]
+    mu, pi, nu = u[0], u[1:1 + d], u[1 + d:]
+    Bpi = Bs @ pi
+    jac = np.zeros((u.shape[0], u.shape[0]))
+    jac[:d, 0] = pi
+    jac[:d, 1:1 + d] = mu * np.eye(d) - 2.0 * np.tensordot(nu, Bs, 1)
+    jac[:d, 1 + d:] = -2.0 * Bpi.T
+    jac[d:-1, 1:1 + d] = 2.0 * Bpi
+    jac[-1, 1:1 + d] = 2.0 * pi
+    return jac
 
 
 def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
@@ -119,52 +160,31 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     if not mu > 1e-13 * scale:
         return None
     pi = p0 / mu
-    Bs = [model.det_forms[j] for j in J]
-    Bpi = [B @ pi for B in Bs]
+    Bs = model.det_forms[J]
     nJ = len(J)
     if nJ:
-        M = np.column_stack([-2.0 * v for v in Bpi])
-        nu, *_ = np.linalg.lstsq(M, q - mu * pi, rcond=None)
+        nu, *_ = np.linalg.lstsq(-2.0 * (Bs @ pi).T, q - mu * pi, rcond=None)
     else:
         nu = np.zeros(0)
 
-    def residual(mu, pi, nu):
-        f1 = mu * pi - q
-        for k in range(nJ):
-            f1 -= 2.0 * nu[k] * (Bs[k] @ pi)
-        f2 = np.array([pi @ (Bs[k] @ pi) for k in range(nJ)])
-        return np.concatenate([f1, f2, [pi @ pi - 1.0]])
-
     u = np.concatenate([[mu], pi, nu])
-    fu = residual(u[0], u[1:1 + d], u[1 + d:])
-    best = np.linalg.norm(fu, np.inf)
+    fu = _kkt_residual(Bs, q, u)
+    best = float(np.abs(fu).max())
     for _ in range(max_newton):
         if best <= 1e-15 * scale:
             break
-        mu, pi, nu = u[0], u[1:1 + d], u[1 + d:]
-        Bpi = [B @ pi for B in Bs]
-        jac = np.zeros((d + nJ + 1, d + nJ + 1))
-        S = mu * np.eye(d)
-        for k in range(nJ):
-            S -= 2.0 * nu[k] * Bs[k]
-        jac[:d, 0] = pi
-        jac[:d, 1:1 + d] = S
-        for k in range(nJ):
-            jac[:d, 1 + d + k] = -2.0 * Bpi[k]
-            jac[d + k, 1:1 + d] = 2.0 * Bpi[k]
-        jac[d + nJ, 1:1 + d] = 2.0 * pi
         try:
-            du = np.linalg.solve(jac, -fu)
+            du = np.linalg.solve(_kkt_jacobian(Bs, u), -fu)
         except np.linalg.LinAlgError:
             return None
         step = 1.0
-        norm0 = np.linalg.norm(fu)
+        norm0 = _norm(fu)
         for _ in range(30):
             u_try = u + step * du
-            f_try = residual(u_try[0], u_try[1:1 + d], u_try[1 + d:])
-            if np.linalg.norm(f_try) < (1.0 - 0.25 * step) * norm0:
+            f_try = _kkt_residual(Bs, q, u_try)
+            if _norm(f_try) < (1.0 - 0.25 * step) * norm0:
                 u, fu = u_try, f_try
-                best = np.linalg.norm(fu, np.inf)
+                best = float(np.abs(fu).max())
                 break
             step *= 0.5
         else:
@@ -204,11 +224,36 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
     return None
 
 
+def _admm_operator(model: ConeModel, rho: float):
+    """The ADMM p-update operators for penalty rho, cached on the model.
+
+    With Minv = (I + rho A*A)^-1 and K = rho Minv A*, the p-update is
+    p = Minv q + K (Z - U). Returns (Minv, K) as read-only arrays.
+    """
+    cache = model.admm_cache
+    op = cache.get(rho)
+    if op is None:
+        eye = np.eye(model.dim())
+        minv = cho_solve(cho_factor(eye + rho * model.gram_dense), eye)
+        op = (minv, rho * (minv @ model.lmi_weighted.T))
+        for arr in op:
+            arr.setflags(write=False)
+        if len(cache) >= _ADMM_CACHE_SIZE:
+            cache.clear()
+        cache[rho] = op
+    return op
+
+
 def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig):
     """ADMM projection onto the cone, on raw coordinate arrays.
 
     Splitting: p-update solves (I + rho A*A) p = q + rho A*(Z - U), Z-update
     is the blockwise PSD projection of A p + U, U is the scaled dual.
+    The p-update is p = Minv q + K (Z - U) with the cached operators of
+    :func:`_admm_operator`. A p is formed from p, not as a product of
+    (Z - U) with A K: at the apex the d entries of p can cancel to exactly
+    0, while A K (Z - U) keeps a rounding floor in every block entry, which
+    at large ||q|| stalls above tol.
     Stops on max(primal, dual) residual <= tol, on a certified refinement,
     or when the residual stalls at its attainable floor.
     """
@@ -219,10 +264,11 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig):
     if _block_min_eigs(model, q).min() >= -1e-13 * scale:
         return q.copy(), SolveStats(0, 0.0, True)
     W = model.lmi_weighted
+    WT = W.T
     rho = cfg.rho
     alpha = cfg.over_relax
-    factor = cho_factor(np.eye(d) + rho * model.gram_dense)
-    p = np.zeros(d)
+    minv, gain = _admm_operator(model, rho)
+    p0 = minv @ q
     Z = np.zeros(W.shape[0])
     U = np.zeros(W.shape[0])
     res = math.inf
@@ -232,13 +278,14 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig):
     k = 0
     while k < cfg.max_iter:
         k += 1
-        p = cho_solve(factor, q + rho * (W.T @ (Z - U)))
+        p = p0 + gain @ (Z - U)
         Ap = W @ p
         Ap_rel = Ap if alpha == 1.0 else alpha * Ap + (1.0 - alpha) * Z
-        Z_new = _psd_clip_weighted(Ap_rel + U)
-        U = U + Ap_rel - Z_new
-        r_prim = float(np.linalg.norm(Ap - Z_new))
-        r_dual = rho * float(np.linalg.norm(W.T @ (Z_new - Z)))
+        X = Ap_rel + U
+        Z_new = psd_clip_flat(X)
+        U = X - Z_new
+        r_prim = _norm(Ap - Z_new)
+        r_dual = rho * _norm(WT @ (Z_new - Z))
         Z = Z_new
         res = max(r_prim, r_dual)
         if res < best_res * (1.0 - _STALL_FACTOR):
@@ -283,11 +330,6 @@ def project_polar(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = Non
     return ConePoint(model.n, q.coords - p.coords), stats
 
 
-def _range_project_flat(model: ConeModel, flat: np.ndarray) -> np.ndarray:
-    coeff = model.solve_gram(model.lmi_weighted.T @ flat)
-    return model.lmi_weighted @ coeff
-
-
 def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     """Orthogonal projection onto the range of the LMI map.
 
@@ -299,7 +341,7 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
         raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
     flat = X.blocks.copy()
     flat[:, 1] *= RT2
-    out = _range_project_flat(model, flat.ravel()).reshape(-1, 3)
+    out = (model.range_proj @ flat.ravel()).reshape(-1, 3)
     out[:, 1] /= RT2
     return BlockSymMatrix(model.n, out)
 
@@ -321,9 +363,9 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
         k += 1
         y = psd_step(x + corr)
         corr = x + corr - y
-        x_new = _range_project_flat(model, y)
-        gap = float(np.linalg.norm(y - x_new))
-        step = float(np.linalg.norm(x_new - x))
+        x_new = model.range_proj @ y
+        gap = _norm(y - x_new)
+        step = _norm(x_new - x)
         x = x_new
         res = max(gap, step)
         if res <= cfg.tol:
@@ -351,7 +393,7 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
             raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
         flat = X.blocks.copy()
         flat[:, 1] *= RT2
-        out, stats = _dykstra_flat(model, flat.ravel(), cfg, _psd_clip_weighted)
+        out, stats = _dykstra_flat(model, flat.ravel(), cfg, psd_clip_flat)
         rows = out.reshape(-1, 3)
         rows[:, 1] /= RT2
         return BlockSymMatrix(model.n, rows), stats
@@ -379,7 +421,7 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
             w, V = jacobi_eig(SymMatrix.from_dense(x + corr))
             y = (V * np.maximum(w, 0.0)) @ V.T
             corr = x + corr - y
-            flat = _range_project_flat(model, to_flat(y))
+            flat = model.range_proj @ to_flat(y)
             rows = flat.reshape(-1, 3)
             x_new = np.zeros_like(x)
             for j in range(2 * model.n - 1):

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericFailureError
 
 RT2 = math.sqrt(2.0)
+_TINY = 5e-324
+_DIAG = np.array([1.0, 0.0, 1.0])
 
 # Desk-scale guard for the dense eigensolver.
 JACOBI_MAX_DIM = 200
@@ -84,6 +86,8 @@ class SymMatrix:
             raise InvalidInputError(
                 f"packed storage must hold {self.dim * (self.dim + 1) // 2} entries"
             )
+        if not np.all(np.isfinite(packed)):
+            raise InvalidInputError("SymMatrix entries must be finite")
         object.__setattr__(self, "packed", packed)
 
     @classmethod
@@ -123,6 +127,8 @@ class BlockSymMatrix:
             raise InvalidInputError(
                 f"expected {2 * self.n - 1} blocks of 3 entries, got shape {blocks.shape}"
             )
+        if not np.all(np.isfinite(blocks)):
+            raise InvalidInputError("BlockSymMatrix entries must be finite")
         object.__setattr__(self, "blocks", blocks)
 
     @classmethod
@@ -213,29 +219,39 @@ def psd_project_2(m: Sym2) -> Sym2:
     return Spectral2(spec.eig1, 0.0, spec.angle).reconstruct()
 
 
+def psd_clip_flat(flat: np.ndarray, off_scale: float = RT2) -> np.ndarray:
+    """Blockwise PSD projection of a flat vector of (a, k b, c) triples.
+
+    This is the one vectorized copy of the closed form of
+    :func:`psd_project_2`. ``off_scale`` is 2 / k for the weight k carried
+    by the off-diagonal entries: sqrt(2) (the default) for the weighted
+    coordinates of the solvers, whose Euclidean inner product is the trace
+    inner product, and 2 for plain (a, b, c) rows.
+
+    With e1 >= e2 the eigenvalues and 2r = e1 - e2 their gap, the
+    projection is s X + t I, with s = min(max(e1, 0), 2r) / 2r and
+    t = max(tr/2, max(e1, 0)/2) - s tr/2. A PSD block gets s = 1, t = 0 and
+    a negative semidefinite one s = t = 0, so both come back exactly
+    (unchanged, and zero) without a masked write.
+    """
+    X = flat.reshape(-1, 3)
+    a = X[:, 0]
+    c = X[:, 2]
+    half_tr = 0.5 * (a + c)
+    two_r = np.hypot(a - c, off_scale * X[:, 1])
+    e1 = np.maximum(half_tr + 0.5 * two_r, 0.0)
+    # the smallest subnormal only turns 0/0 into 0 when r = 0
+    s = np.minimum(e1, two_r) / np.maximum(two_r, _TINY)
+    t = np.maximum(half_tr, 0.5 * e1) - s * half_tr
+    return (X * s[:, None] + t[:, None] * _DIAG).reshape(flat.shape)
+
+
 def psd_clip_rows(rows: np.ndarray) -> np.ndarray:
     """Vectorized blockwise PSD projection on an (K, 3) array of (a, b, c) rows.
 
-    Same closed form as :func:`psd_project_2`; used by the solvers' hot loops.
+    Row view of :func:`psd_clip_flat`.
     """
-    a = rows[:, 0]
-    b = rows[:, 1]
-    c = rows[:, 2]
-    half_tr = 0.5 * (a + c)
-    half_diff = 0.5 * (a - c)
-    r = np.hypot(half_diff, b)
-    e1 = half_tr + r
-    e2 = half_tr - r
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(r > 0.0, e1 / (2.0 * r), 0.0)
-    out = np.empty_like(rows)
-    out[:, 0] = scale * (r + half_diff)
-    out[:, 1] = scale * b
-    out[:, 2] = scale * (r - half_diff)
-    keep = e2 >= 0.0
-    out[keep] = rows[keep]
-    out[e1 <= 0.0] = 0.0
-    return out
+    return psd_clip_flat(rows, 2.0)
 
 
 def psd_project_block(mat: BlockSymMatrix) -> BlockSymMatrix:
@@ -244,8 +260,6 @@ def psd_project_block(mat: BlockSymMatrix) -> BlockSymMatrix:
     The PSD projection of a block-diagonal matrix decomposes over the
     diagonal blocks, so each 2x2 block is projected independently.
     """
-    if not np.all(np.isfinite(mat.blocks)):
-        raise InvalidInputError("psd_project_block requires finite entries")
     return BlockSymMatrix(mat.n, psd_clip_rows(mat.blocks))
 
 
@@ -297,9 +311,14 @@ def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
         raise InvalidInputError("jacobi_eig requires finite entries")
     A = 0.5 * (A + A.T)
     V = np.eye(d)
-    norm0 = np.linalg.norm(A)
-    if norm0 == 0.0 or d == 1:
+    amax = float(np.abs(A).max(initial=0.0))
+    if amax == 0.0 or d == 1:
         return np.diag(A).copy(), V
+    # sweep at unit scale, reached by an exact power of two, so the norms
+    # below neither underflow nor overflow
+    unit = math.ldexp(1.0, math.frexp(amax)[1])
+    A /= unit
+    norm0 = np.linalg.norm(A)
     target = 1e-13 * norm0
     for _ in range(max_sweeps):
         # norm of the off-diagonal part, summed directly so it can reach
@@ -318,7 +337,7 @@ def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
         raise NumericFailureError(
             f"Jacobi sweeps did not converge within {max_sweeps} sweeps"
         )
-    w = np.diag(A).copy()
+    w = np.diag(A) * unit
     order = np.argsort(-w, kind="stable")
     return w[order], V[:, order]
 

@@ -1,18 +1,27 @@
 """Command-line contract: exit codes, formats, round trips, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+import sliceproj
 from sliceproj import (BlockSymMatrix, make_cone, polar_curve,
                        read_block_matrix, read_cone_point, sample_cone,
                        write_block_matrix, write_cone_point)
 
+# the child interpreter imports the package from the same place this one did
+_SRC = str(Path(sliceproj.__file__).resolve().parents[1])
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
 
 def run_cli(*args, check=False):
     proc = subprocess.run([sys.executable, "-m", "sliceproj", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_ENV)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}):\n{proc.stderr}")
     return proc
@@ -137,6 +146,36 @@ def test_project_parse_failure(tmp_path):
     proc = run_cli("project", "--n", "2", "--target", "K",
                    "--in", str(tmp_path / "missing.txt"))
     assert proc.returncode == 2
+
+
+def test_project_rejects_non_finite_block_matrix(tmp_path):
+    src = tmp_path / "nan.txt"
+    src.write_text("2\nnan 0 0\n1 0 1\n1 0 1\n")
+    proc = run_cli("project", "--n", "2", "--target", "slice-dykstra",
+                   "--in", str(src))
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == [
+        "error: BlockSymMatrix entries must be finite"]
+
+
+def test_project_unreadable_input(tmp_path):
+    proc = run_cli("project", "--n", "2", "--target", "K",
+                   "--in", str(tmp_path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot read")
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                    reason="file permissions do not bind this user")
+def test_project_input_without_read_permission(tmp_path):
+    src = tmp_path / "locked.txt"
+    src.write_text(write_cone_point(polar_curve(make_cone(2), 0.5)))
+    src.chmod(0)
+    proc = run_cli("project", "--n", "2", "--target", "K", "--in", str(src))
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot read")
 
 
 def test_project_dimension_mismatch(tmp_path):

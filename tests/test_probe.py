@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import sliceproj.probe as probe_module
 from sliceproj import (InvalidInputError, SolverConfig, curve_step,
-                       fit_exponent, make_cone, normal_curve,
-                       probe_semismoothness, report_from_json, report_to_csv,
-                       report_to_json, residual_exact, residual_numeric)
+                       fit_exponent, make_cone, normal_curve, polar_curve,
+                       probe_semismoothness, project_polar, report_from_json,
+                       report_to_csv, report_to_json, residual_exact,
+                       residual_numeric)
 
 CFG = SolverConfig()
 
@@ -203,3 +205,23 @@ def test_probe_numeric_parallel_evaluation_is_deterministic(models):
                                     t_min=1e-2, t_max=1e-1, cfg=CFG, jobs=4)
     assert np.array_equal(serial.residual_norms, threaded.residual_norms)
     assert serial.fitted_slope == threaded.fitted_slope
+
+
+def test_numeric_probe_checks_origin_once(models, monkeypatch):
+    model = models[2]
+    origin = polar_curve(model, 0.0).coords
+    checked = []
+
+    def counting(model_, point, cfg=None):
+        checked.append(bool(np.array_equal(point.coords, origin)))
+        return project_polar(model_, point, cfg)
+
+    monkeypatch.setattr(probe_module, "project_polar", counting)
+    probe_semismoothness(model, "numeric", points=5, t_min=1e-2, t_max=1e-1,
+                         cfg=CFG)
+    assert sum(checked) == 1 and len(checked) == 6
+    checked.clear()
+    residual_numeric(model, 0.3, CFG)
+    assert checked == [True, False]
+    with pytest.raises(InvalidInputError):
+        probe_semismoothness(model, "numeric", fd_step=0.0)

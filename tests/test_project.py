@@ -9,6 +9,9 @@ from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError,
                        project_cone, project_polar, project_range,
                        project_slice_dykstra, project_slice_fixedpoint,
                        psd_project_block, sample_cone)
+from sliceproj import project as project_module
+from sliceproj.project import (_admm_operator, _attempt_polish, _kkt_jacobian,
+                               _kkt_residual)
 from sliceproj.symmat import SymMatrix
 
 CFG = SolverConfig()
@@ -325,3 +328,84 @@ def test_admm_penalty_and_relaxation_variants(models):
         out, stats = project_cone(model, q, cfg)
         assert stats.converged
         assert np.linalg.norm(out.coords - baseline.coords) <= 1e-7
+
+
+def test_admm_operator_cache_tracks_rho():
+    model = make_cone(4)
+    rng = np.random.default_rng(151)
+    q = ConePoint(4, rng.standard_normal(9) * 3.0)
+    out1, stats1 = project_cone(model, q, SolverConfig(rho=1.0))
+    out2, stats2 = project_cone(model, q, SolverConfig(rho=1.7))
+    assert stats1.converged and stats2.converged
+    assert np.linalg.norm(out1.coords - out2.coords) <= 1e-9 * q.norm()
+    eye = np.eye(model.dim())
+    for rho in (1.0, 1.7):
+        minv, gain = _admm_operator(model, rho)
+        assert np.allclose((eye + rho * model.gram_dense) @ minv, eye,
+                           atol=1e-12)
+        assert np.allclose(gain, rho * minv @ model.lmi_weighted.T, atol=1e-12)
+
+
+def _loop_kkt_residual(Bs, q, u):
+    d = q.shape[0]
+    mu, pi, nu = u[0], u[1:1 + d], u[1 + d:]
+    f1 = mu * pi - q
+    for k in range(len(Bs)):
+        f1 -= 2.0 * nu[k] * (Bs[k] @ pi)
+    f2 = np.array([pi @ (Bs[k] @ pi) for k in range(len(Bs))])
+    return np.concatenate([f1, f2, [pi @ pi - 1.0]])
+
+
+def _loop_kkt_jacobian(Bs, u):
+    d = Bs.shape[1]
+    nJ = len(Bs)
+    mu, pi, nu = u[0], u[1:1 + d], u[1 + d:]
+    jac = np.zeros((d + nJ + 1, d + nJ + 1))
+    S = mu * np.eye(d)
+    for k in range(nJ):
+        S -= 2.0 * nu[k] * Bs[k]
+    jac[:d, 0] = pi
+    jac[:d, 1:1 + d] = S
+    for k in range(nJ):
+        jac[:d, 1 + d + k] = -2.0 * (Bs[k] @ pi)
+        jac[d + k, 1:1 + d] = 2.0 * (Bs[k] @ pi)
+    jac[d + nJ, 1:1 + d] = 2.0 * pi
+    return jac
+
+
+def test_newton_polish_certifies_apex_case(monkeypatch):
+    # the probe's apex case at n = 4: the base point polar_curve(1e-4),
+    # whose projection is the apex, and its finite-difference neighbour
+    model = make_cone(4)
+    t = 1e-4
+    base = polar_curve(model, t).coords
+    step = 1e-6 * (polar_curve(model, t).coords - polar_curve(model, 0.0).coords)
+    calls = []
+
+    def recording(model_, q, p, dual):
+        out = _attempt_polish(model_, q, p, dual)
+        calls.append((q, p, out))
+        return out
+
+    monkeypatch.setattr(project_module, "_attempt_polish", recording)
+    rng = np.random.default_rng(157)
+    for q in (base, base + step):
+        calls.clear()
+        p, stats = project_module._project_cone_arr(
+            model, q, SolverConfig(tol=1e-13))
+        assert stats.converged
+        assert calls and calls[-1][2] is not None
+        p_hat, cert = calls[-1][2]
+        assert np.array_equal(p, p_hat) and cert <= 1e-13
+        inside, _ = membership_cone(model, ConePoint(4, p), tol=1e-13)
+        assert inside
+        # the stacked residual and Jacobian match the per-block loops
+        Bs = model.det_forms
+        for q_, p_, _ in calls:
+            u = np.concatenate([[np.linalg.norm(p_) + 0.5], p_ + 0.1,
+                                rng.standard_normal(len(Bs))])
+            assert np.allclose(_kkt_residual(Bs, q_, u),
+                               _loop_kkt_residual(Bs, q_, u),
+                               rtol=0.0, atol=1e-13)
+            assert np.allclose(_kkt_jacobian(Bs, u), _loop_kkt_jacobian(Bs, u),
+                               rtol=0.0, atol=1e-13)

@@ -9,6 +9,7 @@ from sliceproj import (BlockSymMatrix, InvalidInputError, Sym2, SymMatrix,
                        eig2, jacobi_eig, psd_project_2, psd_project_block,
                        read_block_matrix, read_symmatrix, write_block_matrix,
                        write_symmatrix)
+from sliceproj.symmat import RT2, psd_clip_flat, psd_clip_rows
 
 
 def random_sym2(rng, scale=2.0):
@@ -136,6 +137,59 @@ def test_psd_project_block_agrees_with_full_eigendecomposition():
         assert np.linalg.norm(blockwise - full) <= 1e-10
 
 
+def _reference_clip_rows(rows):
+    """The closed form with masked writes for the PSD and negative
+    semidefinite cases, as the kernel was first written."""
+    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
+    half_tr = 0.5 * (a + c)
+    half_diff = 0.5 * (a - c)
+    r = np.hypot(half_diff, b)
+    e1 = half_tr + r
+    e2 = half_tr - r
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(r > 0.0, e1 / (2.0 * r), 0.0)
+    out = np.empty_like(rows)
+    out[:, 0] = scale * (r + half_diff)
+    out[:, 1] = scale * b
+    out[:, 2] = scale * (r - half_diff)
+    keep = e2 >= 0.0
+    out[keep] = rows[keep]
+    out[e1 <= 0.0] = 0.0
+    return out
+
+
+def test_psd_clip_matches_references_across_scales():
+    rng = np.random.default_rng(41)
+    boundary = np.array([
+        [0.0, 0.0, 0.0],      # zero block
+        [1.0, 2.0, 4.0],      # e2 = 0: singular PSD
+        [-1.0, 2.0, -4.0],    # e1 = 0: singular negative semidefinite
+        [-2.0, 0.5, -1.0],    # negative definite
+        [3.0, 0.0, -1.0],
+        [0.0, 1.0, 0.0],
+        [2.0, 0.0, 2.0],
+        [-2.0, 0.0, -2.0],
+    ])
+    base = np.vstack([rng.standard_normal((60, 3)), boundary])
+    for exponent in (-200, -120, -30, 0, 30, 120, 150):
+        rows = base * 10.0 ** exponent
+        out = psd_clip_rows(rows)
+        size = np.abs(rows).max(axis=1, keepdims=True)
+        assert np.all(np.abs(out - _reference_clip_rows(rows)) <= 1e-15 * size)
+        for row, got, sz in zip(rows, out, size[:, 0]):
+            a, b, c = row
+            w, V = jacobi_eig(np.array([[a, b], [b, c]]))
+            full = (V * np.maximum(w, 0.0)) @ V.T
+            want = (full[0, 0], full[0, 1], full[1, 1])
+            assert np.all(np.abs(got - want) <= 1e-13 * sz), (exponent, row)
+        # the weighted-coordinate form is the same projection
+        flat = rows.copy()
+        flat[:, 1] *= RT2
+        weighted = psd_clip_flat(flat.ravel()).reshape(-1, 3)
+        weighted[:, 1] /= RT2
+        assert np.all(np.abs(weighted - out) <= 1e-15 * size)
+
+
 def test_jacobi_identity():
     w, V = jacobi_eig(SymMatrix.from_dense(np.eye(5)))
     assert np.allclose(w, np.ones(5))
@@ -181,6 +235,9 @@ def test_symmatrix_storage_round_trip():
     assert np.allclose(mat.to_dense(), dense)
     with pytest.raises(InvalidInputError):
         SymMatrix(4, np.zeros(9))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            SymMatrix(2, np.array([1.0, bad, 1.0]))
 
 
 def test_block_matrix_shape_guard():
@@ -188,6 +245,11 @@ def test_block_matrix_shape_guard():
         BlockSymMatrix(2, np.zeros((4, 3)))
     with pytest.raises(InvalidInputError):
         BlockSymMatrix(1, np.zeros((1, 3)))
+    for bad in (math.nan, -math.inf):
+        blocks = np.zeros((3, 3))
+        blocks[1, 2] = bad
+        with pytest.raises(InvalidInputError):
+            BlockSymMatrix(2, blocks)
 
 
 def test_block_full_extraction_round_trip():
