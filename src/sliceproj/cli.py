@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--points", type=int, default=20)
     p_probe.add_argument("--fd-step", type=float, default=1e-6,
                          help="one-sided finite-difference step (numeric mode)")
-    p_probe.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="parallel grid evaluations (numeric mode)")
     p_probe.add_argument("--out", help="report file (default: stdout)")
     p_probe.add_argument("--format", choices=("csv", "json"), default="csv")
     add_solver_flags(p_probe)
@@ -85,10 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--n-max", type=int, default=4,
-                          help="largest cone index exercised (default 4)")
+                          help="largest cone index exercised, 2..12 "
+                               "(default 4)")
     p_verify.add_argument("--seed", type=int, default=12345,
                           help="RNG seed for the sampled checks")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_verify.add_argument("--inject-defect", action="store_true",
                           help=argparse.SUPPRESS)
 
@@ -124,7 +122,7 @@ def cmd_probe(args) -> int:
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, rho=args.rho)
     report = probe_semismoothness(
         model, mode=args.mode, t_min=args.t_min, t_max=args.t_max,
-        points=args.points, cfg=cfg, fd_step=args.fd_step, jobs=args.jobs)
+        points=args.points, cfg=cfg, fd_step=args.fd_step)
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     _write_output(text, args.out)
     print(report.summary_line())
@@ -166,7 +164,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verify(n_max=args.n_max, seed=args.seed, jobs=args.jobs,
+    results = run_verify(n_max=args.n_max, seed=args.seed,
                          inject_defect=args.inject_defect)
     all_ok = True
     for res in results:

@@ -13,15 +13,19 @@ The projection onto the cone itself shares the polar projection's order;
 this transfer is recorded here as a documented claim, while measurements
 are made on the polar side only.
 
-Grid points are evaluated independently and may fan out to a thread pool;
-report assembly is single threaded and deterministic.
+Numeric mode walks the grid as a path, from t_max down to t_min, with one
+warm holder: each finite-difference solve starts from the previous grid
+point's certified answer, where the certified Newton refinement usually
+accepts at once, and falls back to ADMM from the previous dual when it
+does not. Each base fixed-point check starts from a copy of the holder, so
+its answer (the apex) never becomes the next start. The walk is serial
+and deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +33,7 @@ import numpy as np
 from .cones import (ConeModel, ConePoint, curve_step, normal_curve, normal_ray,
                     polar_curve, step_normal_inner, tangent_project)
 from .errors import InvalidInputError, NumericFailureError
-from .project import SolverConfig, _project_cone_arr, project_polar
+from .project import SolverConfig, _project_cone_arr, _WarmStart
 
 DEFAULT_T_MIN = 1e-4
 DEFAULT_T_MAX = 1e-1
@@ -123,10 +127,13 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     return _residual_at(model, t, cfg, fd_step)
 
 
-def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig):
-    point = polar_curve(model, t)
-    proj, stats = project_polar(model, point, cfg)
-    drift = float(np.linalg.norm(proj.coords - point.coords))
+def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
+                             warm: _WarmStart | None = None):
+    """Raise unless polar_curve(t) is a fixed point of the polar projection,
+    i.e. its cone part (the drift, by Moreau) vanishes."""
+    cone_part, stats = _project_cone_arr(model, polar_curve(model, t).coords,
+                                         cfg, warm)
+    drift = float(np.linalg.norm(cone_part))
     if drift > 10.0 * cfg.tol:
         raise NumericFailureError(
             f"curve point at t={t:g} is not a polar fixed point "
@@ -134,10 +141,15 @@ def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig):
 
 
 def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
-                 fd_step: float) -> NumericResidual:
+                 fd_step: float, warm: _WarmStart | None = None
+                 ) -> NumericResidual:
     """:func:`residual_numeric` on checked arguments, minus the t = 0
-    fixed-point check, which does not depend on t."""
-    _check_polar_fixed_point(model, t, cfg)
+    fixed-point check, which does not depend on t.
+
+    The finite-difference solve starts from warm and refills it; the base
+    check starts from a copy, so warm ends holding the finite-difference
+    answer.
+    """
     base = polar_curve(model, t)
     h = curve_step(model, t)
     # analytic variant: strip the normal component
@@ -148,11 +160,13 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
     # so the residual reduces to Pi_cone(base + s h) / s
     probe_point = base.coords + fd_step * h.coords
     tight = replace(cfg, tol=min(cfg.tol, 1e-13))
-    cone_part, stats = _project_cone_arr(model, probe_point, tight)
+    cone_part, stats = _project_cone_arr(model, probe_point, tight, warm)
     if stats.final_residual > cfg.tol:
         raise NumericFailureError(
             f"cone projection at t={t:g} reached residual "
             f"{stats.final_residual:.3e} > tol {cfg.tol:.1e}", stats=stats)
+    _check_polar_fixed_point(model, t, cfg,
+                             None if warm is None else replace(warm))
     r_fd = cone_part / fd_step
     return NumericResidual(
         vector=ConePoint(model.n, r_fd),
@@ -191,13 +205,13 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
                          t_max: float = DEFAULT_T_MAX,
                          points: int = DEFAULT_POINTS,
                          cfg: SolverConfig | None = None,
-                         fd_step: float = DEFAULT_FD_STEP,
-                         jobs: int = 1) -> ProbeReport:
+                         fd_step: float = DEFAULT_FD_STEP) -> ProbeReport:
     """Run the scaling probe on a log-spaced grid and fit the exponent.
 
     Exact mode uses the closed-form residual; numeric mode uses the
     finite-difference variant of :func:`residual_numeric`, checking the
-    shared t = 0 endpoint once for the whole grid. The implied
+    shared t = 0 endpoint once for the whole grid and warm-starting each
+    grid point's solves from the next larger t's answer. The implied
     order is the fitted slope minus one, reported against lam - 1 (since
     the step norm is of order t, which the report's h_norms let callers
     verify).
@@ -219,14 +233,11 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
             raise InvalidInputError("fd_step must be positive")
         # the t = 0 endpoint is the same for every grid point: check it once
         _check_polar_fixed_point(model, 0.0, cfg)
-
-        def at(i):
-            return _residual_at(model, float(t_grid[i]), cfg, fd_step).norm
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                residuals = np.array(list(pool.map(at, range(points))))
-        else:
-            residuals = np.array([at(i) for i in range(points)])
+        warm = _WarmStart()
+        residuals = np.empty(points)
+        for i in reversed(range(points)):
+            residuals[i] = _residual_at(model, float(t_grid[i]), cfg, fd_step,
+                                        warm).norm
 
     slope, _, _ = fit_exponent(t_grid, residuals)
     return ProbeReport(

@@ -30,12 +30,22 @@ product A p, one PSD clip of the flat block vector and one product with
 A* for the dual residual. Dykstra's range step uses the model's
 precomputed orthogonal projector onto the range of A.
 
+Callers that solve a path of nearby cone projections (the numeric probe's
+grid, the fixed-point projector's outer loop) pass a private warm holder,
+_WarmStart, to each solve. The solver leaves its answer and ADMM state
+(p, Z, U) there, and the next solve first tries the certified refinement
+from that answer, returning with 0 iterations when the same certificate
+holds; otherwise it runs ADMM from the held (Z, U). The certificate, not
+the start, decides acceptance, so a stale holder costs time, never
+accuracy. project_cone passes no holder: one-off solves start from zero.
+
 Solver invocations are independent and thread-safe given a shared
-ConeModel; each call owns its iterate state. The operator cache is the
-one piece of shared mutable state: an entry is a tuple of read-only
-arrays stored whole under its rho, so two threads that miss together both
-build equal operators and either may keep its own; none sees a partial
-entry.
+ConeModel, as long as no warm holder is shared between threads: a holder
+is mutable state owned by the one path that created it. The operator
+cache is the one piece of shared mutable state: an entry is a tuple of
+read-only arrays stored whole under its rho, so two threads that miss
+together both build equal operators and either may keep its own; none
+sees a partial entry. The library itself starts no threads.
 """
 
 from __future__ import annotations
@@ -244,7 +254,23 @@ def _admm_operator(model: ConeModel, rho: float):
     return op
 
 
-def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig):
+@dataclass
+class _WarmStart:
+    """The last answer p and ADMM state (Z, U) along a path of cone solves.
+
+    A caller that solves a sequence of nearby projections creates one and
+    passes it to each :func:`_project_cone_arr` call; the solver refills it
+    on return. Arrays are replaced, never written in place, so
+    ``dataclasses.replace(warm)`` is an independent copy.
+    """
+
+    p: np.ndarray | None = None
+    Z: np.ndarray | None = None
+    U: np.ndarray | None = None
+
+
+def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
+                      warm: _WarmStart | None = None):
     """ADMM projection onto the cone, on raw coordinate arrays.
 
     Splitting: p-update solves (I + rho A*A) p = q + rho A*(Z - U), Z-update
@@ -256,21 +282,47 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig):
     at large ||q|| stalls above tol.
     Stops on max(primal, dual) residual <= tol, on a certified refinement,
     or when the residual stalls at its attainable floor.
+
+    With a filled warm holder, the certified refinement is first tried
+    from the holder's answer and dual; it is returned with 0 iterations
+    when its certificate residual is within tol. Otherwise ADMM starts
+    from the holder's (Z, U) instead of zeros.
     """
-    d = model.dim()
     scale = 1.0 + float(np.linalg.norm(q))
+    W = model.lmi_weighted
+    m = W.shape[0]
     if float(np.linalg.norm(q)) == 0.0:
-        return np.zeros(d), SolveStats(0, 0.0, True)
-    if _block_min_eigs(model, q).min() >= -1e-13 * scale:
-        return q.copy(), SolveStats(0, 0.0, True)
+        # the ADMM fixed point at q = 0, and for q in the cone below
+        p, Z, U = np.zeros(model.dim()), np.zeros(m), np.zeros(m)
+        stats = SolveStats(0, 0.0, True)
+    elif _block_min_eigs(model, q).min() >= -1e-13 * scale:
+        p, Z, U = q.copy(), W @ q, np.zeros(m)
+        stats = SolveStats(0, 0.0, True)
+    else:
+        p, Z, U, stats = _admm(model, q, cfg, warm)
+    if warm is not None:
+        warm.p, warm.Z, warm.U = p, Z, U
+    return p, stats
+
+
+def _admm(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
+          warm: _WarmStart | None):
+    """The ADMM loop of :func:`_project_cone_arr`; returns (p, Z, U, stats)."""
     W = model.lmi_weighted
     WT = W.T
     rho = cfg.rho
     alpha = cfg.over_relax
-    minv, gain = _admm_operator(model, rho)
-    p0 = minv @ q
     Z = np.zeros(W.shape[0])
     U = np.zeros(W.shape[0])
+    if warm is not None and warm.p is not None:
+        if cfg.polish:
+            refined = _attempt_polish(model, q, warm.p, warm.U)
+            if refined is not None and refined[1] <= cfg.tol:
+                p_hat, cert_res = refined
+                return p_hat, warm.Z, warm.U, SolveStats(0, cert_res, True)
+        Z, U = warm.Z, warm.U
+    minv, gain = _admm_operator(model, rho)
+    p0 = minv @ q
     res = math.inf
     best_res = math.inf
     best_iter = 0
@@ -299,14 +351,14 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig):
             refined = _attempt_polish(model, q, p, U)
             if refined is not None:
                 p_hat, cert_res = refined
-                return p_hat, SolveStats(k, cert_res, cert_res <= cfg.tol)
+                return p_hat, Z, U, SolveStats(k, cert_res, cert_res <= cfg.tol)
         if res <= cfg.tol:
-            return p, SolveStats(k, res, True)
+            break
         if stalled:
             log.debug("cone projection stalled at residual %.3e after %d "
                       "iterations", res, k)
             break
-    return p, SolveStats(k, res, res <= cfg.tol)
+    return p, Z, U, SolveStats(k, res, res <= cfg.tol)
 
 
 def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
@@ -447,7 +499,8 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
 
     Any step 0 < gamma < 1/lam_max(A*A) yields the same fixed point; the
     default is the model's precomputed 0.9 / lam_max. Inner cone projections
-    run at tol/100 so inexact inner solves do not stall the outer loop.
+    run at tol/100 so inexact inner solves do not stall the outer loop; each
+    starts from the previous outer iterate's answer (a warm holder).
     """
     cfg = cfg or SolverConfig()
     if X.n != model.n:
@@ -459,6 +512,7 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     flat[:, 1] *= RT2
     target = model.lmi_weighted.T @ flat.ravel()
     inner_cfg = replace(cfg, tol=cfg.tol / 100.0)
+    warm = _WarmStart()
     z = np.zeros(model.dim())
     res = math.inf
     inner_ok = True
@@ -468,7 +522,7 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     while k < cfg.max_iter:
         k += 1
         point = z - gamma * (model.gram_dense @ z - target)
-        z_new, inner_stats = _project_cone_arr(model, point, inner_cfg)
+        z_new, inner_stats = _project_cone_arr(model, point, inner_cfg, warm)
         if inner_stats.final_residual > cfg.tol:
             inner_ok = False
         res = float(np.linalg.norm(z_new - z))

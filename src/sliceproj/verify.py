@@ -10,12 +10,12 @@ the pytest suite is the full-strength version of the same checks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cones, probe, project, symmat
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -239,22 +239,19 @@ _GROUPS = (
 )
 
 
-def run_verify(n_max: int = 4, seed: int = 12345, jobs: int = 1,
-               inject_defect: bool = False):
-    """Run every invariant group; returns the ordered list of GroupResult."""
-    n_max = max(2, min(int(n_max), 12))
+def run_verify(n_max: int = 4, seed: int = 12345, inject_defect: bool = False):
+    """Run every invariant group; returns the ordered list of GroupResult.
 
-    def run_one(idx):
-        name, fn = _GROUPS[idx]
+    Raises InvalidInputError unless 2 <= n_max <= 12.
+    """
+    if not 2 <= n_max <= 12:
+        raise InvalidInputError(f"n_max must lie in [2, 12], got {n_max}")
+    results = []
+    for idx, (name, fn) in enumerate(_GROUPS):
         rng = np.random.default_rng(seed + idx)
         try:
             ok, detail = fn(n_max, rng, inject_defect)
         except Exception as exc:  # a crash counts as a failed group
-            return GroupResult(name, False, f"raised {type(exc).__name__}: {exc}")
-        return GroupResult(name, ok, detail)
-
-    indices = range(len(_GROUPS))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, indices))
-    return [run_one(i) for i in indices]
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(GroupResult(name, ok, detail))
+    return results

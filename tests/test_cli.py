@@ -256,6 +256,22 @@ def test_verify_detects_injected_defect():
                proc.stdout.strip().splitlines())
 
 
+@pytest.mark.parametrize("n_max", ["0", "13"])
+def test_verify_rejects_out_of_range_n_max(n_max):
+    proc = run_cli("verify", "--n-max", n_max)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        f"error: n_max must lie in [2, 12], got {n_max}"]
+
+
+@pytest.mark.parametrize("args", [("probe", "--n", "2"), ("verify",)])
+def test_jobs_flag_is_gone(args):
+    proc = run_cli(*args, "--jobs", "2")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

@@ -8,9 +8,9 @@ import pytest
 import sliceproj.probe as probe_module
 from sliceproj import (InvalidInputError, SolverConfig, curve_step,
                        fit_exponent, make_cone, normal_curve, polar_curve,
-                       probe_semismoothness, project_polar, report_from_json,
-                       report_to_csv, report_to_json, residual_exact,
-                       residual_numeric)
+                       probe_semismoothness, report_from_json, report_to_csv,
+                       report_to_json, residual_exact, residual_numeric)
+from sliceproj.project import _project_cone_arr, _WarmStart
 
 CFG = SolverConfig()
 
@@ -197,31 +197,73 @@ def test_probe_numeric_mode_matches_exact_slope(models):
     assert abs(report.fitted_slope - model.lam) <= 0.05
 
 
-def test_probe_numeric_parallel_evaluation_is_deterministic(models):
+def test_probe_numeric_is_deterministic(models):
     model = models[2]
-    serial = probe_semismoothness(model, "numeric", points=5,
-                                  t_min=1e-2, t_max=1e-1, cfg=CFG, jobs=1)
-    threaded = probe_semismoothness(model, "numeric", points=5,
-                                    t_min=1e-2, t_max=1e-1, cfg=CFG, jobs=4)
-    assert np.array_equal(serial.residual_norms, threaded.residual_norms)
-    assert serial.fitted_slope == threaded.fitted_slope
+    first = probe_semismoothness(model, "numeric", points=5,
+                                 t_min=1e-2, t_max=1e-1, cfg=CFG)
+    second = probe_semismoothness(model, "numeric", points=5,
+                                  t_min=1e-2, t_max=1e-1, cfg=CFG)
+    assert np.array_equal(first.residual_norms, second.residual_norms)
+    assert first.fitted_slope == second.fitted_slope
 
 
 def test_numeric_probe_checks_origin_once(models, monkeypatch):
     model = models[2]
+    t_grid = np.logspace(-2, -1, 5)
     origin = polar_curve(model, 0.0).coords
-    checked = []
+    bases = [polar_curve(model, t).coords for t in t_grid]
+    solved = []
 
-    def counting(model_, point, cfg=None):
-        checked.append(bool(np.array_equal(point.coords, origin)))
-        return project_polar(model_, point, cfg)
+    def counting(model_, q, cfg, warm=None):
+        solved.append(q.copy())
+        return _project_cone_arr(model_, q, cfg, warm)
 
-    monkeypatch.setattr(probe_module, "project_polar", counting)
+    def times_solved(point):
+        return sum(np.array_equal(q, point) for q in solved)
+
+    monkeypatch.setattr(probe_module, "_project_cone_arr", counting)
     probe_semismoothness(model, "numeric", points=5, t_min=1e-2, t_max=1e-1,
                          cfg=CFG)
-    assert sum(checked) == 1 and len(checked) == 6
-    checked.clear()
+    assert times_solved(origin) == 1
+    assert [times_solved(b) for b in bases] == [1] * 5
+    solved.clear()
     residual_numeric(model, 0.3, CFG)
-    assert checked == [True, False]
+    assert times_solved(origin) == 1
+    assert times_solved(polar_curve(model, 0.3).coords) == 1
+    with pytest.raises(InvalidInputError):
+        probe_semismoothness(model, "numeric", fd_step=0.0)
+
+
+def test_warm_probe_matches_cold_residuals(models):
+    # the chained grid walk reproduces each grid point's cold measurement
+    for n in (2, 3, 4):
+        report = probe_semismoothness(models[n], "numeric", points=8, cfg=CFG)
+        cold = [residual_numeric(models[n], float(t), CFG).norm
+                for t in report.t_grid]
+        assert report.residual_norms == pytest.approx(cold, rel=1e-3)
+
+
+def test_stale_warm_start_falls_back_to_cold_answer(models):
+    tight = SolverConfig(tol=1e-13)
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        model = models[n]
+
+        def fd_point(t):
+            return (polar_curve(model, t).coords
+                    + 1e-6 * curve_step(model, t).coords)
+
+        q = fd_point(1e-3)
+        cold, _ = _project_cone_arr(model, q, tight)
+        # a far grid point's answer, and a random point's answer, whose
+        # active set the refinement cannot certify at q: ADMM must run
+        for stale in (fd_point(0.5), 5.0 * rng.standard_normal(model.dim())):
+            warm = _WarmStart()
+            _project_cone_arr(model, stale, tight, warm)
+            p, stats = _project_cone_arr(model, q, tight, warm)
+            assert stats.converged
+            assert np.linalg.norm(p - cold) <= 1e-9 * np.linalg.norm(q)
+            assert warm.p is p
+        assert stats.iterations > 0
     with pytest.raises(InvalidInputError):
         probe_semismoothness(model, "numeric", fd_step=0.0)
