@@ -11,24 +11,34 @@ cross-validate each other:
 * a fixed-point iteration for the same slice, driven by repeated projected
   gradient steps onto the cone.
 
+The projection onto a cone is positively homogeneous, so the cone solver
+works on q / ||q|| and scales its answer back by ||q||. Its tolerance,
+stall test and refinement thresholds are therefore relative to ||q||: the
+answer scales with q, and the iteration count and the converged flag do
+not depend on q's scale (bitwise so for power-of-two rescalings).
+
 Projections whose answer sits at (or near) the cone's apex lack strict
 complementarity, and every first-order splitting method degrades to a
-sublinear crawl there. The ADMM solver therefore periodically attempts an
-active-set Newton refinement in conically rescaled variables; the refined
-point is accepted only when an exact optimality certificate holds (matched
-KKT residual, nonnegative multipliers, feasible direction), otherwise the
-raw ADMM iterate is kept. The certificate uses nothing beyond the cone's
-defining inequalities, so the refined answers remain an independent check
-on any closed-form prediction.
+sublinear crawl there. The ADMM solver therefore attempts an active-set
+Newton refinement in conically rescaled variables at iteration 64, then
+at 128, 256 and so on, as well as on reaching tol, on stalling and at the
+budget. The refined point is accepted only when an exact optimality
+certificate holds (matched KKT residual, nonnegative multipliers, feasible
+direction), otherwise the raw ADMM iterate is kept. The certificate uses
+nothing beyond the cone's defining inequalities, so the refined answers
+remain an independent check on any closed-form prediction. A refinement
+that stops making progress gives up after a few Newton steps, so an
+early checkpoint with a wrong active set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
 number of numpy calls per iteration, not flops. The p-update therefore
 uses operators built once per model and penalty rho and cached on the
 ConeModel: Minv = (I + rho A*A)^-1 and the gain K = rho Minv A*. A solve
-computes Minv q once; each iteration is then p = Minv q + K (Z - U), the
-product A p, one PSD clip of the flat block vector and one product with
-A* for the dual residual. Dykstra's range step uses the model's
-precomputed orthogonal projector onto the range of A.
+computes Minv u once, for u = q / ||q||; each iteration is then
+p = Minv u + K (Z - U), the product A p, one PSD clip of the flat block
+vector and one product with A* for the dual residual. Dykstra's range
+step uses the model's precomputed orthogonal projector onto the range of
+A.
 
 Callers that solve a path of nearby cone projections (the numeric probe's
 grid, the fixed-point projector's outer loop) pass a private warm holder,
@@ -67,13 +77,26 @@ log = logging.getLogger("sliceproj.project")
 _STALL_FACTOR = 1e-3
 _STALL_WINDOW = 2000
 _CERT_TOL = 1e-12
+# first ADMM iteration at which the refinement is tried; doubled after each
+_FIRST_POLISH = 64
+# the Newton refinement's progress test (see _newton_polish): accepted
+# refinements in the numeric probes at n = 2..11 and on N(0, I) inputs at
+# n = 2..12 never needed a step below 2^-11 and cut the residual norm by at
+# least 0.2 % over any 8 steps
+_NEWTON_HALVINGS = 16
+_NEWTON_WINDOW = 8
+_NEWTON_MIN_GAIN = 1e-3
 # ADMM operators kept per model; a model that sees more penalties starts over
 _ADMM_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by the iterative projectors."""
+    """Knobs shared by the iterative projectors.
+
+    Cone solves work on q / ||q||, so for them tol is relative to ||q||;
+    the slice projectors apply it to their residuals as they stand.
+    """
 
     tol: float = 1e-9
     max_iter: int = 200_000
@@ -92,22 +115,41 @@ class SolverConfig:
             raise InvalidInputError("over_relax must lie in [1, 1.8]")
 
 
+# why a solve stopped; see SolveStats
+EXIT_REASONS = ("tol", "certified", "stalled", "budget")
+
+
 @dataclass(frozen=True)
 class SolveStats:
+    """How a solve ended.
+
+    final_residual is the residual the solve stopped at. For cone solves it
+    is relative to ||q||: the ADMM residual or the refinement's certificate
+    residual of the unit-norm problem. exit_reason is one of EXIT_REASONS:
+    ``tol`` (the residual reached tol), ``certified`` (an exact shortcut,
+    or an active-set refinement whose optimality certificate held),
+    ``stalled`` (no progress over the stall window) or ``budget`` (max_iter
+    reached). For cone solves converged == (final_residual <= tol).
+    """
+
     iterations: int
     final_residual: float
     converged: bool
+    exit_reason: str
 
     def __post_init__(self):
         object.__setattr__(self, "iterations", int(self.iterations))
         object.__setattr__(self, "final_residual", float(self.final_residual))
         object.__setattr__(self, "converged", bool(self.converged))
+        if self.exit_reason not in EXIT_REASONS:
+            raise ValueError(f"unknown exit reason {self.exit_reason!r}")
 
     def to_json_dict(self) -> dict:
         return {
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "converged": self.converged,
+            "exit_reason": self.exit_reason,
         }
 
 
@@ -162,12 +204,19 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     of unit norm, nu the conically rescaled multipliers of the active block
     determinants. Rescaling keeps the system well conditioned even as the
     projection shrinks into the apex. Returns (p_hat, certificate_residual)
-    or None when the certificate fails.
+    or None when the certificate fails. q has unit norm, so the thresholds
+    are relative to ||q||.
+
+    Damped Newton stops early once it stops making progress: when the
+    line search needs a step shorter than 2^-_NEWTON_HALVINGS, or when the
+    last _NEWTON_WINDOW steps together cut the residual norm by less than
+    the fraction _NEWTON_MIN_GAIN. Either way the certificate then decides
+    on the best point reached, so a hopeless active set costs a few steps
+    instead of max_newton full line searches.
     """
     d = model.dim()
-    scale = 1.0 + float(np.linalg.norm(q))
-    mu = float(np.linalg.norm(p0))
-    if not mu > 1e-13 * scale:
+    mu = _norm(p0)
+    if not mu > 1e-13:
         return None
     pi = p0 / mu
     Bs = model.det_forms[J]
@@ -180,32 +229,37 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     u = np.concatenate([[mu], pi, nu])
     fu = _kkt_residual(Bs, q, u)
     best = float(np.abs(fu).max())
-    for _ in range(max_newton):
-        if best <= 1e-15 * scale:
+    norms = [_norm(fu)]
+    for k in range(max_newton):
+        if best <= 1e-15:
+            break
+        if (k >= _NEWTON_WINDOW and norms[k]
+                > (1.0 - _NEWTON_MIN_GAIN) * norms[k - _NEWTON_WINDOW]):
             break
         try:
             du = np.linalg.solve(_kkt_jacobian(Bs, u), -fu)
         except np.linalg.LinAlgError:
             return None
         step = 1.0
-        norm0 = _norm(fu)
-        for _ in range(30):
+        for _ in range(_NEWTON_HALVINGS + 1):
             u_try = u + step * du
             f_try = _kkt_residual(Bs, q, u_try)
-            if _norm(f_try) < (1.0 - 0.25 * step) * norm0:
+            norm_try = _norm(f_try)
+            if norm_try < (1.0 - 0.25 * step) * norms[k]:
                 u, fu = u_try, f_try
                 best = float(np.abs(fu).max())
+                norms.append(norm_try)
                 break
             step *= 0.5
         else:
             break
-    if best > _CERT_TOL * scale:
+    if best > _CERT_TOL:
         return None
     mu, pi, nu = float(u[0]), u[1:1 + d], u[1 + d:]
     # certificate: nonnegative multipliers, nonnegative scale, feasible
     # direction; together with the matched residual these prove optimality
     nu_scale = 1.0 + (np.abs(nu).max() if nJ else 0.0)
-    if mu < -1e-11 * scale or np.any(nu < -1e-9 * nu_scale):
+    if mu < -1e-11 or np.any(nu < -1e-9 * nu_scale):
         return None
     if _block_min_eigs(model, pi).min() < -1e-10:
         return None
@@ -273,60 +327,79 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
                       warm: _WarmStart | None = None):
     """ADMM projection onto the cone, on raw coordinate arrays.
 
-    Splitting: p-update solves (I + rho A*A) p = q + rho A*(Z - U), Z-update
+    Projection onto a cone is positively homogeneous, so the solve runs on
+    the unit vector u = q / ||q|| and its answer and ADMM state are scaled
+    back by ||q||: tol, the stall test and the refinement's thresholds are
+    relative to ||q|| by construction. ||q|| is computed without overflow
+    or underflow (math.hypot), so a power-of-two rescaling of q rescales
+    the answer bitwise and leaves the iteration count unchanged.
+
+    Splitting: p-update solves (I + rho A*A) p = u + rho A*(Z - U), Z-update
     is the blockwise PSD projection of A p + U, U is the scaled dual.
-    The p-update is p = Minv q + K (Z - U) with the cached operators of
+    The p-update is p = Minv u + K (Z - U) with the cached operators of
     :func:`_admm_operator`. A p is formed from p, not as a product of
     (Z - U) with A K: at the apex the d entries of p can cancel to exactly
-    0, while A K (Z - U) keeps a rounding floor in every block entry, which
-    at large ||q|| stalls above tol.
+    0, while A K (Z - U) keeps a rounding floor in every block entry.
     Stops on max(primal, dual) residual <= tol, on a certified refinement,
     or when the residual stalls at its attainable floor.
 
-    With a filled warm holder, the certified refinement is first tried
-    from the holder's answer and dual; it is returned with 0 iterations
-    when its certificate residual is within tol. Otherwise ADMM starts
-    from the holder's (Z, U) instead of zeros.
+    With a filled warm holder (absolute p, Z, U, divided by ||q|| here),
+    the certified refinement is first tried from the holder's answer and
+    dual; it is returned with 0 iterations when its certificate residual
+    is within tol. Otherwise ADMM starts from the holder's (Z, U) instead
+    of zeros.
     """
-    scale = 1.0 + float(np.linalg.norm(q))
     W = model.lmi_weighted
     m = W.shape[0]
-    if float(np.linalg.norm(q)) == 0.0:
+    qn = math.hypot(*q)
+    if qn == 0.0:
         # the ADMM fixed point at q = 0, and for q in the cone below
         p, Z, U = np.zeros(model.dim()), np.zeros(m), np.zeros(m)
-        stats = SolveStats(0, 0.0, True)
-    elif _block_min_eigs(model, q).min() >= -1e-13 * scale:
-        p, Z, U = q.copy(), W @ q, np.zeros(m)
-        stats = SolveStats(0, 0.0, True)
+        stats = SolveStats(0, 0.0, True, "certified")
     else:
-        p, Z, U, stats = _admm(model, q, cfg, warm)
+        u = q / qn
+        if _block_min_eigs(model, u).min() >= -1e-13:
+            p, Z, U = q.copy(), W @ q, np.zeros(m)
+            stats = SolveStats(0, 0.0, True, "certified")
+        else:
+            start = None
+            if warm is not None and warm.p is not None:
+                start = (warm.p / qn, warm.Z / qn, warm.U / qn)
+            p, Z, U, stats = _admm(model, u, cfg, start)
+            p, Z, U = qn * p, qn * Z, qn * U
     if warm is not None:
         warm.p, warm.Z, warm.U = p, Z, U
     return p, stats
 
 
-def _admm(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
-          warm: _WarmStart | None):
-    """The ADMM loop of :func:`_project_cone_arr`; returns (p, Z, U, stats)."""
+def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
+    """The ADMM loop of :func:`_project_cone_arr` on the unit vector u.
+
+    start is None or the warm (p, Z, U) divided by ||q||. Returns
+    (p, Z, U, stats) of the unit-norm problem.
+    """
     W = model.lmi_weighted
     WT = W.T
     rho = cfg.rho
     alpha = cfg.over_relax
     Z = np.zeros(W.shape[0])
     U = np.zeros(W.shape[0])
-    if warm is not None and warm.p is not None:
+    if start is not None:
+        p_warm, Z_warm, U_warm = start
         if cfg.polish:
-            refined = _attempt_polish(model, q, warm.p, warm.U)
+            refined = _attempt_polish(model, u, p_warm, U_warm)
             if refined is not None and refined[1] <= cfg.tol:
                 p_hat, cert_res = refined
-                return p_hat, warm.Z, warm.U, SolveStats(0, cert_res, True)
-        Z, U = warm.Z, warm.U
+                return p_hat, Z_warm, U_warm, SolveStats(0, cert_res, True,
+                                                         "certified")
+        Z, U = Z_warm, U_warm
     minv, gain = _admm_operator(model, rho)
-    p0 = minv @ q
+    p0 = minv @ u
     res = math.inf
     best_res = math.inf
     best_iter = 0
-    polish_at = 256
+    polish_at = _FIRST_POLISH
+    reason = "budget"
     k = 0
     while k < cfg.max_iter:
         k += 1
@@ -348,17 +421,20 @@ def _admm(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
                            or k == cfg.max_iter):
             if k == polish_at:
                 polish_at *= 2
-            refined = _attempt_polish(model, q, p, U)
+            refined = _attempt_polish(model, u, p, U)
             if refined is not None:
                 p_hat, cert_res = refined
-                return p_hat, Z, U, SolveStats(k, cert_res, cert_res <= cfg.tol)
+                return p_hat, Z, U, SolveStats(k, cert_res, cert_res <= cfg.tol,
+                                               "certified")
         if res <= cfg.tol:
+            reason = "tol"
             break
         if stalled:
             log.debug("cone projection stalled at residual %.3e after %d "
                       "iterations", res, k)
+            reason = "stalled"
             break
-    return p, Z, U, SolveStats(k, res, res <= cfg.tol)
+    return p, Z, U, SolveStats(k, res, res <= cfg.tol, reason)
 
 
 def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
@@ -421,15 +497,15 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
         x = x_new
         res = max(gap, step)
         if res <= cfg.tol:
-            return x, SolveStats(k, res, True)
+            return x, SolveStats(k, res, True, "tol")
         if res < best_res * (1.0 - _STALL_FACTOR):
             best_res = res
             best_iter = k
         if k - best_iter > _STALL_WINDOW:
             log.debug("Dykstra stalled at residual %.3e after %d iterations",
                       res, k)
-            break
-    return x, SolveStats(k, res, res <= cfg.tol)
+            return x, SolveStats(k, res, False, "stalled")
+    return x, SolveStats(k, res, False, "budget")
 
 
 def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
@@ -466,8 +542,9 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
         x = dense0.copy()
         corr = np.zeros_like(x)
         res = math.inf
+        best_res = math.inf
+        best_iter = 0
         k = 0
-        stats = SolveStats(0, math.inf, False)
         while k < cfg.max_iter:
             k += 1
             w, V = jacobi_eig(SymMatrix.from_dense(x + corr))
@@ -486,8 +563,16 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
             x = x_new
             res = max(gap, step)
             if res <= cfg.tol:
-                return SymMatrix.from_dense(x), SolveStats(k, res, True)
-        return SymMatrix.from_dense(x), SolveStats(k, res, False)
+                return SymMatrix.from_dense(x), SolveStats(k, res, True, "tol")
+            if res < best_res * (1.0 - _STALL_FACTOR):
+                best_res = res
+                best_iter = k
+            if k - best_iter > _STALL_WINDOW:
+                log.debug("dense Dykstra stalled at residual %.3e after %d "
+                          "iterations", res, k)
+                return SymMatrix.from_dense(x), SolveStats(k, res, False,
+                                                           "stalled")
+        return SymMatrix.from_dense(x), SolveStats(k, res, False, "budget")
     raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
 
 
@@ -518,6 +603,7 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     inner_ok = True
     best_res = math.inf
     best_iter = 0
+    reason = "budget"
     k = 0
     while k < cfg.max_iter:
         k += 1
@@ -528,6 +614,7 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
         res = float(np.linalg.norm(z_new - z))
         z = z_new
         if res <= cfg.tol:
+            reason = "tol"
             break
         if res < best_res * (1.0 - _STALL_FACTOR):
             best_res = res
@@ -535,8 +622,9 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
         if k - best_iter > 50:
             log.debug("fixed-point projector stalled at %.3e after %d outer "
                       "iterations", res, k)
+            reason = "stalled"
             break
     out = (model.lmi_weighted @ z).reshape(-1, 3)
     out[:, 1] /= RT2
     converged = res <= cfg.tol and inner_ok
-    return BlockSymMatrix(model.n, out), SolveStats(k, res, converged)
+    return BlockSymMatrix(model.n, out), SolveStats(k, res, converged, reason)

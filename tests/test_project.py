@@ -1,5 +1,7 @@
 """Solver checks: cone/polar projections, range projector, slice projectors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,12 @@ def test_solve_stats_json_dict(models):
     q = polar_curve(models[2], 0.3)
     _, stats = project_cone(models[2], q, CFG)
     d = stats.to_json_dict()
-    assert set(d) == {"iterations", "final_residual", "converged"}
+    assert set(d) == {"iterations", "final_residual", "converged",
+                      "exit_reason"}
     assert isinstance(d["iterations"], int)
     assert isinstance(d["final_residual"], float)
     assert isinstance(d["converged"], bool)
+    assert d["exit_reason"] in project_module.EXIT_REASONS
 
 
 def test_project_cone_fixes_members(models):
@@ -95,6 +99,93 @@ def test_project_cone_zero_short_circuit(models):
     out, stats = project_cone(models[3], ConePoint(3, np.zeros(7)), CFG)
     assert np.array_equal(out.coords, np.zeros(7))
     assert stats.converged and stats.iterations == 0
+
+
+SCALES = (1e-200, 1e-150, 1e-12, 1e-6, 1e6, 1e12, 1e150)
+
+
+def _scale_cases():
+    rng = np.random.default_rng(7)
+    for n in (2, 6, 12):
+        model = make_cone(n)
+        for _ in range(2):
+            yield model, rng.standard_normal(2 * n + 1)
+        # an apex answer and a boundary answer
+        yield model, polar_curve(model, 0.5).coords
+        yield model, (polar_curve(model, 0.5).coords
+                      + normal_curve(model, 0.5).coords)
+
+
+def test_project_cone_is_scale_invariant():
+    for model, g in _scale_cases():
+        ref, ref_stats = project_cone(model, ConePoint(model.n, g), CFG)
+        assert ref_stats.converged
+        for a in SCALES:
+            out, stats = project_cone(model, ConePoint(model.n, a * g), CFG)
+            err = np.linalg.norm(out.coords / a - ref.coords) / np.linalg.norm(g)
+            assert err <= 1e-12, (model.n, a, err)
+            assert stats.converged, (model.n, a, stats)
+
+
+def test_project_cone_power_of_two_scaling_is_bitwise():
+    for model, g in _scale_cases():
+        ref, ref_stats = project_cone(model, ConePoint(model.n, g), CFG)
+        for k in (-600, -40, 40, 400):
+            out, stats = project_cone(model, ConePoint(model.n, 2.0 ** k * g),
+                                      CFG)
+            assert np.array_equal(out.coords, 2.0 ** k * ref.coords), (model.n, k)
+            assert stats.iterations == ref_stats.iterations
+            assert stats.converged == ref_stats.converged
+
+
+def test_exit_reasons(models):
+    model = models[2]
+    w = normal_curve(model, 0.5)
+    q = ConePoint(2, polar_curve(model, 0.5).coords + w.coords)
+    _, stats = project_cone(model, q, SolverConfig(polish=False))
+    assert (stats.exit_reason, stats.converged) == ("tol", True)
+    _, stats = project_cone(model, polar_curve(model, 0.5), CFG)
+    assert (stats.exit_reason, stats.converged) == ("certified", True)
+    _, stats = project_cone(model, w, CFG)
+    assert (stats.exit_reason, stats.iterations) == ("certified", 0)
+    _, stats = project_cone(model, q, SolverConfig(tol=1e-300, polish=False))
+    assert (stats.exit_reason, stats.converged) == ("stalled", False)
+    assert stats.iterations < SolverConfig().max_iter
+    _, stats = project_cone(model, q, SolverConfig(max_iter=5, polish=False))
+    assert (stats.exit_reason, stats.iterations) == ("budget", 5)
+    X = lmi_apply(model, w)
+    _, stats = project_slice_fixedpoint(model, X, CFG)
+    assert stats.exit_reason == "tol"
+    Y = BlockSymMatrix(2, np.random.default_rng(5).standard_normal((3, 3)))
+    _, stats = project_slice_dykstra(model, Y, SolverConfig(max_iter=2))
+    assert (stats.exit_reason, stats.converged) == ("budget", False)
+
+
+def test_hopeless_refinement_gives_up_early(monkeypatch):
+    # among these inputs the refinement meets active sets it cannot
+    # certify; without the progress test one such call runs all 60 Newton
+    # steps with 1539 KKT evaluations
+    model = make_cone(2)
+    evals = []
+    kkt = project_module._kkt_residual
+    newton = project_module._newton_polish
+
+    def counting_kkt(*args):
+        evals[-1] += 1
+        return kkt(*args)
+
+    def counting_newton(*args):
+        evals.append(0)
+        return newton(*args)
+
+    monkeypatch.setattr(project_module, "_kkt_residual", counting_kkt)
+    monkeypatch.setattr(project_module, "_newton_polish", counting_newton)
+    rng = np.random.default_rng(2)
+    for _ in range(120):
+        q = ConePoint(2, rng.standard_normal(5))
+        _, stats = project_cone(model, q, CFG)
+        assert stats.converged
+    assert max(evals) <= 300
 
 
 def test_project_cone_variational_inequality(models):
@@ -276,6 +367,18 @@ def test_dykstra_full_matrix_path_matches_block_path(models):
     assert np.linalg.norm(fully.to_dense() - blocky.to_full().to_dense()) <= 1e-6
 
 
+def test_dense_dykstra_stops_on_stall(models):
+    # an unreachable tol: both Dykstra loops must stop at their floor
+    rng = np.random.default_rng(5)
+    model = models[2]
+    X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
+    cfg = SolverConfig(tol=1e-300, max_iter=50_000)
+    for inp in (X, X.to_full()):
+        _, stats = project_slice_dykstra(model, inp, cfg)
+        assert (stats.exit_reason, stats.converged) == ("stalled", False)
+        assert stats.iterations < 10_000
+
+
 def test_fixedpoint_fixes_cone_images(models):
     rng = np.random.default_rng(131)
     for n in (2, 3):
@@ -396,7 +499,8 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
         assert stats.converged
         assert calls and calls[-1][2] is not None
         p_hat, cert = calls[-1][2]
-        assert np.array_equal(p, p_hat) and cert <= 1e-13
+        # the refinement runs on q / ||q||; the solver scales its answer back
+        assert np.array_equal(p, math.hypot(*q) * p_hat) and cert <= 1e-13
         inside, _ = membership_cone(model, ConePoint(4, p), tol=1e-13)
         assert inside
         # the stacked residual and Jacobian match the per-block loops
