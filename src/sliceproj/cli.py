@@ -49,9 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="solver residual tolerance; for cone solves "
-                            "(targets K and polar, and the probe) relative "
-                            "to the input norm ||q|| (default 1e-9)")
+                       help="solver residual tolerance, relative to the "
+                            "input norm (||q|| or ||X||) (default 1e-9)")
         p.add_argument("--max-iter", type=int, default=200_000,
                        help="solver iteration budget (default 200000)")
         p.add_argument("--rho", type=float, default=1.0,

@@ -15,7 +15,9 @@ The projection onto a cone is positively homogeneous, so the cone solver
 works on q / ||q|| and scales its answer back by ||q||. Its tolerance,
 stall test and refinement thresholds are therefore relative to ||q||: the
 answer scales with q, and the iteration count and the converged flag do
-not depend on q's scale (bitwise so for power-of-two rescalings).
+not depend on q's scale (bitwise so for power-of-two rescalings). The
+projection onto the slice is positively homogeneous too, and both slice
+projectors likewise run on X / ||X||.
 
 Projections whose answer sits at (or near) the cone's apex lack strict
 complementarity, and every first-order splitting method degrades to a
@@ -69,7 +71,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .cones import ConeModel, ConePoint
 from .errors import InvalidInputError
-from .symmat import RT2, BlockSymMatrix, SymMatrix, jacobi_eig, psd_clip_flat
+from .symmat import (RT2, BlockSymMatrix, SymMatrix, block_diag_index, jacobi_eig,
+                     psd_clip_flat)
 
 log = logging.getLogger("sliceproj.project")
 
@@ -94,8 +97,9 @@ _ADMM_CACHE_SIZE = 4
 class SolverConfig:
     """Knobs shared by the iterative projectors.
 
-    Cone solves work on q / ||q||, so for them tol is relative to ||q||;
-    the slice projectors apply it to their residuals as they stand.
+    Every projector works on its input divided by the input's norm (q / ||q||
+    for cone solves, X / ||X|| for the slice projectors), so tol is relative
+    to ||q|| or ||X||.
     """
 
     tol: float = 1e-9
@@ -123,13 +127,14 @@ EXIT_REASONS = ("tol", "certified", "stalled", "budget")
 class SolveStats:
     """How a solve ended.
 
-    final_residual is the residual the solve stopped at. For cone solves it
-    is relative to ||q||: the ADMM residual or the refinement's certificate
-    residual of the unit-norm problem. exit_reason is one of EXIT_REASONS:
-    ``tol`` (the residual reached tol), ``certified`` (an exact shortcut,
-    or an active-set refinement whose optimality certificate held),
-    ``stalled`` (no progress over the stall window) or ``budget`` (max_iter
-    reached). For cone solves converged == (final_residual <= tol).
+    final_residual is the residual the solve stopped at, relative to the
+    input's norm (||q|| or ||X||). For cone solves it is the ADMM residual
+    or the refinement's certificate residual of the unit-norm problem.
+    exit_reason is one of EXIT_REASONS: ``tol`` (the residual reached tol),
+    ``certified`` (an exact shortcut, or an active-set refinement whose
+    optimality certificate held), ``stalled`` (no progress over the stall
+    window) or ``budget`` (max_iter reached). For cone solves converged ==
+    (final_residual <= tol).
     """
 
     iterations: int
@@ -151,6 +156,10 @@ class SolveStats:
             "converged": self.converged,
             "exit_reason": self.exit_reason,
         }
+
+
+# the exact answer at a zero input, and for a cone solve of a cone member
+_ZERO_STATS = SolveStats(0, 0.0, True, "certified")
 
 
 def _block_min_eigs(model: ConeModel, p: np.ndarray) -> np.ndarray:
@@ -355,12 +364,12 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     if qn == 0.0:
         # the ADMM fixed point at q = 0, and for q in the cone below
         p, Z, U = np.zeros(model.dim()), np.zeros(m), np.zeros(m)
-        stats = SolveStats(0, 0.0, True, "certified")
+        stats = _ZERO_STATS
     else:
         u = q / qn
         if _block_min_eigs(model, u).min() >= -1e-13:
             p, Z, U = q.copy(), W @ q, np.zeros(m)
-            stats = SolveStats(0, 0.0, True, "certified")
+            stats = _ZERO_STATS
         else:
             start = None
             if warm is not None and warm.p is not None:
@@ -458,6 +467,21 @@ def project_polar(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = Non
     return ConePoint(model.n, q.coords - p.coords), stats
 
 
+def _weighted(X: BlockSymMatrix) -> np.ndarray:
+    """X's (a, sqrt(2) b, c) rows, flat: in these coordinates the Euclidean
+    inner product is the trace inner product."""
+    flat = X.blocks.copy()
+    flat[:, 1] *= RT2
+    return flat.ravel()
+
+
+def _unweighted(n: int, flat: np.ndarray) -> BlockSymMatrix:
+    """Inverse of :func:`_weighted`."""
+    rows = flat.reshape(-1, 3)
+    rows[:, 1] /= RT2
+    return BlockSymMatrix(n, rows)
+
+
 def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     """Orthogonal projection onto the range of the LMI map.
 
@@ -467,11 +491,7 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     """
     if X.n != model.n:
         raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
-    flat = X.blocks.copy()
-    flat[:, 1] *= RT2
-    out = (model.range_proj @ flat.ravel()).reshape(-1, 3)
-    out[:, 1] /= RT2
-    return BlockSymMatrix(model.n, out)
+    return _unweighted(model.n, model.range_proj @ _weighted(X))
 
 
 def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
@@ -508,71 +528,82 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
     return x, SolveStats(k, res, False, "budget")
 
 
+def _dykstra_dense(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
+    """:func:`_dykstra_flat` on full (4n-2)-matrices.
+
+    The PSD step diagonalises the whole matrix by Jacobi. The range of the
+    LMI map is block-diagonal, so the range step gathers the 2x2 diagonal
+    blocks, projects their weighted coordinates and scatters them back into
+    a zero matrix.
+    """
+    d = x0.shape[0]
+    gather, scatter = block_diag_index(model.n)
+    weight = np.tile([1.0, RT2, 1.0], 2 * model.n - 1)
+    x = x0.copy()
+    corr = np.zeros_like(x0)
+    res = math.inf
+    best_res = math.inf
+    best_iter = 0
+    k = 0
+    while k < cfg.max_iter:
+        k += 1
+        shifted = x + corr
+        w, V = jacobi_eig(shifted)
+        y = (V * np.maximum(w, 0.0)) @ V.T
+        corr = shifted - y
+        rows = (model.range_proj @ (y.ravel()[gather] * weight)) / weight
+        x_new = np.zeros(d * d)
+        x_new[scatter] = rows.reshape(-1, 3)[:, (0, 1, 1, 2)].ravel()
+        x_new = x_new.reshape(d, d)
+        gap = _norm((y - x_new).ravel())
+        step = _norm((x_new - x).ravel())
+        x = x_new
+        res = max(gap, step)
+        if res <= cfg.tol:
+            return x, SolveStats(k, res, True, "tol")
+        if res < best_res * (1.0 - _STALL_FACTOR):
+            best_res = res
+            best_iter = k
+        if k - best_iter > _STALL_WINDOW:
+            log.debug("dense Dykstra stalled at residual %.3e after %d "
+                      "iterations", res, k)
+            return x, SolveStats(k, res, False, "stalled")
+    return x, SolveStats(k, res, False, "budget")
+
+
 def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
     """Project onto the slice (PSD cone intersected with the LMI range).
 
     Block-diagonal inputs keep the fast closed-form 2x2 PSD step; full
     symmetric inputs run the PSD step through the Jacobi eigensolver.
     Returns an object of the same kind as the input plus solve statistics.
+
+    The projection is positively homogeneous, so both loops run on
+    X / ||X|| (Frobenius norm, by math.hypot) and the answer is scaled
+    back: tol is relative to ||X||, and a power-of-two rescaling of X
+    rescales the answer bitwise with equal iterations. X = 0 returns exact
+    zeros.
     """
     cfg = cfg or SolverConfig()
     if isinstance(X, BlockSymMatrix):
         if X.n != model.n:
             raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
-        flat = X.blocks.copy()
-        flat[:, 1] *= RT2
-        out, stats = _dykstra_flat(model, flat.ravel(), cfg, psd_clip_flat)
-        rows = out.reshape(-1, 3)
-        rows[:, 1] /= RT2
-        return BlockSymMatrix(model.n, rows), stats
+        flat = _weighted(X)
+        xn = math.hypot(*flat)
+        if xn == 0.0:
+            return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
+        out, stats = _dykstra_flat(model, flat / xn, cfg, psd_clip_flat)
+        return _unweighted(model.n, xn * out), stats
     if isinstance(X, SymMatrix):
         d = 4 * model.n - 2
         if X.dim != d:
             raise InvalidInputError(f"matrix dimension {X.dim} does not match {d}")
-        dense0 = X.to_dense()
-
-        def to_flat(dense):
-            rows = np.empty((2 * model.n - 1, 3))
-            for j in range(2 * model.n - 1):
-                rows[j] = (dense[2 * j, 2 * j], RT2 * dense[2 * j, 2 * j + 1],
-                           dense[2 * j + 1, 2 * j + 1])
-            return rows.ravel()
-
-        # state kept as dense matrices so the PSD step sees the full matrix
-        x = dense0.copy()
-        corr = np.zeros_like(x)
-        res = math.inf
-        best_res = math.inf
-        best_iter = 0
-        k = 0
-        while k < cfg.max_iter:
-            k += 1
-            w, V = jacobi_eig(SymMatrix.from_dense(x + corr))
-            y = (V * np.maximum(w, 0.0)) @ V.T
-            corr = x + corr - y
-            flat = model.range_proj @ to_flat(y)
-            rows = flat.reshape(-1, 3)
-            x_new = np.zeros_like(x)
-            for j in range(2 * model.n - 1):
-                x_new[2 * j, 2 * j] = rows[j, 0]
-                x_new[2 * j, 2 * j + 1] = rows[j, 1] / RT2
-                x_new[2 * j + 1, 2 * j] = rows[j, 1] / RT2
-                x_new[2 * j + 1, 2 * j + 1] = rows[j, 2]
-            gap = float(np.linalg.norm(y - x_new))
-            step = float(np.linalg.norm(x_new - x))
-            x = x_new
-            res = max(gap, step)
-            if res <= cfg.tol:
-                return SymMatrix.from_dense(x), SolveStats(k, res, True, "tol")
-            if res < best_res * (1.0 - _STALL_FACTOR):
-                best_res = res
-                best_iter = k
-            if k - best_iter > _STALL_WINDOW:
-                log.debug("dense Dykstra stalled at residual %.3e after %d "
-                          "iterations", res, k)
-                return SymMatrix.from_dense(x), SolveStats(k, res, False,
-                                                           "stalled")
-        return SymMatrix.from_dense(x), SolveStats(k, res, False, "budget")
+        dense = X.to_dense()
+        xn = math.hypot(*dense.ravel())
+        if xn == 0.0:
+            return SymMatrix(d, np.zeros_like(X.packed)), _ZERO_STATS
+        out, stats = _dykstra_dense(model, dense / xn, cfg)
+        return SymMatrix.from_dense(xn * out), stats
     raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
 
 
@@ -586,6 +617,10 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     default is the model's precomputed 0.9 / lam_max. Inner cone projections
     run at tol/100 so inexact inner solves do not stall the outer loop; each
     starts from the previous outer iterate's answer (a warm holder).
+
+    Like :func:`project_slice_dykstra` the loop runs on X / ||X|| and scales
+    its answer back, so tol is relative to ||X||; X = 0 returns exact
+    zeros.
     """
     cfg = cfg or SolverConfig()
     if X.n != model.n:
@@ -593,9 +628,11 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     gamma = model.gamma if gamma is None else float(gamma)
     if not (0.0 < gamma < 1.0 / model.lam_max):
         raise InvalidInputError("gamma must lie in (0, 1/lam_max)")
-    flat = X.blocks.copy()
-    flat[:, 1] *= RT2
-    target = model.lmi_weighted.T @ flat.ravel()
+    flat = _weighted(X)
+    xn = math.hypot(*flat)
+    if xn == 0.0:
+        return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
+    target = model.lmi_weighted.T @ (flat / xn)
     inner_cfg = replace(cfg, tol=cfg.tol / 100.0)
     warm = _WarmStart()
     z = np.zeros(model.dim())
@@ -624,7 +661,6 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
                       "iterations", res, k)
             reason = "stalled"
             break
-    out = (model.lmi_weighted @ z).reshape(-1, 3)
-    out[:, 1] /= RT2
     converged = res <= cfg.tol and inner_ok
-    return BlockSymMatrix(model.n, out), SolveStats(k, res, converged, reason)
+    return (_unweighted(model.n, xn * (model.lmi_weighted @ z)),
+            SolveStats(k, res, converged, reason))

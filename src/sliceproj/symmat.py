@@ -1,10 +1,15 @@
 """Minimal dense symmetric-matrix kernel.
 
 Provides closed-form 2x2 spectral decompositions, blockwise PSD projection
-for block-diagonal matrices built from 2x2 blocks, and a cyclic Jacobi
-eigensolver for full symmetric matrices. The Jacobi solver is deliberately
-independent of the closed-form 2x2 path so the two can cross-check each
-other.
+for block-diagonal matrices built from 2x2 blocks, and a threshold Jacobi
+eigensolver for full symmetric matrices. Jacobi sweeps in parallel
+(round-robin) order (Brent & Luk, 1985): each round is a set of disjoint
+index pairs, rotated at once by one orthogonal matrix, so a sweep costs a
+few array operations per round instead of a Python call per pair. The
+first round pairs (0, 1), (2, 3), ..., so a matrix of 2x2 diagonal blocks
+is diagonalised in one round. The Jacobi solver is deliberately
+independent of the closed-form 2x2 clip (psd_clip_flat) so the two can
+cross-check each other.
 
 All operations are pure functions of their inputs and safe for unrestricted
 concurrent use.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +113,25 @@ class SymMatrix:
         return float(np.linalg.norm(self.to_dense()))
 
 
+@lru_cache(maxsize=None)
+def block_diag_index(n: int):
+    """Where the 2x2 diagonal blocks of a (4n-2)-matrix sit in its row-major
+    flattening, as read-only (gather, scatter) index arrays.
+
+    ``dense.ravel()[gather]`` lists the blocks' (a, b, c) entries, block by
+    block, with b read above the diagonal. ``full.ravel()[scatter] =
+    rows[:, (0, 1, 1, 2)].ravel()`` writes (a, b, c) rows back, b on both
+    sides of the diagonal.
+    """
+    d = 4 * n - 2
+    corner = 2 * (d + 1) * np.arange(2 * n - 1)   # position of entry (2k, 2k)
+    gather = (corner[:, None] + np.array([0, 1, d + 1])).ravel()
+    scatter = (corner[:, None] + np.array([0, 1, d, d + 1])).ravel()
+    gather.setflags(write=False)
+    scatter.setflags(write=False)
+    return gather, scatter
+
+
 @dataclass(frozen=True)
 class BlockSymMatrix:
     """Block-diagonal element of S^(4n-2): an ordered list of 2n-1 symmetric
@@ -146,13 +171,9 @@ class BlockSymMatrix:
     def to_full(self) -> SymMatrix:
         """Assemble the (4n-2) x (4n-2) block-diagonal matrix."""
         d = 4 * self.n - 2
-        out = np.zeros((d, d))
-        for k, (a, b, c) in enumerate(self.blocks):
-            out[2 * k, 2 * k] = a
-            out[2 * k, 2 * k + 1] = b
-            out[2 * k + 1, 2 * k] = b
-            out[2 * k + 1, 2 * k + 1] = c
-        return SymMatrix.from_dense(out)
+        out = np.zeros(d * d)
+        out[block_diag_index(self.n)[1]] = self.blocks[:, (0, 1, 1, 2)].ravel()
+        return SymMatrix.from_dense(out.reshape(d, d))
 
     @classmethod
     def from_full(cls, n: int, mat: SymMatrix) -> "BlockSymMatrix":
@@ -160,11 +181,7 @@ class BlockSymMatrix:
         dense = mat.to_dense()
         if dense.shape[0] != 4 * n - 2:
             raise InvalidInputError("matrix dimension does not match 4n-2")
-        rows = np.empty((2 * n - 1, 3))
-        for k in range(2 * n - 1):
-            rows[k] = (dense[2 * k, 2 * k], dense[2 * k, 2 * k + 1],
-                       dense[2 * k + 1, 2 * k + 1])
-        return cls(n, rows)
+        return cls(n, dense.ravel()[block_diag_index(n)[0]].reshape(-1, 3))
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.blocks[:, 0] ** 2
@@ -263,30 +280,54 @@ def psd_project_block(mat: BlockSymMatrix) -> BlockSymMatrix:
     return BlockSymMatrix(mat.n, psd_clip_rows(mat.blocks))
 
 
-def _rotate(A: np.ndarray, V: np.ndarray, p: int, q: int) -> None:
-    apq = A[p, q]
-    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    col_p = A[:, p].copy()
-    col_q = A[:, q].copy()
-    A[:, p] = c * col_p - s * col_q
-    A[:, q] = s * col_p + c * col_q
-    row_p = A[p, :].copy()
-    row_q = A[q, :].copy()
-    A[p, :] = c * row_p - s * row_q
-    A[q, :] = s * row_p + c * row_q
-    A[p, q] = 0.0
-    A[q, p] = 0.0
-    vp = V[:, p].copy()
-    vq = V[:, q].copy()
-    V[:, p] = c * vp - s * vq
-    V[:, q] = s * vp + c * vq
+@lru_cache(maxsize=None)
+def _jacobi_rounds(d: int):
+    """Parallel (round-robin) ordering of the off-diagonal pairs of a d x d
+    matrix, built on first use for each d.
+
+    Returns (rounds, round_of). rounds holds one (p, q) pair of index
+    arrays per round, p < q: d - 1 rounds of d/2 disjoint pairs for even d;
+    an odd d gets a dummy index d, whose pairs are dropped, so it takes d
+    rounds. Together the rounds cover every pair exactly once. Round 0 is
+    (0, 1), (2, 3), ..., so a matrix of 2x2 diagonal blocks is diagonal
+    after one round. round_of is the d x d matrix of each pair's round
+    index (symmetric; its diagonal is unused). All arrays are read-only.
+    """
+    m = d + d % 2
+    half = m // 2
+    # circle method on seats 0..m-1 (seat 0 fixed, the others rotate),
+    # relabelled so that round 0 pairs 2k with 2k + 1
+    label = np.concatenate([2 * np.arange(half), 2 * np.arange(half)[::-1] + 1])
+    rounds = []
+    round_of = np.zeros((d, d), dtype=np.intp)
+    for r in range(m - 1):
+        seat = np.concatenate([[0], (r + np.arange(m - 1)) % (m - 1) + 1])
+        a, b = label[seat[:half]], label[seat[::-1][:half]]
+        p, q = np.minimum(a, b), np.maximum(a, b)
+        keep = q < d
+        p, q = p[keep], q[keep]
+        round_of[p, q] = round_of[q, p] = r
+        for arr in (p, q):
+            arr.setflags(write=False)
+        rounds.append((p, q))
+    round_of.setflags(write=False)
+    return tuple(rounds), round_of
 
 
 def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a full symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a full symmetric matrix by threshold Jacobi
+    sweeps in parallel (round-robin) order.
+
+    Each sweep walks the rounds of :func:`_jacobi_rounds`, visiting only
+    the rounds that hold an entry above the sweep's threshold
+    (off / (100 d^2), off the norm of the off-diagonal part) when the sweep
+    starts. A round's above-threshold pairs are disjoint, so their
+    rotations go into one orthogonal J and are applied at once, as
+    A <- J^T A J and V <- V J; the rotated entries are then set to exact 0.
+    Sweeps stop once off <= 1e-13 ||A||. A matrix of 2x2 diagonal blocks is
+    diagonalised by the first round. Jacobi stays independent of the
+    closed-form 2x2 clip (:func:`psd_clip_flat`), so the two can
+    cross-check each other.
 
     Parameters
     ----------
@@ -307,7 +348,7 @@ def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
         raise InvalidInputError("jacobi_eig requires a square matrix")
     if d > JACOBI_MAX_DIM:
         raise InvalidInputError(f"jacobi_eig supports dimension <= {JACOBI_MAX_DIM}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInputError("jacobi_eig requires finite entries")
     A = 0.5 * (A + A.T)
     V = np.eye(d)
@@ -320,19 +361,42 @@ def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
     A /= unit
     norm0 = np.linalg.norm(A)
     target = 1e-13 * norm0
+    rounds, round_of = _jacobi_rounds(d)
     for _ in range(max_sweeps):
-        # norm of the off-diagonal part, summed directly so it can reach
+        # the off-diagonal part, summed directly so its norm can reach
         # machine floor instead of the rounding floor of ||A||^2 - ||diag||^2
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
+        off_part = A.copy()
+        off_part.flat[::d + 1] = 0.0
+        off = math.sqrt(np.vdot(off_part, off_part))
         if off <= target:
             break
         # skip rotations on entries carrying a negligible share of the
         # current off-diagonal mass
         thresh = off / (100.0 * d * d)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(A[p, q]) > thresh:
-                    _rotate(A, V, p, q)
+        hot = np.zeros(len(rounds), dtype=bool)
+        hot[round_of[np.abs(off_part) > thresh]] = True
+        for r in np.flatnonzero(hot):
+            p, q = rounds[r]
+            apq = A[p, q]
+            big = np.abs(apq) > thresh
+            if not big.all():
+                if not big.any():
+                    continue
+                p, q, apq = p[big], q[big], apq[big]
+            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+            t = (np.where(tau >= 0.0, 1.0, -1.0)
+                 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            J = np.eye(d)
+            J[p, p] = c
+            J[q, q] = c
+            J[p, q] = s
+            J[q, p] = -s
+            A = J.T @ A @ J
+            A[p, q] = 0.0
+            A[q, p] = 0.0
+            V = V @ J
     else:
         raise NumericFailureError(
             f"Jacobi sweeps did not converge within {max_sweeps} sweeps"

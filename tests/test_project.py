@@ -319,6 +319,12 @@ def test_dykstra_zero(models):
     X = BlockSymMatrix(3, np.zeros((5, 3)))
     out, stats = project_slice_dykstra(model, X, CFG)
     assert np.linalg.norm(out.blocks) <= 10.0 * CFG.tol
+    # every slice projector returns the exact answer at once
+    for kind in SLICE_PROJECTORS:
+        out, stats = _project_slice(kind, model, X)
+        assert np.all(out == 0.0), kind
+        assert (stats.exit_reason, stats.converged, stats.iterations) == (
+            "certified", True, 0)
 
 
 def test_dykstra_output_lands_in_both_sets(models):
@@ -377,6 +383,67 @@ def test_dense_dykstra_stops_on_stall(models):
         _, stats = project_slice_dykstra(model, inp, cfg)
         assert (stats.exit_reason, stats.converged) == ("stalled", False)
         assert stats.iterations < 10_000
+
+
+SLICE_PROJECTORS = ("dykstra_block", "dykstra_dense", "fixedpoint")
+
+
+def _project_slice(kind, model, X):
+    """One slice projector on the block matrix X; the answer as a dense
+    matrix."""
+    if kind == "dykstra_block":
+        out, stats = project_slice_dykstra(model, X, CFG)
+        return out.to_full().to_dense(), stats
+    if kind == "dykstra_dense":
+        out, stats = project_slice_dykstra(model, X.to_full(), CFG)
+        return out.to_dense(), stats
+    out, stats = project_slice_fixedpoint(model, X, CFG)
+    return out.to_full().to_dense(), stats
+
+
+def test_slice_projectors_are_scale_invariant(models):
+    rng = np.random.default_rng(149)
+    for n in (2, 3):
+        X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+        for kind in SLICE_PROJECTORS:
+            ref, ref_stats = _project_slice(kind, models[n], X)
+            assert ref_stats.converged
+            for a in (1e-200, 1e-12, 1e-6, 1e6, 1e12, 1e150):
+                out, stats = _project_slice(
+                    kind, models[n], BlockSymMatrix(n, a * X.blocks))
+                err = np.linalg.norm(out / a - ref) / np.linalg.norm(ref)
+                assert err <= 1e-12, (n, kind, a, err)
+                assert stats.converged, (n, kind, a, stats)
+
+
+def test_slice_power_of_two_scaling_is_bitwise(models):
+    rng = np.random.default_rng(151)
+    for n in (2, 3):
+        X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+        for kind in SLICE_PROJECTORS:
+            ref, ref_stats = _project_slice(kind, models[n], X)
+            for k in (-600, -40, 40, 400):
+                out, stats = _project_slice(
+                    kind, models[n], BlockSymMatrix(n, 2.0 ** k * X.blocks))
+                assert np.array_equal(out, 2.0 ** k * ref), (n, kind, k)
+                assert stats.iterations == ref_stats.iterations
+
+
+def test_dense_dykstra_projects_full_input(models):
+    # the range of the LMI map is block-diagonal, so the projection of a
+    # full matrix is the projection of its 2x2 diagonal blocks
+    rng = np.random.default_rng(157)
+    model = models[2]
+    X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
+    raw = rng.standard_normal((6, 6))
+    full = raw + raw.T
+    for k in range(3):
+        full[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.0
+    full += X.to_full().to_dense()
+    blocky, _ = project_slice_dykstra(model, X, CFG)
+    fully, stats = project_slice_dykstra(model, SymMatrix.from_dense(full), CFG)
+    assert stats.converged
+    assert np.linalg.norm(fully.to_dense() - blocky.to_full().to_dense()) <= 1e-6
 
 
 def test_fixedpoint_fixes_cone_images(models):

@@ -9,7 +9,8 @@ from sliceproj import (BlockSymMatrix, InvalidInputError, Sym2, SymMatrix,
                        eig2, jacobi_eig, psd_project_2, psd_project_block,
                        read_block_matrix, read_symmatrix, write_block_matrix,
                        write_symmatrix)
-from sliceproj.symmat import RT2, psd_clip_flat, psd_clip_rows
+from sliceproj.symmat import (RT2, _jacobi_rounds, block_diag_index, psd_clip_flat,
+                              psd_clip_rows)
 
 
 def random_sym2(rng, scale=2.0):
@@ -217,6 +218,50 @@ def test_jacobi_random_reconstruction():
         assert np.all(np.diff(w) <= 1e-12 * norm)
 
 
+def test_jacobi_schedule_covers_each_pair_once():
+    for d in range(2, 31):
+        rounds, round_of = _jacobi_rounds(d)
+        assert len(rounds) == (d - 1 if d % 2 == 0 else d)
+        pairs = []
+        for r, (p, q) in enumerate(rounds):
+            # a round's pairs are disjoint, so its rotations commute
+            assert len(set(p) | set(q)) == 2 * len(p), (d, r)
+            assert np.all(p < q)
+            assert np.all(round_of[p, q] == r) and np.all(round_of[q, p] == r)
+            pairs += zip(p.tolist(), q.tolist())
+        assert sorted(pairs) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+        assert list(zip(*rounds[0])) == [(2 * k, 2 * k + 1) for k in range(d // 2)]
+
+
+def test_jacobi_odd_and_even_dimensions():
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 3, 5, 6, 10, 25, 60):
+        raw = rng.standard_normal((d, d))
+        dense = raw + raw.T
+        w, V = jacobi_eig(dense)
+        norm = np.linalg.norm(dense)
+        assert np.linalg.norm((V * w) @ V.T - dense) <= 1e-12 * norm, d
+        assert np.linalg.norm(V.T @ V - np.eye(d)) <= 1e-12, d
+        assert np.all(np.diff(w) <= 0.0), d
+        ref = np.linalg.eigvalsh(dense)[::-1]
+        assert np.all(np.abs(w - ref) <= 1e-12 * norm), d
+
+
+def test_jacobi_block_diagonal_input_keeps_its_blocks():
+    rng = np.random.default_rng(47)
+    for n in range(2, 13):
+        mat = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+        w, V = jacobi_eig(mat.to_full())
+        want = np.sort(np.concatenate([
+            np.linalg.eigvalsh(np.array([[a, b], [b, c]])) for a, b, c in mat.blocks
+        ]))[::-1]
+        assert np.all(np.abs(w - want) <= 1e-14 * np.abs(want).max()), n
+        # the first round rotates within the blocks only: each eigenvector
+        # is supported on one block
+        in_block = (V.reshape(2 * n - 1, 2, -1) != 0.0).any(axis=1)
+        assert np.all(in_block.sum(axis=0) == 1), n
+
+
 def test_jacobi_guards():
     with pytest.raises(InvalidInputError):
         jacobi_eig(SymMatrix(201, np.zeros(201 * 202 // 2)))
@@ -258,6 +303,28 @@ def test_block_full_extraction_round_trip():
     back = BlockSymMatrix.from_full(3, mat.to_full())
     assert np.allclose(back.blocks, mat.blocks)
     assert mat.norm() == pytest.approx(mat.to_full().norm(), rel=1e-14)
+
+
+def test_block_full_index_map_matches_loops():
+    # the seed's Python loops are the reference for the gather/scatter map
+    rng = np.random.default_rng(53)
+    for n in (2, 3, 7):
+        d = 4 * n - 2
+        mat = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+        want = np.zeros((d, d))
+        for k, (a, b, c) in enumerate(mat.blocks):
+            want[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [b, c]]
+        assert np.array_equal(mat.to_full().to_dense(), want)
+        raw = rng.standard_normal((d, d))
+        full = raw + raw.T
+        rows = np.array([(full[2 * k, 2 * k], full[2 * k, 2 * k + 1],
+                          full[2 * k + 1, 2 * k + 1]) for k in range(2 * n - 1)])
+        got = BlockSymMatrix.from_full(n, SymMatrix.from_dense(full)).blocks
+        assert np.array_equal(got, rows)
+        gather, scatter = block_diag_index(n)
+        assert not gather.flags.writeable and not scatter.flags.writeable
+    with pytest.raises(InvalidInputError):
+        BlockSymMatrix.from_full(3, SymMatrix.from_dense(np.eye(6)))
 
 
 def test_text_formats_round_trip():
