@@ -31,8 +31,8 @@ p = ConePoint.from_parts(2, x1=0.3, x2=0.2, x3=1.0, y=[0.5], z=[0.4])
 image = lmi_apply(model, p)
 inside, worst = membership_cone(model, p)
 print(f"  point {p.coords}")
-for k in range(image.block_count()):
-    print(f"  block {k}: {image.block(k).as_array().tolist()}")
+for k, (a, b, c) in enumerate(image.blocks.tolist()):
+    print(f"  block {k}: {[[a, b], [b, c]]}")
 print(f"  membership: {inside} (worst constraint violation {worst:+.3f})")
 
 # the adjoint is the transpose under the trace inner product

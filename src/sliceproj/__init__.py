@@ -14,8 +14,7 @@ from .probe import (NumericResidual, ProbeReport, fit_exponent,
 from .project import (SolveStats, SolverConfig, project_cone, project_polar,
                       project_range, project_slice_dykstra,
                       project_slice_fixedpoint)
-from .symmat import (BlockSymMatrix, Spectral2, Sym2, SymMatrix, eig2,
-                     jacobi_eig, psd_project_2, psd_project_block,
+from .symmat import (BlockSymMatrix, SymMatrix, jacobi_eig, psd_project_block,
                      read_block_matrix, read_symmatrix, write_block_matrix,
                      write_symmatrix)
 
@@ -24,15 +23,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockSymMatrix", "ConeModel", "ConePoint", "InvalidInputError",
     "NormalRay", "NumericFailureError", "NumericResidual", "ProbeReport",
-    "SolveStats", "SolverConfig", "Spectral2", "Sym2", "SymMatrix",
-    "curve_step", "eig2", "fit_exponent", "holder_gap", "jacobi_eig",
-    "lmi_adjoint", "lmi_apply", "make_cone", "membership_cone",
-    "membership_polar_shadow", "normal_curve", "normal_ray", "polar_curve",
-    "probe_semismoothness", "project_cone", "project_polar", "project_range",
-    "project_slice_dykstra", "project_slice_fixedpoint", "psd_project_2",
-    "psd_project_block", "read_block_matrix", "read_cone_point",
-    "read_symmatrix", "report_from_json", "report_to_csv", "report_to_json",
-    "residual_exact", "residual_numeric", "sample_cone", "step_normal_inner",
-    "tangent_project", "write_block_matrix", "write_cone_point",
-    "write_symmatrix",
+    "SolveStats", "SolverConfig", "SymMatrix", "curve_step", "fit_exponent",
+    "holder_gap", "jacobi_eig", "lmi_adjoint", "lmi_apply", "make_cone",
+    "membership_cone", "membership_polar_shadow", "normal_curve",
+    "normal_ray", "polar_curve", "probe_semismoothness", "project_cone",
+    "project_polar", "project_range", "project_slice_dykstra",
+    "project_slice_fixedpoint", "psd_project_block", "read_block_matrix",
+    "read_cone_point", "read_symmatrix", "report_from_json", "report_to_csv",
+    "report_to_json", "residual_exact", "residual_numeric", "sample_cone",
+    "step_normal_inner", "tangent_project", "write_block_matrix",
+    "write_cone_point", "write_symmatrix",
 ]

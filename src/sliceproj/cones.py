@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidInputError
-from .symmat import RT2, BlockSymMatrix, SymMatrix
+from .symmat import RT2, BlockSymMatrix
 
 N_MIN = 2
 N_MAX = 12
@@ -130,12 +130,14 @@ def _det_forms(n: int):
 class ConeModel:
     """Everything precomputed for a fixed cone index n.
 
-    kappa and lam are the conjugate exponents 2^n and 2^n/(2^n - 1); gram is
-    the Gram operator of the LMI map (positive definite since the map is
-    injective) with a Cholesky factorization good for linear solves; gamma
-    is the safe step 0.9 / lam_max(gram) for the fixed-point projector;
-    range_proj is the orthogonal projector onto the range of the LMI map in
-    weighted block coordinates.
+    kappa and lam are the conjugate exponents 2^n and 2^n/(2^n - 1);
+    gram_dense is the Gram operator A*A of the LMI map A (positive definite
+    since the map is injective) and gram_factor its Cholesky factorization,
+    used by solve_gram; gamma is the safe step 0.9 / lam_max(A*A) for the
+    fixed-point projector; lmi_weighted is A in weighted block coordinates
+    (see _weighted_matrix), det_forms the forms B_k with p^T B_k p the
+    determinant of block k; range_proj is the orthogonal projector onto the
+    range of A in weighted block coordinates.
 
     admm_cache, the only mutable part, holds the cone projector's ADMM
     operators, one per penalty rho, built on first use by sliceproj.project.
@@ -144,12 +146,10 @@ class ConeModel:
     n: int
     kappa: float
     lam: float
-    gram: SymMatrix
     gram_dense: np.ndarray = field(repr=False)
     gram_factor: tuple = field(repr=False)
     gamma: float
     lam_max: float
-    lam_min: float
     lmi_weighted: np.ndarray = field(repr=False)
     det_forms: np.ndarray = field(repr=False)
     range_proj: np.ndarray = field(repr=False)
@@ -184,12 +184,10 @@ def make_cone(n: int) -> ConeModel:
         n=int(n),
         kappa=float(2.0 ** n),
         lam=float(2.0 ** n / (2.0 ** n - 1.0)),
-        gram=SymMatrix.from_dense(gram_dense),
         gram_dense=gram_dense,
         gram_factor=gram_factor,
         gamma=0.9 / float(eigs[-1]),
         lam_max=float(eigs[-1]),
-        lam_min=float(eigs[0]),
         lmi_weighted=weighted,
         det_forms=det_forms,
         range_proj=range_proj,
@@ -202,23 +200,32 @@ def _check_point(model: ConeModel, p: ConePoint) -> np.ndarray:
     return p.coords
 
 
+def _weighted(X: BlockSymMatrix) -> np.ndarray:
+    """X's (a, sqrt(2) b, c) rows, flat: in these coordinates the Euclidean
+    inner product is the trace inner product."""
+    flat = X.blocks.copy()
+    flat[:, 1] *= RT2
+    return flat.ravel()
+
+
+def _unweighted(n: int, flat: np.ndarray) -> BlockSymMatrix:
+    """Inverse of :func:`_weighted`."""
+    rows = flat.reshape(-1, 3)
+    rows[:, 1] /= RT2
+    return BlockSymMatrix(n, rows)
+
+
 def lmi_apply(model: ConeModel, p: ConePoint) -> BlockSymMatrix:
     """Apply the LMI map: the block-diagonal matrix whose PSD-ness defines
     membership of p in the cone."""
-    coords = _check_point(model, p)
-    flat = model.lmi_weighted @ coords
-    rows = flat.reshape(-1, 3)
-    rows[:, 1] /= RT2
-    return BlockSymMatrix(model.n, rows)
+    return _unweighted(model.n, model.lmi_weighted @ _check_point(model, p))
 
 
 def lmi_adjoint(model: ConeModel, mat: BlockSymMatrix) -> ConePoint:
     """Adjoint of the LMI map under the trace inner product on blocks."""
     if mat.n != model.n:
         raise InvalidInputError(f"matrix has n={mat.n}, model has n={model.n}")
-    flat = mat.blocks.copy()
-    flat[:, 1] *= RT2
-    return ConePoint(model.n, model.lmi_weighted.T @ flat.ravel())
+    return ConePoint(model.n, model.lmi_weighted.T @ _weighted(mat))
 
 
 def membership_cone(model: ConeModel, p: ConePoint, tol: float = 1e-9):

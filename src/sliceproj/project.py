@@ -42,6 +42,12 @@ vector and one product with A* for the dual residual. Dykstra's range
 step uses the model's precomputed orthogonal projector onto the range of
 A.
 
+ADMM, Dykstra (on block or full matrices) and the fixed-point projector
+share one iteration loop, _iterate: each passes a step that returns its
+residual, and the loop owns the tolerance, stall and budget tests, the
+refinement schedule's checkpoints, the exit reason and one debug log line
+per exit.
+
 Callers that solve a path of nearby cone projections (the numeric probe's
 grid, the fixed-point projector's outer loop) pass a private warm holder,
 _WarmStart, to each solve. The solver leaves its answer and ADMM state
@@ -69,10 +75,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .cones import ConeModel, ConePoint
+from .cones import ConeModel, ConePoint, _unweighted, _weighted
 from .errors import InvalidInputError
-from .symmat import (RT2, BlockSymMatrix, SymMatrix, block_diag_index, jacobi_eig,
-                     psd_clip_flat)
+from .symmat import (RT2, BlockSymMatrix, SymMatrix, block_diag_index,
+                     block_min_eigs, jacobi_eig, psd_clip_flat)
 
 log = logging.getLogger("sliceproj.project")
 
@@ -89,8 +95,11 @@ _FIRST_POLISH = 64
 _NEWTON_HALVINGS = 16
 _NEWTON_WINDOW = 8
 _NEWTON_MIN_GAIN = 1e-3
+_NEWTON_MAX_STEPS = 60
 # ADMM operators kept per model; a model that sees more penalties starts over
 _ADMM_CACHE_SIZE = 4
+# largest ADMM penalty accepted (see SolverConfig)
+_RHO_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -100,23 +109,25 @@ class SolverConfig:
     Every projector works on its input divided by the input's norm (q / ||q||
     for cone solves, X / ||X|| for the slice projectors), so tol is relative
     to ||q|| or ||X||.
+
+    tol and rho must be finite, and rho at most 1e100: the unit-norm ADMM
+    iterates scale like 1 / rho, and once they fall below about 1e-154 the
+    squared norms of the residual test underflow to 0, so a larger rho
+    would stop an unfinished solve as converged.
     """
 
     tol: float = 1e-9
     max_iter: int = 200_000
     rho: float = 1.0
-    over_relax: float = 1.0
     polish: bool = True
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise InvalidInputError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise InvalidInputError("tol must be positive and finite")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
-        if not (self.rho > 0.0):
-            raise InvalidInputError("rho must be positive")
-        if not (1.0 <= self.over_relax <= 1.8):
-            raise InvalidInputError("over_relax must lie in [1, 1.8]")
+        if not (0.0 < self.rho <= _RHO_MAX):
+            raise InvalidInputError(f"rho must lie in (0, {_RHO_MAX:g}]")
 
 
 # why a solve stopped; see SolveStats
@@ -162,12 +173,55 @@ class SolveStats:
 _ZERO_STATS = SolveStats(0, 0.0, True, "certified")
 
 
+def _iterate(step, cfg: SolverConfig, what: str, window: int = _STALL_WINDOW,
+             checkpoint=None) -> SolveStats:
+    """The iteration loop of every solver.
+
+    step() runs one iteration and returns its residual. The loop stops
+    when the residual is within cfg.tol, when it has not improved by the
+    fraction _STALL_FACTOR over the last `window` iterations, or after
+    cfg.max_iter iterations. checkpoint(k), if given, runs at iteration
+    _FIRST_POLISH, at each doubling of it and at every exit, before the
+    exit tests; the SolveStats it returns, if any, end the solve. Each exit
+    logs one debug line naming `what`.
+    """
+    tol = cfg.tol
+    best_res = math.inf
+    best_iter = 0
+    check_at = _FIRST_POLISH
+    reason = "budget"
+    stats = None
+    for k in range(1, cfg.max_iter + 1):
+        res = step()
+        if res < best_res * (1.0 - _STALL_FACTOR):
+            best_res = res
+            best_iter = k
+        stalled = k - best_iter > window
+        if checkpoint is not None and (res <= tol or k == check_at or stalled
+                                       or k == cfg.max_iter):
+            if k == check_at:
+                check_at *= 2
+            stats = checkpoint(k)
+            if stats is not None:
+                break
+        if res <= tol:
+            reason = "tol"
+            break
+        if stalled:
+            reason = "stalled"
+            break
+    if stats is None:
+        stats = SolveStats(k, res, res <= tol, reason)
+    log.debug("%s: %s after %d iterations at residual %.3e", what,
+              stats.exit_reason, stats.iterations, stats.final_residual)
+    return stats
+
+
 def _block_min_eigs(model: ConeModel, p: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each block of the LMI image of p."""
     rows = (model.lmi_weighted @ p).reshape(-1, 3)
-    a = rows[:, 0]
-    b = rows[:, 1] / RT2
-    c = rows[:, 2]
-    return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    rows[:, 1] /= RT2
+    return block_min_eigs(rows)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -205,8 +259,7 @@ def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
-                   max_newton: int = 60):
+def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
     """Solve the rescaled KKT system on the active set J and certify it.
 
     Unknowns are (mu, pi, nu): the candidate projection is mu * pi with pi
@@ -221,7 +274,7 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     last _NEWTON_WINDOW steps together cut the residual norm by less than
     the fraction _NEWTON_MIN_GAIN. Either way the certificate then decides
     on the best point reached, so a hopeless active set costs a few steps
-    instead of max_newton full line searches.
+    instead of _NEWTON_MAX_STEPS full line searches.
     """
     d = model.dim()
     mu = _norm(p0)
@@ -239,7 +292,7 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     fu = _kkt_residual(Bs, q, u)
     best = float(np.abs(fu).max())
     norms = [_norm(fu)]
-    for k in range(max_newton):
+    for k in range(_NEWTON_MAX_STEPS):
         if best <= 1e-15:
             break
         if (k >= _NEWTON_WINDOW and norms[k]
@@ -390,7 +443,6 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
     W = model.lmi_weighted
     WT = W.T
     rho = cfg.rho
-    alpha = cfg.over_relax
     Z = np.zeros(W.shape[0])
     U = np.zeros(W.shape[0])
     if start is not None:
@@ -404,46 +456,30 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
         Z, U = Z_warm, U_warm
     minv, gain = _admm_operator(model, rho)
     p0 = minv @ u
-    res = math.inf
-    best_res = math.inf
-    best_iter = 0
-    polish_at = _FIRST_POLISH
-    reason = "budget"
-    k = 0
-    while k < cfg.max_iter:
-        k += 1
+    p = None
+
+    def step():
+        nonlocal p, Z, U
         p = p0 + gain @ (Z - U)
         Ap = W @ p
-        Ap_rel = Ap if alpha == 1.0 else alpha * Ap + (1.0 - alpha) * Z
-        X = Ap_rel + U
+        X = Ap + U
         Z_new = psd_clip_flat(X)
         U = X - Z_new
-        r_prim = _norm(Ap - Z_new)
         r_dual = rho * _norm(WT @ (Z_new - Z))
         Z = Z_new
-        res = max(r_prim, r_dual)
-        if res < best_res * (1.0 - _STALL_FACTOR):
-            best_res = res
-            best_iter = k
-        stalled = k - best_iter > _STALL_WINDOW
-        if cfg.polish and (res <= cfg.tol or k == polish_at or stalled
-                           or k == cfg.max_iter):
-            if k == polish_at:
-                polish_at *= 2
-            refined = _attempt_polish(model, u, p, U)
-            if refined is not None:
-                p_hat, cert_res = refined
-                return p_hat, Z, U, SolveStats(k, cert_res, cert_res <= cfg.tol,
-                                               "certified")
-        if res <= cfg.tol:
-            reason = "tol"
-            break
-        if stalled:
-            log.debug("cone projection stalled at residual %.3e after %d "
-                      "iterations", res, k)
-            reason = "stalled"
-            break
-    return p, Z, U, SolveStats(k, res, res <= cfg.tol, reason)
+        return max(_norm(Ap - Z_new), r_dual)
+
+    def polish(k):
+        nonlocal p
+        refined = _attempt_polish(model, u, p, U)
+        if refined is None:
+            return None
+        p, cert_res = refined
+        return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
+
+    stats = _iterate(step, cfg, "cone projection",
+                     checkpoint=polish if cfg.polish else None)
+    return p, Z, U, stats
 
 
 def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
@@ -467,21 +503,6 @@ def project_polar(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = Non
     return ConePoint(model.n, q.coords - p.coords), stats
 
 
-def _weighted(X: BlockSymMatrix) -> np.ndarray:
-    """X's (a, sqrt(2) b, c) rows, flat: in these coordinates the Euclidean
-    inner product is the trace inner product."""
-    flat = X.blocks.copy()
-    flat[:, 1] *= RT2
-    return flat.ravel()
-
-
-def _unweighted(n: int, flat: np.ndarray) -> BlockSymMatrix:
-    """Inverse of :func:`_weighted`."""
-    rows = flat.reshape(-1, 3)
-    rows[:, 1] /= RT2
-    return BlockSymMatrix(n, rows)
-
-
 def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     """Orthogonal projection onto the range of the LMI map.
 
@@ -495,90 +516,60 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
 
 
 def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
-                  psd_step):
-    """Dykstra alternation between the PSD cone and the range subspace.
+                  psd_step, range_step):
+    """Dykstra alternation between the PSD cone and the range subspace,
+    whose projections of a flat iterate are psd_step and range_step.
 
     The correction term is carried on the PSD step only; the subspace is
     affine, so its step needs no correction.
     """
-    x = x0.copy()
+    x = x0
     corr = np.zeros_like(x0)
-    res = math.inf
-    best_res = math.inf
-    best_iter = 0
-    k = 0
-    while k < cfg.max_iter:
-        k += 1
-        y = psd_step(x + corr)
-        corr = x + corr - y
-        x_new = model.range_proj @ y
-        gap = _norm(y - x_new)
-        step = _norm(x_new - x)
+
+    def step():
+        nonlocal x, corr
+        shifted = x + corr
+        y = psd_step(shifted)
+        corr = shifted - y
+        x_new = range_step(y)
+        res = max(_norm(y - x_new), _norm(x_new - x))
         x = x_new
-        res = max(gap, step)
-        if res <= cfg.tol:
-            return x, SolveStats(k, res, True, "tol")
-        if res < best_res * (1.0 - _STALL_FACTOR):
-            best_res = res
-            best_iter = k
-        if k - best_iter > _STALL_WINDOW:
-            log.debug("Dykstra stalled at residual %.3e after %d iterations",
-                      res, k)
-            return x, SolveStats(k, res, False, "stalled")
-    return x, SolveStats(k, res, False, "budget")
+        return res
+
+    stats = _iterate(step, cfg, "Dykstra")
+    return x, stats
 
 
-def _dykstra_dense(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
-    """:func:`_dykstra_flat` on full (4n-2)-matrices.
-
-    The PSD step diagonalises the whole matrix by Jacobi. The range of the
-    LMI map is block-diagonal, so the range step gathers the 2x2 diagonal
-    blocks, projects their weighted coordinates and scatters them back into
-    a zero matrix.
-    """
-    d = x0.shape[0]
+def _dense_steps(model: ConeModel):
+    """Dykstra's steps on a flattened (4n-2)-matrix: the PSD step by Jacobi;
+    the range of the LMI map is block-diagonal, so the range step projects
+    the gathered 2x2 diagonal blocks and scatters them into a zero matrix."""
+    d = 4 * model.n - 2
     gather, scatter = block_diag_index(model.n)
     weight = np.tile([1.0, RT2, 1.0], 2 * model.n - 1)
-    x = x0.copy()
-    corr = np.zeros_like(x0)
-    res = math.inf
-    best_res = math.inf
-    best_iter = 0
-    k = 0
-    while k < cfg.max_iter:
-        k += 1
-        shifted = x + corr
-        w, V = jacobi_eig(shifted)
-        y = (V * np.maximum(w, 0.0)) @ V.T
-        corr = shifted - y
-        rows = (model.range_proj @ (y.ravel()[gather] * weight)) / weight
-        x_new = np.zeros(d * d)
-        x_new[scatter] = rows.reshape(-1, 3)[:, (0, 1, 1, 2)].ravel()
-        x_new = x_new.reshape(d, d)
-        gap = _norm((y - x_new).ravel())
-        step = _norm((x_new - x).ravel())
-        x = x_new
-        res = max(gap, step)
-        if res <= cfg.tol:
-            return x, SolveStats(k, res, True, "tol")
-        if res < best_res * (1.0 - _STALL_FACTOR):
-            best_res = res
-            best_iter = k
-        if k - best_iter > _STALL_WINDOW:
-            log.debug("dense Dykstra stalled at residual %.3e after %d "
-                      "iterations", res, k)
-            return x, SolveStats(k, res, False, "stalled")
-    return x, SolveStats(k, res, False, "budget")
+
+    def psd_step(v):
+        w, V = jacobi_eig(v.reshape(d, d))
+        return ((V * np.maximum(w, 0.0)) @ V.T).ravel()
+
+    def range_step(v):
+        rows = (model.range_proj @ (v[gather] * weight)) / weight
+        out = np.zeros(d * d)
+        out[scatter] = rows.reshape(-1, 3)[:, (0, 1, 1, 2)].ravel()
+        return out
+
+    return psd_step, range_step
 
 
 def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
     """Project onto the slice (PSD cone intersected with the LMI range).
 
     Block-diagonal inputs keep the fast closed-form 2x2 PSD step; full
-    symmetric inputs run the PSD step through the Jacobi eigensolver.
-    Returns an object of the same kind as the input plus solve statistics.
+    symmetric inputs run the same loop on the flattened matrix, with the
+    PSD step through the Jacobi eigensolver. Returns an object of the same
+    kind as the input plus solve statistics.
 
-    The projection is positively homogeneous, so both loops run on
+    The projection is positively homogeneous, so the loop runs on
     X / ||X|| (Frobenius norm, by math.hypot) and the answer is scaled
     back: tol is relative to ||X||, and a power-of-two rescaling of X
     rescales the answer bitwise with equal iterations. X = 0 returns exact
@@ -592,18 +583,19 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
         xn = math.hypot(*flat)
         if xn == 0.0:
             return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
-        out, stats = _dykstra_flat(model, flat / xn, cfg, psd_clip_flat)
+        out, stats = _dykstra_flat(model, flat / xn, cfg, psd_clip_flat,
+                                   lambda y: model.range_proj @ y)
         return _unweighted(model.n, xn * out), stats
     if isinstance(X, SymMatrix):
         d = 4 * model.n - 2
         if X.dim != d:
             raise InvalidInputError(f"matrix dimension {X.dim} does not match {d}")
-        dense = X.to_dense()
-        xn = math.hypot(*dense.ravel())
+        flat = X.to_dense().ravel()
+        xn = math.hypot(*flat)
         if xn == 0.0:
             return SymMatrix(d, np.zeros_like(X.packed)), _ZERO_STATS
-        out, stats = _dykstra_dense(model, dense / xn, cfg)
-        return SymMatrix.from_dense(xn * out), stats
+        out, stats = _dykstra_flat(model, flat / xn, cfg, *_dense_steps(model))
+        return SymMatrix.from_dense((xn * out).reshape(d, d)), stats
     raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
 
 
@@ -636,31 +628,18 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     inner_cfg = replace(cfg, tol=cfg.tol / 100.0)
     warm = _WarmStart()
     z = np.zeros(model.dim())
-    res = math.inf
     inner_ok = True
-    best_res = math.inf
-    best_iter = 0
-    reason = "budget"
-    k = 0
-    while k < cfg.max_iter:
-        k += 1
+
+    def step():
+        nonlocal z, inner_ok
         point = z - gamma * (model.gram_dense @ z - target)
         z_new, inner_stats = _project_cone_arr(model, point, inner_cfg, warm)
         if inner_stats.final_residual > cfg.tol:
             inner_ok = False
         res = float(np.linalg.norm(z_new - z))
         z = z_new
-        if res <= cfg.tol:
-            reason = "tol"
-            break
-        if res < best_res * (1.0 - _STALL_FACTOR):
-            best_res = res
-            best_iter = k
-        if k - best_iter > 50:
-            log.debug("fixed-point projector stalled at %.3e after %d outer "
-                      "iterations", res, k)
-            reason = "stalled"
-            break
-    converged = res <= cfg.tol and inner_ok
+        return res
+
+    stats = _iterate(step, cfg, "fixed-point projector", window=50)
     return (_unweighted(model.n, xn * (model.lmi_weighted @ z)),
-            SolveStats(k, res, converged, reason))
+            replace(stats, converged=stats.converged and inner_ok))

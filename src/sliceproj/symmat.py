@@ -1,11 +1,12 @@
 """Minimal dense symmetric-matrix kernel.
 
-Provides closed-form 2x2 spectral decompositions, blockwise PSD projection
-for block-diagonal matrices built from 2x2 blocks, and a threshold Jacobi
-eigensolver for full symmetric matrices. Jacobi sweeps in parallel
-(round-robin) order (Brent & Luk, 1985): each round is a set of disjoint
-index pairs, rotated at once by one orthogonal matrix, so a sweep costs a
-few array operations per round instead of a Python call per pair. The
+Provides the closed forms for block-diagonal matrices built from 2x2
+blocks (the blockwise PSD projection, psd_clip_flat, and the blocks'
+smallest eigenvalues, block_min_eigs) and a threshold Jacobi eigensolver
+for full symmetric matrices. Jacobi sweeps in parallel (round-robin)
+order (Brent & Luk, 1985): each round is a set of disjoint index pairs,
+rotated at once by one orthogonal matrix, so a sweep costs a few array
+operations per round instead of a Python call per pair. The
 first round pairs (0, 1), (2, 3), ..., so a matrix of 2x2 diagonal blocks
 is diagonalised in one round. The Jacobi solver is deliberately
 independent of the closed-form 2x2 clip (psd_clip_flat) so the two can
@@ -32,46 +33,6 @@ _DIAG = np.array([1.0, 0.0, 1.0])
 # Desk-scale guard for the dense eigensolver.
 JACOBI_MAX_DIM = 200
 JACOBI_MAX_SWEEPS = 50
-
-
-@dataclass(frozen=True)
-class Sym2:
-    """Symmetric 2x2 matrix stored as the three scalars (a, b, c).
-
-    a is the (1,1) entry, b the off-diagonal, c the (2,2) entry.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.b, self.c]])
-
-    def norm(self) -> float:
-        """Frobenius norm (off-diagonal counted twice)."""
-        return math.sqrt(self.a * self.a + 2.0 * self.b * self.b + self.c * self.c)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)
-
-
-@dataclass(frozen=True)
-class Spectral2:
-    """Spectral data of a Sym2: eig1 >= eig2 and the rotation angle of the
-    orthonormal eigenbasis, normalized to (-pi/2, pi/2]."""
-
-    eig1: float
-    eig2: float
-    angle: float
-
-    def reconstruct(self) -> Sym2:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return Sym2(
-            self.eig1 * c * c + self.eig2 * s * s,
-            (self.eig1 - self.eig2) * s * c,
-            self.eig1 * s * s + self.eig2 * c * c,
-        )
 
 
 @dataclass(frozen=True)
@@ -156,18 +117,6 @@ class BlockSymMatrix:
             raise InvalidInputError("BlockSymMatrix entries must be finite")
         object.__setattr__(self, "blocks", blocks)
 
-    @classmethod
-    def from_blocks(cls, n: int, blocks) -> "BlockSymMatrix":
-        rows = np.array([[blk.a, blk.b, blk.c] for blk in blocks], dtype=float)
-        return cls(n, rows)
-
-    def block(self, k: int) -> Sym2:
-        a, b, c = self.blocks[k]
-        return Sym2(float(a), float(b), float(c))
-
-    def block_count(self) -> int:
-        return 2 * self.n - 1
-
     def to_full(self) -> SymMatrix:
         """Assemble the (4n-2) x (4n-2) block-diagonal matrix."""
         d = 4 * self.n - 2
@@ -195,55 +144,14 @@ class BlockSymMatrix:
                             + s[:, 2] * o[:, 2]))
 
 
-def eig2(m: Sym2) -> Spectral2:
-    """Closed-form spectral decomposition of a symmetric 2x2 matrix.
-
-    Uses the half-trace +- sqrt(half-difference^2 + b^2) form with the
-    larger-magnitude root computed first and the other recovered from the
-    determinant, which avoids cancellation near repeated eigenvalues.
-    """
-    if not m.is_finite():
-        raise InvalidInputError("eig2 requires finite entries")
-    half_tr = 0.5 * (m.a + m.c)
-    half_diff = 0.5 * (m.a - m.c)
-    r = math.hypot(half_diff, m.b)
-    if r == 0.0:
-        return Spectral2(half_tr, half_tr, 0.0)
-    # larger-magnitude root directly, the other from the determinant; this
-    # keeps the small eigenvalue accurate near repeated or near-singular cases
-    if half_tr >= 0.0:
-        big = half_tr + r
-        small = (m.a * m.c - m.b * m.b) / big if big != 0.0 else half_tr - r
-        e1, e2 = big, min(small, big)
-    else:
-        big = half_tr - r
-        small = (m.a * m.c - m.b * m.b) / big
-        e1, e2 = max(small, big), big
-    # (cos angle, sin angle) spans the eigenspace of half_tr + r, which is
-    # always the larger eigenvalue; atan2 lands in (-pi, pi], so angle is
-    # already in (-pi/2, pi/2]
-    angle = 0.5 * math.atan2(2.0 * m.b, m.a - m.c)
-    return Spectral2(e1, e2, angle)
-
-
-def psd_project_2(m: Sym2) -> Sym2:
-    """Metric projection of a symmetric 2x2 matrix onto the PSD cone."""
-    spec = eig2(m)
-    if spec.eig2 >= 0.0:
-        return m
-    if spec.eig1 <= 0.0:
-        return Sym2(0.0, 0.0, 0.0)
-    return Spectral2(spec.eig1, 0.0, spec.angle).reconstruct()
-
-
 def psd_clip_flat(flat: np.ndarray, off_scale: float = RT2) -> np.ndarray:
     """Blockwise PSD projection of a flat vector of (a, k b, c) triples.
 
-    This is the one vectorized copy of the closed form of
-    :func:`psd_project_2`. ``off_scale`` is 2 / k for the weight k carried
-    by the off-diagonal entries: sqrt(2) (the default) for the weighted
-    coordinates of the solvers, whose Euclidean inner product is the trace
-    inner product, and 2 for plain (a, b, c) rows.
+    This is the one copy of the closed-form 2x2 PSD projection.
+    ``off_scale`` is 2 / k for the weight k carried by the off-diagonal
+    entries: sqrt(2) (the default) for the weighted coordinates of the
+    solvers, whose Euclidean inner product is the trace inner product, and
+    2 for plain (a, b, c) rows.
 
     With e1 >= e2 the eigenvalues and 2r = e1 - e2 their gap, the
     projection is s X + t I, with s = min(max(e1, 0), 2r) / 2r and
@@ -261,6 +169,13 @@ def psd_clip_flat(flat: np.ndarray, off_scale: float = RT2) -> np.ndarray:
     s = np.minimum(e1, two_r) / np.maximum(two_r, _TINY)
     t = np.maximum(half_tr, 0.5 * e1) - s * half_tr
     return (X * s[:, None] + t[:, None] * _DIAG).reshape(flat.shape)
+
+
+def block_min_eigs(rows: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each 2x2 block of an (K, 3) array of (a, b, c)
+    rows: tr/2 - sqrt(((a - c)/2)^2 + b^2)."""
+    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
+    return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
 
 
 def psd_clip_rows(rows: np.ndarray) -> np.ndarray:

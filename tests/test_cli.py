@@ -178,6 +178,17 @@ def test_project_input_without_read_permission(tmp_path):
     assert proc.stderr.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("flag", ["--rho", "--tol"])
+def test_project_rejects_non_finite_solver_knobs(tmp_path, flag):
+    src = tmp_path / "q.txt"
+    src.write_text(write_cone_point(polar_curve(make_cone(2), 0.5)))
+    proc = run_cli("project", "--n", "2", "--target", "K", "--in", str(src),
+                   flag, "inf")
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith(f"error: {flag[2:]} must")
+
+
 def test_project_dimension_mismatch(tmp_path):
     model = make_cone(3)
     src = tmp_path / "n3.txt"

@@ -1,5 +1,6 @@
 """Solver checks: cone/polar projections, range projector, slice projectors."""
 
+import logging
 import math
 
 import numpy as np
@@ -31,8 +32,40 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(InvalidInputError):
         SolverConfig(rho=-1.0)
-    with pytest.raises(InvalidInputError):
-        SolverConfig(over_relax=2.0)
+    # at rho = 1e300 the unit-norm ADMM iterates fall below 1e-154, their
+    # squared norms underflow to 0 and a wrong answer passed the tol test
+    for bad in ({"tol": math.inf}, {"tol": math.nan}, {"rho": math.inf},
+                {"rho": math.nan}, {"rho": 1.01e100}, {"rho": 1e300}):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(**bad)
+
+
+def test_solver_config_accepts_the_largest_rho(models):
+    # rho = 1e100 often stalls, but an answer it reports converged is right
+    converged = 0
+    for seed in (6, 7, 8):
+        q = ConePoint(2, np.random.default_rng(seed).standard_normal(5))
+        ref, _ = project_cone(models[2], q, CFG)
+        out, stats = project_cone(models[2], q, SolverConfig(rho=1e100))
+        if stats.converged:
+            converged += 1
+            assert np.linalg.norm(out.coords - ref.coords) <= 1e-6 * q.norm()
+    assert converged >= 1
+
+
+def test_each_solve_logs_one_exit_line(models, caplog):
+    model = models[2]
+    q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
+    X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
+    for what, solve in (("cone projection", lambda: project_cone(model, q, CFG)),
+                        ("Dykstra", lambda: project_slice_dykstra(model, X, CFG))):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="sliceproj.project"):
+            _, stats = solve()
+        assert len(caplog.records) == 1
+        assert caplog.records[0].getMessage() == (
+            f"{what}: {stats.exit_reason} after {stats.iterations} iterations "
+            f"at residual {stats.final_residual:.3e}")
 
 
 def test_solve_stats_json_dict(models):
@@ -363,14 +396,18 @@ def test_dykstra_agrees_with_fixedpoint_on_infeasible_curve_image(models):
 
 
 def test_dykstra_full_matrix_path_matches_block_path(models):
+    # from a block input every iterate stays block-diagonal, so the dense
+    # loop follows the block loop to rounding
     rng = np.random.default_rng(127)
-    model = models[2]
-    X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
-    blocky, _ = project_slice_dykstra(model, X, CFG)
-    full_in = X.to_full()
-    fully, _ = project_slice_dykstra(model, full_in, CFG)
-    assert isinstance(fully, SymMatrix)
-    assert np.linalg.norm(fully.to_dense() - blocky.to_full().to_dense()) <= 1e-6
+    for n in (2, 3):
+        for _ in range(15):
+            X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+            blocky, block_stats = project_slice_dykstra(models[n], X, CFG)
+            fully, stats = project_slice_dykstra(models[n], X.to_full(), CFG)
+            assert isinstance(fully, SymMatrix)
+            assert stats.iterations == block_stats.iterations
+            gap = np.linalg.norm(fully.to_dense() - blocky.to_full().to_dense())
+            assert gap <= 1e-13 * X.norm()
 
 
 def test_dense_dykstra_stops_on_stall(models):
@@ -487,14 +524,14 @@ def test_unpolished_admm_still_converges_on_regular_inputs(models):
     assert np.linalg.norm(out.coords - w.coords) <= 1e-6
 
 
-def test_admm_penalty_and_relaxation_variants(models):
+def test_admm_penalty_variants(models):
     # the answer must not depend on the splitting knobs
     model = models[3]
     rng = np.random.default_rng(149)
     q = ConePoint(3, rng.standard_normal(7) * 2.0)
     baseline, _ = project_cone(model, q, CFG)
-    for cfg in (SolverConfig(rho=5.0), SolverConfig(over_relax=1.6),
-                SolverConfig(rho=0.3, over_relax=1.3)):
+    for cfg in (SolverConfig(rho=5.0), SolverConfig(rho=1.6),
+                SolverConfig(rho=0.3)):
         out, stats = project_cone(model, q, cfg)
         assert stats.converged
         assert np.linalg.norm(out.coords - baseline.coords) <= 1e-7

@@ -1,105 +1,63 @@
-"""Kernel checks: 2x2 spectral math, blockwise PSD projection, Jacobi oracle."""
+"""Kernel checks: 2x2 closed forms, blockwise PSD projection, Jacobi oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sliceproj import (BlockSymMatrix, InvalidInputError, Sym2, SymMatrix,
-                       eig2, jacobi_eig, psd_project_2, psd_project_block,
-                       read_block_matrix, read_symmatrix, write_block_matrix,
-                       write_symmatrix)
-from sliceproj.symmat import (RT2, _jacobi_rounds, block_diag_index, psd_clip_flat,
-                              psd_clip_rows)
+from sliceproj import (BlockSymMatrix, InvalidInputError, SymMatrix,
+                       jacobi_eig, psd_project_block, read_block_matrix,
+                       read_symmatrix, write_block_matrix, write_symmatrix)
+from sliceproj.symmat import (RT2, _jacobi_rounds, block_diag_index,
+                              block_min_eigs, psd_clip_flat, psd_clip_rows)
 
 
-def random_sym2(rng, scale=2.0):
-    a, b, c = rng.standard_normal(3) * scale
-    return Sym2(a, b, c)
+def _frobenius(rows):
+    return np.sqrt(rows[:, 0] ** 2 + 2.0 * rows[:, 1] ** 2 + rows[:, 2] ** 2)
 
 
-def test_eig2_diagonal():
-    spec = eig2(Sym2(2.0, 0.0, 1.0))
-    assert spec.eig1 == 2.0
-    assert spec.eig2 == 1.0
-    assert spec.angle == 0.0
+def test_block_min_eigs_closed_cases():
+    rows = np.array([[2.0, 0.0, 1.0],     # diagonal
+                     [0.0, 1.0, 0.0],     # eigenvalues +-1
+                     [3.0, 0.0, 3.0],     # isotropic
+                     [-1.5, 0.0, -1.5],
+                     [0.0, 0.0, 0.0]])
+    assert np.array_equal(block_min_eigs(rows), [1.0, -1.0, 3.0, -1.5, 0.0])
 
 
-def test_eig2_offdiagonal_symmetric():
-    spec = eig2(Sym2(0.0, 1.0, 0.0))
-    assert spec.eig1 == pytest.approx(1.0, abs=1e-15)
-    assert spec.eig2 == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_eig2_isotropic_any_angle():
-    for a in (3.0, -1.5, 0.0):
-        spec = eig2(Sym2(a, 0.0, a))
-        assert spec.eig1 == spec.eig2 == a
-        rec = spec.reconstruct()
-        assert rec.a == pytest.approx(a) and rec.c == pytest.approx(a)
-        assert rec.b == pytest.approx(0.0, abs=1e-15)
-
-
-def test_eig2_rejects_nonfinite():
-    with pytest.raises(InvalidInputError):
-        eig2(Sym2(math.nan, 0.0, 1.0))
-    with pytest.raises(InvalidInputError):
-        eig2(Sym2(1.0, math.inf, 1.0))
-
-
-def test_eig2_reconstruction_random():
+def test_block_min_eigs_matches_eigvalsh():
     rng = np.random.default_rng(7)
-    for _ in range(500):
-        m = random_sym2(rng, scale=10.0 ** rng.integers(-3, 4))
-        spec = eig2(m)
-        assert spec.eig1 >= spec.eig2
-        assert -0.5 * math.pi < spec.angle <= 0.5 * math.pi
-        rec = spec.reconstruct()
-        err = math.hypot(rec.a - m.a, math.hypot(rec.b - m.b, rec.c - m.c))
-        assert err <= 1e-12 * max(m.norm(), 1e-30)
-
-
-def test_eig2_near_repeated_eigenvalues():
-    # cancellation-prone regime: tiny split on top of a large trace
-    spec = eig2(Sym2(1.0, 1e-9, 1.0 + 1e-9))
-    rec = spec.reconstruct()
-    assert rec.a == pytest.approx(1.0, abs=1e-14)
-    assert rec.b == pytest.approx(1e-9, rel=1e-6)
-
-
-def test_psd_project_2_diagonal_clipping():
-    out = psd_project_2(Sym2(2.0, 0.0, -1.0))
-    assert (out.a, out.b, out.c) == (2.0, 0.0, 0.0)
-
-
-def test_psd_project_2_keeps_positive_eigenspace():
-    out = psd_project_2(Sym2(0.0, 1.0, 0.0))
-    assert out.a == pytest.approx(0.5, abs=1e-15)
-    assert out.b == pytest.approx(0.5, abs=1e-15)
-    assert out.c == pytest.approx(0.5, abs=1e-15)
-
-
-def test_psd_project_2_fixes_psd_input():
-    rng = np.random.default_rng(11)
     for _ in range(100):
-        m = random_sym2(rng)
-        proj = psd_project_2(m)
-        spec = eig2(proj)
-        assert spec.eig2 >= -1e-14 * max(m.norm(), 1e-30)
-        again = psd_project_2(proj)
-        assert math.isclose(again.a, proj.a, abs_tol=1e-12)
-        assert math.isclose(again.b, proj.b, abs_tol=1e-12)
-        assert math.isclose(again.c, proj.c, abs_tol=1e-12)
+        rows = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-3, 4)
+        want = [np.linalg.eigvalsh([[a, b], [b, c]])[0] for a, b, c in rows]
+        assert np.allclose(block_min_eigs(rows), want, rtol=0.0,
+                           atol=1e-14 * np.abs(rows).max())
+    # a tiny split on top of a large trace; the value is a 40-digit mpmath
+    # evaluation of tr/2 - sqrt(((a - c)/2)^2 + b^2)
+    near = block_min_eigs(np.array([[1.0, 1e-9, 1.0 + 1e-9]]))[0]
+    assert near == pytest.approx(0.999999999381966, abs=2e-16)
 
 
-def test_psd_project_2_nonexpansive():
+def test_psd_clip_rows_closed_cases():
+    # the vectorised clip leaves c = 1.1e-16 in the first row
+    out = psd_clip_rows(np.array([[2.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
+    assert np.allclose(out, [[2.0, 0.0, 0.0], [0.5, 0.5, 0.5]], rtol=0.0,
+                       atol=1e-15)
+
+
+def test_psd_clip_rows_psd_and_idempotent():
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((100, 3)) * 2.0
+    proj = psd_clip_rows(rows)
+    assert np.all(block_min_eigs(proj) >= -1e-14 * _frobenius(rows))
+    assert np.allclose(psd_clip_rows(proj), proj, rtol=0.0, atol=1e-12)
+
+
+def test_psd_clip_rows_nonexpansive():
     rng = np.random.default_rng(13)
-    for _ in range(200):
-        m1, m2 = random_sym2(rng), random_sym2(rng)
-        p1, p2 = psd_project_2(m1), psd_project_2(m2)
-        d_proj = Sym2(p1.a - p2.a, p1.b - p2.b, p1.c - p2.c).norm()
-        d_in = Sym2(m1.a - m2.a, m1.b - m2.b, m1.c - m2.c).norm()
-        assert d_proj <= d_in + 1e-12
+    m1, m2 = rng.standard_normal((2, 200, 3)) * 2.0
+    d_proj = _frobenius(psd_clip_rows(m1) - psd_clip_rows(m2))
+    assert np.all(d_proj <= _frobenius(m1 - m2) + 1e-12)
 
 
 def test_psd_project_block_trivial_cases():
@@ -119,10 +77,11 @@ def test_psd_project_block_matches_scalar_projection():
     for n in (2, 4):
         mat = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)) * 3.0)
         out = psd_project_block(mat)
-        for k in range(2 * n - 1):
-            scalar = psd_project_2(mat.block(k))
-            assert np.allclose(out.blocks[k],
-                               [scalar.a, scalar.b, scalar.c], atol=1e-14)
+        for got, (a, b, c) in zip(out.blocks, mat.blocks):
+            w, V = np.linalg.eigh([[a, b], [b, c]])
+            want = (V * np.maximum(w, 0.0)) @ V.T
+            assert np.allclose(got, [want[0, 0], want[0, 1], want[1, 1]],
+                               atol=1e-14)
 
 
 def test_psd_project_block_agrees_with_full_eigendecomposition():
