@@ -16,33 +16,66 @@ def _frobenius(rows):
     return np.sqrt(rows[:, 0] ** 2 + 2.0 * rows[:, 1] ** 2 + rows[:, 2] ** 2)
 
 
-def test_block_min_eigs_closed_cases():
-    rows = np.array([[2.0, 0.0, 1.0],     # diagonal
-                     [0.0, 1.0, 0.0],     # eigenvalues +-1
-                     [3.0, 0.0, 3.0],     # isotropic
-                     [-1.5, 0.0, -1.5],
-                     [0.0, 0.0, 0.0]])
-    assert np.array_equal(block_min_eigs(rows), [1.0, -1.0, 3.0, -1.5, 0.0])
+def _reconstruct(rows):
+    # Moreau decomposition: X = P(X) - P(-X) for the PSD projection P, so the
+    # two clipped spectral halves of each block must add back up to it
+    return psd_clip_rows(rows) - psd_clip_rows(-rows)
 
 
-def test_block_min_eigs_matches_eigvalsh():
+def test_eig2_diagonal():
+    rows = np.array([[2.0, 0.0, 1.0]])
+    assert block_min_eigs(rows)[0] == 1.0
+    assert np.array_equal(_reconstruct(rows), rows)
+
+
+def test_eig2_offdiagonal_symmetric():
+    assert block_min_eigs(np.array([[0.0, 1.0, 0.0]]))[0] == pytest.approx(
+        -1.0, abs=1e-15)
+
+
+def test_eig2_isotropic_any_angle():
+    for a in (3.0, -1.5, 0.0):
+        rows = np.array([[a, 0.0, a]])
+        assert block_min_eigs(rows)[0] == a
+        rec = _reconstruct(rows)[0]
+        assert rec[0] == pytest.approx(a) and rec[2] == pytest.approx(a)
+        assert rec[1] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_eig2_reconstruction_random():
     rng = np.random.default_rng(7)
     for _ in range(100):
         rows = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-3, 4)
         want = [np.linalg.eigvalsh([[a, b], [b, c]])[0] for a, b, c in rows]
-        assert np.allclose(block_min_eigs(rows), want, rtol=0.0,
+        lo = block_min_eigs(rows)
+        assert np.allclose(lo, want, rtol=0.0,
                            atol=1e-14 * np.abs(rows).max())
-    # a tiny split on top of a large trace; the value is a 40-digit mpmath
-    # evaluation of tr/2 - sqrt(((a - c)/2)^2 + b^2)
-    near = block_min_eigs(np.array([[1.0, 1e-9, 1.0 + 1e-9]]))[0]
-    assert near == pytest.approx(0.999999999381966, abs=2e-16)
+        assert np.all(lo <= rows[:, 0] + rows[:, 2] - lo)
+        err = _frobenius(_reconstruct(rows) - rows)
+        assert np.all(err <= 1e-12 * np.maximum(_frobenius(rows), 1e-30))
 
 
-def test_psd_clip_rows_closed_cases():
-    # the vectorised clip leaves c = 1.1e-16 in the first row
-    out = psd_clip_rows(np.array([[2.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
-    assert np.allclose(out, [[2.0, 0.0, 0.0], [0.5, 0.5, 0.5]], rtol=0.0,
-                       atol=1e-15)
+def test_eig2_near_repeated_eigenvalues():
+    # cancellation-prone regime: tiny split on top of a large trace; the value
+    # is a 40-digit mpmath evaluation of tr/2 - sqrt(((a - c)/2)^2 + b^2)
+    rows = np.array([[1.0, 1e-9, 1.0 + 1e-9]])
+    assert block_min_eigs(rows)[0] == pytest.approx(0.999999999381966,
+                                                    abs=2e-16)
+    rec = _reconstruct(rows)[0]
+    assert rec[0] == pytest.approx(1.0, abs=1e-14)
+    assert rec[1] == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_psd_project_2_diagonal_clipping():
+    # the vectorised clip leaves c = 1.1e-16
+    out = psd_clip_rows(np.array([[2.0, 0.0, -1.0]]))[0]
+    assert out[0] == 2.0 and out[1] == 0.0
+    assert out[2] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_psd_project_2_keeps_positive_eigenspace():
+    out = psd_clip_rows(np.array([[0.0, 1.0, 0.0]]))[0]
+    assert np.allclose(out, [0.5, 0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
 def test_psd_clip_rows_psd_and_idempotent():
