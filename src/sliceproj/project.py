@@ -7,7 +7,8 @@ cross-validate each other:
   form, with an active-set refinement step (see below);
 * the Moreau decomposition for the projection onto the polar cone;
 * Dykstra's alternating projections for the slice (PSD cone intersected
-  with the range of the LMI map);
+  with the range of the LMI map), on the 2x2 diagonal blocks: the range is
+  block-diagonal, so a full-matrix input reduces exactly to its blocks;
 * a fixed-point iteration for the same slice, driven by repeated projected
   gradient steps onto the cone.
 
@@ -17,7 +18,7 @@ stall test and refinement thresholds are therefore relative to ||q||: the
 answer scales with q, and the iteration count and the converged flag do
 not depend on q's scale (bitwise so for power-of-two rescalings). The
 projection onto the slice is positively homogeneous too, and both slice
-projectors likewise run on X / ||X||.
+projectors likewise run on X / ||X|| (Dykstra on the block part of X).
 
 Projections whose answer sits at (or near) the cone's apex lack strict
 complementarity, and every first-order splitting method degrades to a
@@ -42,11 +43,10 @@ vector and one product with A* for the dual residual. Dykstra's range
 step uses the model's precomputed orthogonal projector onto the range of
 A.
 
-ADMM, Dykstra (on block or full matrices) and the fixed-point projector
-share one iteration loop, _iterate: each passes a step that returns its
-residual, and the loop owns the tolerance, stall and budget tests, the
-refinement schedule's checkpoints, the exit reason and one debug log line
-per exit.
+ADMM, Dykstra and the fixed-point projector share one iteration loop,
+_iterate: each passes a step that returns its residual, and the loop owns
+the tolerance, stall and budget tests, the refinement schedule's
+checkpoints, the exit reason and one debug log line per exit.
 
 Callers that solve a path of nearby cone projections (the numeric probe's
 grid, the fixed-point projector's outer loop) pass a private warm holder,
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,8 +78,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .cones import ConeModel, ConePoint, _unweighted, _weighted
 from .errors import InvalidInputError
-from .symmat import (RT2, BlockSymMatrix, SymMatrix, block_diag_index,
-                     block_min_eigs, jacobi_eig, psd_clip_flat)
+from .symmat import RT2, BlockSymMatrix, SymMatrix, block_min_eigs, psd_clip_flat
+# unused here: perfbench installs its symmat.jacobi span on this binding
+from .symmat import jacobi_eig  # noqa: F401
 
 log = logging.getLogger("sliceproj.project")
 
@@ -110,7 +112,8 @@ class SolverConfig:
     for cone solves, X / ||X|| for the slice projectors), so tol is relative
     to ||q|| or ||X||.
 
-    tol and rho must be finite, and rho at most 1e100: the unit-norm ADMM
+    max_iter is an integer (a Python or numpy int, not a bool) >= 1. tol
+    and rho must be finite, and rho at most 1e100: the unit-norm ADMM
     iterates scale like 1 / rho, and once they fall below about 1e-154 the
     squared norms of the residual test underflow to 0, so a larger rho
     would stop an unfinished solve as converged.
@@ -124,8 +127,13 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < math.inf):
             raise InvalidInputError("tol must be positive and finite")
+        # a bool is an Integral too, but True would silently mean 1
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, numbers.Integral)):
+            raise InvalidInputError("max_iter must be an integer")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         if not (0.0 < self.rho <= _RHO_MAX):
             raise InvalidInputError(f"rho must lie in (0, {_RHO_MAX:g}]")
 
@@ -515,10 +523,9 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     return _unweighted(model.n, model.range_proj @ _weighted(X))
 
 
-def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
-                  psd_step, range_step):
-    """Dykstra alternation between the PSD cone and the range subspace,
-    whose projections of a flat iterate are psd_step and range_step.
+def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
+    """Dykstra alternation between the blockwise PSD cone and the range
+    subspace, on a flat vector of weighted block coordinates.
 
     The correction term is carried on the PSD step only; the subspace is
     affine, so its step needs no correction.
@@ -529,9 +536,9 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
     def step():
         nonlocal x, corr
         shifted = x + corr
-        y = psd_step(shifted)
+        y = psd_clip_flat(shifted)
         corr = shifted - y
-        x_new = range_step(y)
+        x_new = model.range_proj @ y
         res = max(_norm(y - x_new), _norm(x_new - x))
         x = x_new
         return res
@@ -540,63 +547,42 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig,
     return x, stats
 
 
-def _dense_steps(model: ConeModel):
-    """Dykstra's steps on a flattened (4n-2)-matrix: the PSD step by Jacobi;
-    the range of the LMI map is block-diagonal, so the range step projects
-    the gathered 2x2 diagonal blocks and scatters them into a zero matrix."""
-    d = 4 * model.n - 2
-    gather, scatter = block_diag_index(model.n)
-    weight = np.tile([1.0, RT2, 1.0], 2 * model.n - 1)
-
-    def psd_step(v):
-        w, V = jacobi_eig(v.reshape(d, d))
-        return ((V * np.maximum(w, 0.0)) @ V.T).ravel()
-
-    def range_step(v):
-        rows = (model.range_proj @ (v[gather] * weight)) / weight
-        out = np.zeros(d * d)
-        out[scatter] = rows.reshape(-1, 3)[:, (0, 1, 1, 2)].ravel()
-        return out
-
-    return psd_step, range_step
-
-
 def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
     """Project onto the slice (PSD cone intersected with the LMI range).
 
-    Block-diagonal inputs keep the fast closed-form 2x2 PSD step; full
-    symmetric inputs run the same loop on the flattened matrix, with the
-    PSD step through the Jacobi eigensolver. Returns an object of the same
-    kind as the input plus solve statistics.
+    The range of the LMI map is block-diagonal, so the slice lies in the
+    subspace B of block-diagonal matrices, and by Pythagoras the projection
+    of a full symmetric X is the projection of its 2x2 diagonal blocks,
+    Pi_B X. A SymMatrix input is therefore reduced to those blocks, which
+    run the same loop as a BlockSymMatrix input; the answer comes back as a
+    SymMatrix whose off-block entries are exactly 0. Returns an object of
+    the same kind as the input plus solve statistics.
 
     The projection is positively homogeneous, so the loop runs on
-    X / ||X|| (Frobenius norm, by math.hypot) and the answer is scaled
-    back: tol is relative to ||X||, and a power-of-two rescaling of X
-    rescales the answer bitwise with equal iterations. X = 0 returns exact
+    Pi_B X / ||Pi_B X|| (Frobenius norm, by math.hypot) and the answer is
+    scaled back: tol is relative to ||Pi_B X|| <= ||X||, and a
+    power-of-two rescaling of X rescales the answer bitwise with equal
+    iterations. An input whose diagonal blocks are all zero returns exact
     zeros.
     """
     cfg = cfg or SolverConfig()
-    if isinstance(X, BlockSymMatrix):
-        if X.n != model.n:
-            raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
-        flat = _weighted(X)
-        xn = math.hypot(*flat)
-        if xn == 0.0:
-            return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
-        out, stats = _dykstra_flat(model, flat / xn, cfg, psd_clip_flat,
-                                   lambda y: model.range_proj @ y)
-        return _unweighted(model.n, xn * out), stats
     if isinstance(X, SymMatrix):
         d = 4 * model.n - 2
         if X.dim != d:
             raise InvalidInputError(f"matrix dimension {X.dim} does not match {d}")
-        flat = X.to_dense().ravel()
-        xn = math.hypot(*flat)
-        if xn == 0.0:
-            return SymMatrix(d, np.zeros_like(X.packed)), _ZERO_STATS
-        out, stats = _dykstra_flat(model, flat / xn, cfg, *_dense_steps(model))
-        return SymMatrix.from_dense((xn * out).reshape(d, d)), stats
-    raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
+        out, stats = project_slice_dykstra(
+            model, BlockSymMatrix.from_full(model.n, X), cfg)
+        return out.to_full(), stats
+    if not isinstance(X, BlockSymMatrix):
+        raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
+    if X.n != model.n:
+        raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
+    flat = _weighted(X)
+    xn = math.hypot(*flat)
+    if xn == 0.0:
+        return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
+    out, stats = _dykstra_flat(model, flat / xn, cfg)
+    return _unweighted(model.n, xn * out), stats
 
 
 def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,

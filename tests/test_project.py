@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ def test_solver_config_validation():
                 {"rho": math.nan}, {"rho": 1.01e100}, {"rho": 1e300}):
         with pytest.raises(InvalidInputError):
             SolverConfig(**bad)
+
+
+def test_solver_config_max_iter_must_be_an_integer():
+    # 2.5 crashed the solve in range(), and True silently meant 1
+    for bad in (2.5, True, 3.0, "3"):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(max_iter=bad)
+    cfg = SolverConfig(max_iter=np.int64(3))
+    assert type(cfg.max_iter) is int and cfg.max_iter == 3
+    q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
+    _, stats = project_cone(make_cone(2), q, replace(cfg, polish=False))
+    assert (stats.exit_reason, stats.iterations) == ("budget", 3)
 
 
 def test_solver_config_accepts_the_largest_rho(models):
@@ -395,9 +408,20 @@ def test_dykstra_agrees_with_fixedpoint_on_infeasible_curve_image(models):
         assert np.linalg.norm(via_dyk.blocks - via_fp.blocks) <= 1e-5
 
 
+def _with_off_block(rng, X):
+    """The full matrix of X plus random symmetric entries off its 2x2
+    diagonal blocks."""
+    d = 4 * X.n - 2
+    raw = rng.standard_normal((d, d))
+    full = raw + raw.T
+    for k in range(2 * X.n - 1):
+        full[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.0
+    return SymMatrix.from_dense(full + X.to_full().to_dense())
+
+
 def test_dykstra_full_matrix_path_matches_block_path(models):
-    # from a block input every iterate stays block-diagonal, so the dense
-    # loop follows the block loop to rounding
+    # a full input is reduced to its 2x2 diagonal blocks, so a block input
+    # passed as a full matrix runs the block loop itself
     rng = np.random.default_rng(127)
     for n in (2, 3):
         for _ in range(15):
@@ -405,18 +429,17 @@ def test_dykstra_full_matrix_path_matches_block_path(models):
             blocky, block_stats = project_slice_dykstra(models[n], X, CFG)
             fully, stats = project_slice_dykstra(models[n], X.to_full(), CFG)
             assert isinstance(fully, SymMatrix)
-            assert stats.iterations == block_stats.iterations
-            gap = np.linalg.norm(fully.to_dense() - blocky.to_full().to_dense())
-            assert gap <= 1e-13 * X.norm()
+            assert stats == block_stats
+            assert np.array_equal(fully.packed, blocky.to_full().packed)
 
 
 def test_dense_dykstra_stops_on_stall(models):
-    # an unreachable tol: both Dykstra loops must stop at their floor
+    # an unreachable tol: Dykstra must stop at its floor, on either input
     rng = np.random.default_rng(5)
     model = models[2]
     X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
     cfg = SolverConfig(tol=1e-300, max_iter=50_000)
-    for inp in (X, X.to_full()):
+    for inp in (X, X.to_full(), _with_off_block(rng, X)):
         _, stats = project_slice_dykstra(model, inp, cfg)
         assert (stats.exit_reason, stats.converged) == ("stalled", False)
         assert stats.iterations < 10_000
@@ -470,17 +493,31 @@ def test_dense_dykstra_projects_full_input(models):
     # the range of the LMI map is block-diagonal, so the projection of a
     # full matrix is the projection of its 2x2 diagonal blocks
     rng = np.random.default_rng(157)
-    model = models[2]
-    X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
-    raw = rng.standard_normal((6, 6))
-    full = raw + raw.T
-    for k in range(3):
-        full[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.0
-    full += X.to_full().to_dense()
-    blocky, _ = project_slice_dykstra(model, X, CFG)
-    fully, stats = project_slice_dykstra(model, SymMatrix.from_dense(full), CFG)
-    assert stats.converged
-    assert np.linalg.norm(fully.to_dense() - blocky.to_full().to_dense()) <= 1e-6
+    for n in (2, 3):
+        model = models[n]
+        off_block = np.ones((4 * n - 2, 4 * n - 2), dtype=bool)
+        for k in range(2 * n - 1):
+            off_block[2 * k:2 * k + 2, 2 * k:2 * k + 2] = False
+        for _ in range(5):
+            X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+            full = _with_off_block(rng, X)
+            blocky, block_stats = project_slice_dykstra(
+                model, BlockSymMatrix.from_full(n, full), CFG)
+            fully, stats = project_slice_dykstra(model, full, CFG)
+            assert stats.converged and stats == block_stats
+            dense = fully.to_dense()
+            assert np.array_equal(dense, blocky.to_full().to_dense())
+            assert not dense[off_block].any()
+            for k in (-600, -40, 40, 400):
+                scaled = SymMatrix(full.dim, 2.0 ** k * full.packed)
+                out, out_stats = project_slice_dykstra(model, scaled, CFG)
+                assert np.array_equal(out.packed, 2.0 ** k * fully.packed)
+                assert out_stats == stats
+        # nothing on the diagonal blocks: the projection is 0
+        zero = BlockSymMatrix(n, np.zeros((2 * n - 1, 3)))
+        out, stats = project_slice_dykstra(model, _with_off_block(rng, zero), CFG)
+        assert not out.packed.any()
+        assert (stats.iterations, stats.converged) == (0, True)
 
 
 def test_fixedpoint_fixes_cone_images(models):
