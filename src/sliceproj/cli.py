@@ -4,7 +4,8 @@ Subcommands: probe (semismoothness scaling experiment), project (one-shot
 projections), verify (invariant suites), curves (curve/residual data dump).
 Exit codes: 0 success, 1 failed check, 2 invalid configuration or parse
 failure, 3 solver failure. The SLICEPROJ_LOG environment variable
-(error|warn|info|debug) controls log verbosity.
+(error|warn|info|debug, default warn) controls log verbosity; any other
+value exits 2.
 """
 
 from __future__ import annotations
@@ -34,8 +35,12 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 
 def _setup_logging():
-    level = os.environ.get("SLICEPROJ_LOG", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING),
+    name = os.environ.get("SLICEPROJ_LOG", "warn")
+    level = _LOG_LEVELS.get(name.lower())
+    if level is None:
+        raise InvalidInputError(f"SLICEPROJ_LOG={name!r} is not one of "
+                                f"{'|'.join(_LOG_LEVELS)}")
+    logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -102,8 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_output(text: str, path):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(
+                f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -213,12 +222,12 @@ def _coord_names(n: int):
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = {"probe": cmd_probe, "project": cmd_project,
                "verify": cmd_verify, "curves": cmd_curves}[args.command]
     try:
+        _setup_logging()
         return handler(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

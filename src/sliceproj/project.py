@@ -23,15 +23,16 @@ projectors likewise run on X / ||X|| (Dykstra on the block part of X).
 Projections whose answer sits at (or near) the cone's apex lack strict
 complementarity, and every first-order splitting method degrades to a
 sublinear crawl there. The ADMM solver therefore attempts an active-set
-Newton refinement in conically rescaled variables at iteration 64, then
-at 128, 256 and so on, as well as on reaching tol, on stalling and at the
-budget. The refined point is accepted only when an exact optimality
-certificate holds (matched KKT residual, nonnegative multipliers, feasible
-direction), otherwise the raw ADMM iterate is kept. The certificate uses
-nothing beyond the cone's defining inequalities, so the refined answers
-remain an independent check on any closed-form prediction. A refinement
-that stops making progress gives up after a few Newton steps, so an
-early checkpoint with a wrong active set costs little.
+Newton refinement in conically rescaled variables at iteration 32, then
+at 64, 128 and so on (from 64 on a warm path, see below), as well as on
+reaching tol, on stalling and at the budget. The refined point is
+accepted only when an exact optimality certificate holds (matched KKT
+residual, nonnegative multipliers, feasible direction), otherwise the raw
+ADMM iterate is kept. The certificate uses nothing beyond the cone's
+defining inequalities, so the refined answers remain an independent
+check on any closed-form prediction. A refinement that stops making
+progress gives up after a few Newton steps, so an early checkpoint with
+a wrong active set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
 number of numpy calls per iteration, not flops. The p-update therefore
@@ -55,19 +56,24 @@ _WarmStart, to each solve. The solver leaves its answer and ADMM state
 from that answer, returning with 0 iterations when the same certificate
 holds; otherwise it runs ADMM from the held (Z, U). The certificate, not
 the start, decides acceptance, so a stale holder costs time, never
-accuracy. project_cone passes no holder: one-off solves start from zero.
+accuracy. Because its (Z, U) seeds the next solve, a solve on a path
+first tries the refinement at iteration 64, not 32. project_cone passes
+no holder: one-off solves start from zero.
 
 Solver invocations are independent and thread-safe given a shared
 ConeModel, as long as no warm holder is shared between threads: a holder
 is mutable state owned by the one path that created it. The operator
-cache is the one piece of shared mutable state: an entry is a tuple of
-read-only arrays stored whole under its rho, so two threads that miss
-together both build equal operators and either may keep its own; none
-sees a partial entry. The library itself starts no threads.
+cache is shared mutable state: an entry is a tuple of read-only arrays
+stored whole under its rho, so two threads that miss together both build
+equal operators and either may keep its own; none sees a partial entry.
+The refinement's cache of LAPACK workspace sizes holds plain integers
+computed from the system's shape alone, so a race there at worst queries
+the same size twice. The library itself starts no threads.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -75,6 +81,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgesv
 
 from .cones import ConeModel, ConePoint, _unweighted, _weighted
 from .errors import InvalidInputError
@@ -88,8 +95,13 @@ log = logging.getLogger("sliceproj.project")
 _STALL_FACTOR = 1e-3
 _STALL_WINDOW = 2000
 _CERT_TOL = 1e-12
-# first ADMM iteration at which the refinement is tried; doubled after each
-_FIRST_POLISH = 64
+_EPS = np.finfo(float).eps
+# first ADMM iteration at which the refinement is tried; doubled after each.
+# A solve on a warm path (see _WarmStart) starts at twice this: its (Z, U)
+# seeds the path's next solve. With its first refinement at 16, 24, 32 or
+# 48 the numeric probe at n = 11 ended on a cone solve that used its whole
+# budget unconverged; at 64, 96 and 128 it passed.
+_FIRST_POLISH = 32
 # the Newton refinement's progress test (see _newton_polish): accepted
 # refinements in the numeric probes at n = 2..11 and on N(0, I) inputs at
 # n = 2..12 never needed a step below 2^-11 and cut the residual norm by at
@@ -182,21 +194,21 @@ _ZERO_STATS = SolveStats(0, 0.0, True, "certified")
 
 
 def _iterate(step, cfg: SolverConfig, what: str, window: int = _STALL_WINDOW,
-             checkpoint=None) -> SolveStats:
+             checkpoint=None, first_check: int = _FIRST_POLISH) -> SolveStats:
     """The iteration loop of every solver.
 
     step() runs one iteration and returns its residual. The loop stops
     when the residual is within cfg.tol, when it has not improved by the
     fraction _STALL_FACTOR over the last `window` iterations, or after
     cfg.max_iter iterations. checkpoint(k), if given, runs at iteration
-    _FIRST_POLISH, at each doubling of it and at every exit, before the
+    first_check, at each doubling of it and at every exit, before the
     exit tests; the SolveStats it returns, if any, end the solve. Each exit
     logs one debug line naming `what`.
     """
     tol = cfg.tol
     best_res = math.inf
     best_iter = 0
-    check_at = _FIRST_POLISH
+    check_at = first_check
     reason = "budget"
     stats = None
     for k in range(1, cfg.max_iter + 1):
@@ -236,31 +248,51 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x))
 
 
-def _kkt_residual(Bs: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+@functools.cache
+def _gelsd_work(m: int, n: int) -> tuple:
+    """(lwork, size_iwork) of dgelsd for an m x n system with one right-hand
+    side, by LAPACK's workspace query. The keys are the (d, nJ) pairs of
+    the models in use, at most a few hundred."""
+    work, iwork, _ = dgelsd_lwork(m, n, 1)
+    return int(work), int(iwork)
+
+
+def _kkt_residual(Bs: np.ndarray, q: np.ndarray, u: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Residual of the rescaled KKT system at u = (mu, pi, nu).
 
     Rows: stationarity mu pi - q - 2 sum_k nu_k B_k pi, the active block
     determinants pi^T B_k pi, and the normalisation pi^T pi - 1. Bs stacks
-    the active forms B_k as an (nJ, d, d) array.
+    the active forms B_k as an (nJ, d, d) array. The residual is written
+    into out when given (a float array shaped like u), else into a new
+    array.
     """
     d = q.shape[0]
     pi, nu = u[1:1 + d], u[1 + d:]
     Bpi = Bs @ pi
-    out = np.empty(u.shape[0])
-    out[:d] = u[0] * pi - q - 2.0 * (nu @ Bpi)
-    out[d:-1] = Bpi @ pi
+    if out is None:
+        out = np.empty(u.shape[0])
+    stat = out[:d]
+    np.multiply(u[0], pi, out=stat)
+    stat -= q
+    stat -= 2.0 * (nu @ Bpi)
+    np.matmul(Bpi, pi, out=out[d:-1])
     out[-1] = pi @ pi - 1.0
     return out
 
 
 def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Jacobian of :func:`_kkt_residual` with respect to u."""
-    d = Bs.shape[1]
+    nJ, d = Bs.shape[:2]
     mu, pi, nu = u[0], u[1:1 + d], u[1 + d:]
     Bpi = Bs @ pi
-    jac = np.zeros((u.shape[0], u.shape[0]))
+    # Fortran order, which LAPACK takes without a copy
+    jac = np.zeros((u.shape[0], u.shape[0]), order="F")
     jac[:d, 0] = pi
-    jac[:d, 1:1 + d] = mu * np.eye(d) - 2.0 * np.tensordot(nu, Bs, 1)
+    # the S block mu I - 2 sum_k nu_k B_k, as one matrix-vector product
+    S = (-2.0 * nu) @ Bs.reshape(nJ, d * d)
+    S[::d + 1] += mu
+    jac[:d, 1:1 + d] = S.reshape(d, d)
     jac[:d, 1 + d:] = -2.0 * Bpi.T
     jac[d:-1, 1:1 + d] = 2.0 * Bpi
     jac[-1, 1:1 + d] = 2.0 * pi
@@ -283,6 +315,11 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
     the fraction _NEWTON_MIN_GAIN. Either way the certificate then decides
     on the best point reached, so a hopeless active set costs a few steps
     instead of _NEWTON_MAX_STEPS full line searches.
+
+    The systems have at most 2d - 1 <= 49 unknowns, so each LAPACK routine
+    is called directly: one dgelsd for the initial multipliers and one
+    dgesv per Newton step. A singular Jacobian (or an SVD that does not
+    converge) fails the certificate.
     """
     d = model.dim()
     mu = _norm(p0)
@@ -291,13 +328,21 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
     pi = p0 / mu
     Bs = model.det_forms[J]
     nJ = len(J)
+    u = np.empty(1 + d + nJ)
+    u[0] = mu
+    u[1:1 + d] = pi
     if nJ:
-        nu, *_ = np.linalg.lstsq(-2.0 * (Bs @ pi).T, q - mu * pi, rcond=None)
-    else:
-        nu = np.zeros(0)
+        # the least-norm least-squares nu of np.linalg.lstsq(rcond=None);
+        # nJ <= 2n - 1 < d, so the system has more rows than columns
+        nu, _, _, info = dgelsd(-2.0 * (Bs @ pi).T, q - mu * pi,
+                                *_gelsd_work(d, nJ), _EPS * d,
+                                overwrite_a=True, overwrite_b=True)
+        if info:
+            return None
+        u[1 + d:] = nu[:nJ]
 
-    u = np.concatenate([[mu], pi, nu])
     fu = _kkt_residual(Bs, q, u)
+    f_try = np.empty_like(fu)
     best = float(np.abs(fu).max())
     norms = [_norm(fu)]
     for k in range(_NEWTON_MAX_STEPS):
@@ -306,17 +351,17 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
         if (k >= _NEWTON_WINDOW and norms[k]
                 > (1.0 - _NEWTON_MIN_GAIN) * norms[k - _NEWTON_WINDOW]):
             break
-        try:
-            du = np.linalg.solve(_kkt_jacobian(Bs, u), -fu)
-        except np.linalg.LinAlgError:
+        _, _, du, info = dgesv(_kkt_jacobian(Bs, u), -fu,
+                               overwrite_a=True, overwrite_b=True)
+        if info:
             return None
         step = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
             u_try = u + step * du
-            f_try = _kkt_residual(Bs, q, u_try)
-            norm_try = _norm(f_try)
+            norm_try = _norm(_kkt_residual(Bs, q, u_try, f_try))
             if norm_try < (1.0 - 0.25 * step) * norms[k]:
-                u, fu = u_try, f_try
+                u = u_try
+                fu, f_try = f_try, fu
                 best = float(np.abs(fu).max())
                 norms.append(norm_try)
                 break
@@ -342,11 +387,11 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
     nblocks = 2 * model.n - 1
     dual_rows = np.abs(dual_flat.reshape(-1, 3)).max(axis=1)
     dual_ref = max(float(dual_rows.max()), 1e-300)
-    j_dual = [j for j in range(nblocks) if dual_rows[j] > 1e-6 * dual_ref]
+    j_dual = np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist()
     rows = (model.lmi_weighted @ p).reshape(-1, 3)
-    dets = rows[:, 0] * rows[:, 2] - (rows[:, 1] / RT2) ** 2
-    det_ref = max(float(np.abs(dets).max()), float(p @ p), 1e-300)
-    j_primal = [j for j in range(nblocks) if abs(dets[j]) <= 1e-5 * det_ref]
+    dets = np.abs(rows[:, 0] * rows[:, 2] - (rows[:, 1] / RT2) ** 2)
+    det_ref = max(float(dets.max()), float(p @ p), 1e-300)
+    j_primal = np.flatnonzero(dets <= 1e-5 * det_ref).tolist()
     seen = []
     for J in (j_dual, j_primal, list(range(nblocks))):
         if J in seen:
@@ -435,18 +480,21 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
             start = None
             if warm is not None and warm.p is not None:
                 start = (warm.p / qn, warm.Z / qn, warm.U / qn)
-            p, Z, U, stats = _admm(model, u, cfg, start)
+            first_polish = _FIRST_POLISH if warm is None else 2 * _FIRST_POLISH
+            p, Z, U, stats = _admm(model, u, cfg, start, first_polish)
             p, Z, U = qn * p, qn * Z, qn * U
     if warm is not None:
         warm.p, warm.Z, warm.U = p, Z, U
     return p, stats
 
 
-def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
+def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
+          first_polish: int):
     """The ADMM loop of :func:`_project_cone_arr` on the unit vector u.
 
-    start is None or the warm (p, Z, U) divided by ||q||. Returns
-    (p, Z, U, stats) of the unit-norm problem.
+    start is None or the warm (p, Z, U) divided by ||q||; the refinement
+    is first tried at iteration first_polish. Returns (p, Z, U, stats) of
+    the unit-norm problem.
     """
     W = model.lmi_weighted
     WT = W.T
@@ -486,7 +534,8 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
         return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
 
     stats = _iterate(step, cfg, "cone projection",
-                     checkpoint=polish if cfg.polish else None)
+                     checkpoint=polish if cfg.polish else None,
+                     first_check=first_polish)
     return p, Z, U, stats
 
 

@@ -19,9 +19,10 @@ _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args, check=False):
+def run_cli(*args, check=False, env=None):
     proc = subprocess.run([sys.executable, "-m", "sliceproj", *args],
-                          capture_output=True, text=True, env=_ENV)
+                          capture_output=True, text=True,
+                          env={**_ENV, **(env or {})})
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}):\n{proc.stderr}")
     return proc
@@ -274,6 +275,32 @@ def test_verify_rejects_out_of_range_n_max(n_max):
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [
         f"error: n_max must lie in [2, 12], got {n_max}"]
+
+
+@pytest.mark.parametrize("command", ["probe", "project", "curves"])
+def test_out_to_directory_is_an_input_error(tmp_path, command):
+    args = {"probe": ("--points", "5"), "curves": ("--points", "5"),
+            "project": ("--target", "K", "--in", str(tmp_path / "q.txt"))}
+    (tmp_path / "q.txt").write_text(
+        write_cone_point(polar_curve(make_cone(2), 0.5)))
+    proc = run_cli(command, "--n", "2", *args[command], "--out", str(tmp_path))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        f"error: cannot write {tmp_path}: "), proc.stderr
+
+
+def test_unknown_log_level_is_rejected():
+    proc = run_cli("curves", "--n", "2", "--points", "3",
+                   env={"SLICEPROJ_LOG": "bogus"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: SLICEPROJ_LOG='bogus' is not one of error|warn|info|debug"]
+    # the accepted names are case-insensitive
+    proc = run_cli("curves", "--n", "2", "--points", "3",
+                   env={"SLICEPROJ_LOG": "INFO"})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("args", [("probe", "--n", "2"), ("verify",)])

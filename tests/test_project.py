@@ -14,8 +14,8 @@ from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError,
                        project_slice_dykstra, project_slice_fixedpoint,
                        psd_project_block, sample_cone)
 from sliceproj import project as project_module
-from sliceproj.project import (_admm_operator, _attempt_polish, _kkt_jacobian,
-                               _kkt_residual)
+from sliceproj.project import (SolveStats, _admm_operator, _attempt_polish,
+                               _kkt_jacobian, _kkt_residual)
 from sliceproj.symmat import SymMatrix
 
 CFG = SolverConfig()
@@ -205,6 +205,45 @@ def test_exit_reasons(models):
     Y = BlockSymMatrix(2, np.random.default_rng(5).standard_normal((3, 3)))
     _, stats = project_slice_dykstra(model, Y, SolverConfig(max_iter=2))
     assert (stats.exit_reason, stats.converged) == ("budget", False)
+
+
+def test_iterate_checkpoints_at_doublings_and_every_exit():
+    # the refinement runs at iteration 32, each doubling, and the exit
+    def run(residuals, max_iter, window=2000, stop_at=None):
+        seen = []
+        res = iter(residuals)
+
+        def checkpoint(k):
+            seen.append(k)
+            if k == stop_at:
+                return SolveStats(k, 0.0, True, "certified")
+            return None
+
+        stats = project_module._iterate(lambda: next(res),
+                                        SolverConfig(max_iter=max_iter),
+                                        "test", window, checkpoint)
+        return seen, (stats.exit_reason, stats.iterations)
+
+    falling = [1.0 / k for k in range(1, 301)]
+    assert run(falling, 300) == ([32, 64, 128, 256, 300], ("budget", 300))
+    assert run(falling[:49] + [0.0], 300) == ([32, 50], ("tol", 50))
+    assert run(falling[:63] + [0.0], 300) == ([32, 64], ("tol", 64))
+    assert run([1.0] * 300, 300, window=40) == ([32, 42], ("stalled", 42))
+    assert run(falling, 300, stop_at=64) == ([32, 64], ("certified", 64))
+    # a solve that ends before the first checkpoint runs it once, at its exit
+    assert run(falling, 20) == ([20], ("budget", 20))
+
+
+def test_warm_path_solves_refine_first_at_64():
+    # a solve that refills a warm holder runs one doubling longer before
+    # its first refinement; a one-off solve refines first at 32
+    model = make_cone(4)
+    q = np.random.default_rng(0).standard_normal(9)
+    _, cold = project_module._project_cone_arr(model, q, CFG)
+    _, warm = project_module._project_cone_arr(model, q, CFG,
+                                               project_module._WarmStart())
+    assert (cold.iterations, cold.exit_reason) == (32, "certified")
+    assert (warm.iterations, warm.exit_reason) == (64, "certified")
 
 
 def test_hopeless_refinement_gives_up_early(monkeypatch):
@@ -617,13 +656,17 @@ def _loop_kkt_jacobian(Bs, u):
     return jac
 
 
-def test_newton_polish_certifies_apex_case(monkeypatch):
+def _apex_case():
     # the probe's apex case at n = 4: the base point polar_curve(1e-4),
     # whose projection is the apex, and its finite-difference neighbour
     model = make_cone(4)
-    t = 1e-4
-    base = polar_curve(model, t).coords
-    step = 1e-6 * (polar_curve(model, t).coords - polar_curve(model, 0.0).coords)
+    base = polar_curve(model, 1e-4).coords
+    step = 1e-6 * (base - polar_curve(model, 0.0).coords)
+    return model, (base, base + step)
+
+
+def test_newton_polish_certifies_apex_case(monkeypatch):
+    model, qs = _apex_case()
     calls = []
 
     def recording(model_, q, p, dual):
@@ -633,7 +676,7 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
 
     monkeypatch.setattr(project_module, "_attempt_polish", recording)
     rng = np.random.default_rng(157)
-    for q in (base, base + step):
+    for q in qs:
         calls.clear()
         p, stats = project_module._project_cone_arr(
             model, q, SolverConfig(tol=1e-13))
@@ -654,3 +697,54 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
                                rtol=0.0, atol=1e-13)
             assert np.allclose(_kkt_jacobian(Bs, u), _loop_kkt_jacobian(Bs, u),
                                rtol=0.0, atol=1e-13)
+
+
+def test_newton_polish_initial_multipliers_are_least_norm(monkeypatch):
+    # the kernel's dgelsd call gives the multipliers np.linalg.lstsq gives
+    model, qs = _apex_case()
+    d = model.dim()
+    newton, kkt = project_module._newton_polish, project_module._kkt_residual
+    pending, starts = [], []
+
+    def recording_newton(model_, q, p0, J):
+        pending[:] = [(q, p0, J)]
+        try:
+            return newton(model_, q, p0, J)
+        finally:
+            pending.clear()
+
+    def recording_kkt(Bs, q, u, *out):
+        if pending:
+            starts.append((*pending.pop(), u.copy()))
+        return kkt(Bs, q, u, *out)
+
+    monkeypatch.setattr(project_module, "_newton_polish", recording_newton)
+    monkeypatch.setattr(project_module, "_kkt_residual", recording_kkt)
+    for q in qs:
+        project_module._project_cone_arr(model, q, SolverConfig(tol=1e-13))
+    starts = [s for s in starts if s[2]]
+    assert starts
+    for q, p0, J, u in starts:
+        mu = np.linalg.norm(p0)
+        pi = p0 / mu
+        nu, *_ = np.linalg.lstsq(-2.0 * (model.det_forms[J] @ pi).T,
+                                 q - mu * pi, rcond=None)
+        assert np.allclose(u[:1 + d], np.concatenate([[mu], pi]),
+                           rtol=1e-15, atol=0.0)
+        assert np.abs(u[1 + d:] - nu).max() <= 1e-14
+
+
+def test_newton_polish_returns_none_on_singular_jacobian():
+    # pi lies on coordinates 0 and 1, which block 0's form does not touch,
+    # so B_0 pi = 0 and the multiplier column of the KKT Jacobian is 0
+    model = make_cone(2)
+    d = model.dim()
+    p0 = np.array([0.6, 0.8, 0.0, 0.0, 0.0])
+    q = np.array([0.5, 0.1, -0.7, 0.3, 0.4])
+    q /= np.linalg.norm(q)
+    Bs = model.det_forms[[0]]
+    assert not Bs[:, :, :2].any()
+    u = np.concatenate([[1.0], p0, [0.0]])
+    assert not _kkt_jacobian(Bs, u)[:, 1 + d:].any()
+    assert np.abs(_kkt_residual(Bs, q, u)).max() > 1e-3
+    assert project_module._newton_polish(model, q, p0, [0]) is None
