@@ -80,64 +80,41 @@ class ConePoint:
         return float(np.linalg.norm(self.coords))
 
 
-def _block_functionals(n: int):
-    """Rows (alpha, beta, gamma) of each 2x2 block as linear functionals.
-
-    Block k of the LMI image of p is [[alpha.p, beta.p], [beta.p, gamma.p]].
-    Order: coupling block, y-chain ascending, z-chain ascending. The chain
-    terminators put the spare variable (x1 or x2) on the off-diagonal so the
-    PSD condition reproduces x3*y_{n-1} >= x1^2 and x3*z_{n-1} >= x2^2.
+def _weighted_matrix(n: int) -> np.ndarray:
+    """The LMI map's matrix W in weighted block coordinates: block k of the
+    image of p is [[a_k.p, b_k.p], [b_k.p, c_k.p]], and W's rows 3k..3k+2
+    are a_k, sqrt(2) b_k, c_k, so the Euclidean inner product of flattened
+    blocks is the trace inner product. Order: coupling block, y-chain, then
+    z-chain. The chain terminators put the spare variable (x1 or x2) on the
+    off-diagonal: x3*y_{n-1} >= x1^2 and x3*z_{n-1} >= x2^2.
     """
     d = 2 * n + 1
-    eye = np.eye(d)
-    iy = lambda i: 2 + i
-    iz = lambda i: n + 1 + i
-    rows = [(eye[2] + eye[iy(1)], eye[iz(1)], eye[2] - eye[iy(1)])]
-    for i in range(1, n - 1):
-        rows.append((eye[2], eye[iy(i + 1)], eye[iy(i)]))
-    rows.append((eye[2], eye[0], eye[iy(n - 1)]))
-    for i in range(1, n - 1):
-        rows.append((eye[2], eye[iz(i + 1)], eye[iz(i)]))
-    rows.append((eye[2], eye[1], eye[iz(n - 1)]))
-    return rows
-
-
-def _weighted_matrix(n: int) -> np.ndarray:
-    """Dense matrix of the LMI map in weighted block coordinates.
-
-    Block entries are flattened to (a, sqrt(2) b, c) so the Euclidean inner
-    product of the flattened vectors equals the trace inner product.
-    """
-    rows = _block_functionals(n)
-    out = np.zeros((3 * len(rows), 2 * n + 1))
-    for k, (alpha, beta, gamma) in enumerate(rows):
-        out[3 * k] = alpha
-        out[3 * k + 1] = RT2 * beta
-        out[3 * k + 2] = gamma
-    return out
-
-
-def _det_forms(n: int):
-    """Quadratic forms B_k with p^T B_k p = det(block_k(p))."""
-    forms = []
-    for alpha, beta, gamma in _block_functionals(n):
-        forms.append(0.5 * (np.outer(alpha, gamma) + np.outer(gamma, alpha))
-                     - np.outer(beta, beta))
-    return forms
+    blocks = np.zeros((2 * n - 1, 3, d))
+    blocks[:, 0, 2] = 1.0
+    # coupling block (x3 + y1, z1, x3 - y1)
+    blocks[0, 0, 3] = 1.0
+    blocks[0, 1, n + 2] = RT2
+    blocks[0, 2, 2:4] = (1.0, -1.0)
+    # chain block k = 1..2n-2 is (x3, next, v) for v the k-th of y_1..y_{n-1},
+    # z_1..z_{n-1} (column k + 2); next is v's successor, x1 or x2 at the ends
+    k = np.arange(1, 2 * n - 1)
+    link = k + 3
+    link[[n - 2, -1]] = 0, 1
+    blocks[k, 1, link] = RT2
+    blocks[k, 2, k + 2] = 1.0
+    return blocks.reshape(-1, d)
 
 
 @dataclass(frozen=True)
 class ConeModel:
-    """Everything precomputed for a fixed cone index n.
-
-    kappa and lam are the conjugate exponents 2^n and 2^n/(2^n - 1);
-    gram_dense is the Gram operator A*A of the LMI map A (positive definite
-    since the map is injective) and gram_factor its Cholesky factorization,
-    used by solve_gram; gamma is the safe step 0.9 / lam_max(A*A) for the
-    fixed-point projector; lmi_weighted is A in weighted block coordinates
-    (see _weighted_matrix), det_forms the forms B_k with p^T B_k p the
-    determinant of block k; range_proj is the orthogonal projector onto the
-    range of A in weighted block coordinates.
+    """Everything precomputed for the cone {p : A p blockwise PSD}, each
+    array derived by :meth:`from_lmi` from A's weighted matrix
+    lmi_weighted = W: the Gram operator gram_dense = A*A = W^T W, its
+    Cholesky factorization gram_factor (used by solve_gram), its largest
+    eigenvalue lam_max and the fixed-point step gamma = 0.9 / lam_max; the
+    forms det_forms, p^T B_k p being the determinant of block k; and
+    range_proj, the orthogonal projector onto the range of A in weighted
+    block coordinates. kappa and lam are 2^n and 2^n/(2^n - 1).
 
     admm_cache, the only mutable part, holds the cone projector's ADMM
     operators, one per penalty rho, built on first use by sliceproj.project.
@@ -156,6 +133,34 @@ class ConeModel:
     admm_cache: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
+    @classmethod
+    def from_lmi(cls, W) -> "ConeModel":
+        """The model whose LMI map has weighted matrix W (rows a_k,
+        sqrt(2) b_k, c_k per block). Raises InvalidInputError unless W is a
+        finite (3(2n-1), 2n+1) matrix whose Gram matrix is positive definite.
+        """
+        W = np.array(W, dtype=float, ndmin=2)
+        n = (W.shape[-1] - 1) // 2
+        if W.shape != (6 * n - 3, 2 * n + 1) or not np.isfinite(W).all():
+            raise InvalidInputError("W must be a finite (6n-3, 2n+1) matrix")
+        gram_dense = W.T @ W
+        eigs = np.linalg.eigvalsh(gram_dense)
+        if eigs[0] <= 0.0:
+            raise InvalidInputError("Gram operator is not positive definite")
+        gram_factor = cho_factor(gram_dense)
+        range_proj = W @ cho_solve(gram_factor, W.T)
+        # det [[a.p, b.p], [b.p, c.p]] = p^T (sym(a c^T) - b b^T) p
+        a, b, c = W[0::3, :, None], W[1::3, :, None] / RT2, W[2::3, :, None]
+        ac, bb = a * c.transpose(0, 2, 1), b * b.transpose(0, 2, 1)
+        det_forms = 0.5 * (ac + ac.transpose(0, 2, 1)) - bb
+        for arr in (W, gram_dense, gram_factor[0], range_proj, det_forms):
+            arr.setflags(write=False)
+        kappa, lam_max = 2.0 ** n, float(eigs[-1])
+        return cls(n=n, kappa=kappa, lam=kappa / (kappa - 1.0),
+                   gram_dense=gram_dense, gram_factor=gram_factor,
+                   gamma=0.9 / lam_max, lam_max=lam_max, lmi_weighted=W,
+                   det_forms=det_forms, range_proj=range_proj)
+
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """Solve gram @ x = rhs using the cached factorization."""
         return cho_solve(self.gram_factor, rhs)
@@ -170,28 +175,7 @@ def make_cone(n: int) -> ConeModel:
         raise InvalidInputError("n must be an integer")
     if n < N_MIN or n > N_MAX:
         raise InvalidInputError(f"n must be >= {N_MIN} and <= {N_MAX}")
-    weighted = _weighted_matrix(n)
-    gram_dense = weighted.T @ weighted
-    eigs = np.linalg.eigvalsh(gram_dense)
-    if eigs[0] <= 0.0:
-        raise InvalidInputError("Gram operator is not positive definite")
-    gram_factor = cho_factor(gram_dense)
-    range_proj = weighted @ cho_solve(gram_factor, weighted.T)
-    det_forms = np.array(_det_forms(n))
-    for arr in (weighted, gram_dense, range_proj, det_forms):
-        arr.setflags(write=False)
-    return ConeModel(
-        n=int(n),
-        kappa=float(2.0 ** n),
-        lam=float(2.0 ** n / (2.0 ** n - 1.0)),
-        gram_dense=gram_dense,
-        gram_factor=gram_factor,
-        gamma=0.9 / float(eigs[-1]),
-        lam_max=float(eigs[-1]),
-        lmi_weighted=weighted,
-        det_forms=det_forms,
-        range_proj=range_proj,
-    )
+    return ConeModel.from_lmi(_weighted_matrix(int(n)))
 
 
 def _check_point(model: ConeModel, p: ConePoint) -> np.ndarray:
@@ -236,18 +220,19 @@ def membership_cone(model: ConeModel, p: ConePoint, tol: float = 1e-9):
     worst <= tol. Cross-checkable against the smallest block eigenvalue of
     lmi_apply(p), which cuts out the same set.
     """
-    coords = _check_point(model, p)
-    x1, x2, x3 = coords[0], coords[1], coords[2]
-    y = coords[3:model.n + 2]
-    z = coords[model.n + 2:]
+    worst = float(max(_violations(model, p)))
+    return worst <= tol, worst
+
+
+def _violations(model: ConeModel, p: ConePoint) -> list:
+    """membership_cone's constraints as lhs - rhs: -x3, the coupling
+    inequality, then the links of the y- and z-chains, interleaved."""
+    c = _check_point(model, p)
+    x3, y, z = c[2], c[3:model.n + 2], c[model.n + 2:]
     viol = [-x3, y[0] ** 2 + z[0] ** 2 - x3 ** 2]
     for i in range(model.n - 2):
-        viol.append(y[i + 1] ** 2 - x3 * y[i])
-        viol.append(z[i + 1] ** 2 - x3 * z[i])
-    viol.append(x1 ** 2 - x3 * y[-1])
-    viol.append(x2 ** 2 - x3 * z[-1])
-    worst = float(max(viol))
-    return worst <= tol, worst
+        viol += [y[i + 1] ** 2 - x3 * y[i], z[i + 1] ** 2 - x3 * z[i]]
+    return viol + [c[0] ** 2 - x3 * y[-1], c[1] ** 2 - x3 * z[-1]]
 
 
 def membership_polar_shadow(u, model: ConeModel, tol: float = 1e-9) -> bool:
@@ -281,10 +266,10 @@ def _pow_one_minus(u: float, alpha: float) -> float:
     return math.exp(alpha * math.log1p(-u))
 
 
-def _check_t(t: float, lo: float = 0.0, hi: float = 1.0) -> float:
+def _check_t(t: float) -> float:
     t = float(t)
-    if not (lo <= t <= hi) or not math.isfinite(t):
-        raise InvalidInputError(f"t={t} outside [{lo}, {hi}]")
+    if not 0.0 <= t <= 1.0:
+        raise InvalidInputError(f"t={t} outside [0.0, 1.0]")
     return t
 
 

@@ -121,8 +121,8 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     cfg = cfg or SolverConfig()
     if not (0.0 < t < 1.0):
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
-    if not (fd_step > 0.0):
-        raise InvalidInputError("fd_step must be positive")
+    if not 0.0 < fd_step < math.inf:
+        raise InvalidInputError("fd_step must be finite and positive")
     _check_polar_fixed_point(model, 0.0, cfg)
     return _residual_at(model, t, cfg, fd_step)
 
@@ -229,8 +229,8 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     if mode == "exact":
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
     else:
-        if not (fd_step > 0.0):
-            raise InvalidInputError("fd_step must be positive")
+        if not 0.0 < fd_step < math.inf:
+            raise InvalidInputError("fd_step must be finite and positive")
         # the t = 0 endpoint is the same for every grid point: check it once
         _check_polar_fixed_point(model, 0.0, cfg)
         warm = _WarmStart()

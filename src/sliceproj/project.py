@@ -248,6 +248,15 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x))
 
 
+def _input_norm(x: np.ndarray) -> float:
+    """||x|| by math.hypot; a finite x whose norm overflows is rejected,
+    since the solve on x / ||x|| = 0 would certify a wrong answer."""
+    xn = math.hypot(*x)
+    if not math.isfinite(xn):
+        raise InvalidInputError("input norm exceeds the largest double")
+    return xn
+
+
 @functools.cache
 def _gelsd_work(m: int, n: int) -> tuple:
     """(lwork, size_iwork) of dgelsd for an m x n system with one right-hand
@@ -446,8 +455,9 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     the unit vector u = q / ||q|| and its answer and ADMM state are scaled
     back by ||q||: tol, the stall test and the refinement's thresholds are
     relative to ||q|| by construction. ||q|| is computed without overflow
-    or underflow (math.hypot), so a power-of-two rescaling of q rescales
-    the answer bitwise and leaves the iteration count unchanged.
+    or underflow in intermediate steps (math.hypot), so a power-of-two
+    rescaling of q rescales the answer bitwise and leaves the iteration
+    count unchanged; a q with ||q|| above the largest double is rejected.
 
     Splitting: p-update solves (I + rho A*A) p = u + rho A*(Z - U), Z-update
     is the blockwise PSD projection of A p + U, U is the scaled dual.
@@ -466,7 +476,7 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     """
     W = model.lmi_weighted
     m = W.shape[0]
-    qn = math.hypot(*q)
+    qn = _input_norm(q)
     if qn == 0.0:
         # the ADMM fixed point at q = 0, and for q in the cone below
         p, Z, U = np.zeros(model.dim()), np.zeros(m), np.zeros(m)
@@ -627,7 +637,7 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
     if X.n != model.n:
         raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
     flat = _weighted(X)
-    xn = math.hypot(*flat)
+    xn = _input_norm(flat)
     if xn == 0.0:
         return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
     out, stats = _dykstra_flat(model, flat / xn, cfg)
@@ -656,7 +666,7 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     if not (0.0 < gamma < 1.0 / model.lam_max):
         raise InvalidInputError("gamma must lie in (0, 1/lam_max)")
     flat = _weighted(X)
-    xn = math.hypot(*flat)
+    xn = _input_norm(flat)
     if xn == 0.0:
         return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
     target = model.lmi_weighted.T @ (flat / xn)

@@ -67,7 +67,7 @@ class SymMatrix:
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
         out[np.tril_indices(self.dim)] = self.packed
-        out = out + out.T - np.diag(np.diag(out))
+        out = out + np.tril(out, -1).T
         return out
 
     def norm(self) -> float:

@@ -17,6 +17,8 @@ import numpy as np
 from . import cones, probe, project, symmat
 from .errors import InvalidInputError
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class GroupResult:
@@ -99,13 +101,15 @@ def _check_curves(n_max, rng, _defect):
             if not cones.membership_polar_shadow(
                     (v.x1, v.x2, v.x3), model, tol=1e-9):
                 return False, f"curve leaves the polar shadow at n={n}, t={t:g}"
-            h = cones.curve_step(model, t)
-            direct = float(h.coords @ w.coords)
-            closed = cones.step_normal_inner(model, t)
-            worst_inner = max(worst_inner, abs(direct - closed) / closed)
-    ok = worst_orth <= 1e-12 and worst_inner <= 1e-13
+            # the direct dot product cancels (at n = 12 two terms of about
+            # 0.075 sum to 2e-5), so bound the gap by its own rounding error
+            terms = cones.curve_step(model, t).coords * w.coords
+            gap = abs(float(terms.sum()) - cones.step_normal_inner(model, t))
+            worst_inner = max(worst_inner, gap / (_EPS * np.abs(terms).sum()))
+    ok = worst_orth <= 1e-12 and worst_inner <= 4.0
     return ok, (f"orthogonality {worst_orth:.2e} (tol 1e-12), "
-                f"inner-product closed form {worst_inner:.2e} rel (tol 1e-13)")
+                f"inner-product closed form {worst_inner:.2f} eps*sum|h w| "
+                f"(tol 4)")
 
 
 def _check_holder(_n_max, rng, defect):

@@ -62,6 +62,15 @@ def test_probe_rejects_bad_grid():
     assert proc.returncode == 2
 
 
+def test_probe_rejects_infinite_fd_step():
+    proc = run_cli("probe", "--n", "2", "--mode", "numeric",
+                   "--fd-step", "inf")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: fd_step must be finite and positive"]
+
+
 def test_probe_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("probe", "--n", "3", "--format", "json", "--out", str(a), check=True)
@@ -159,6 +168,18 @@ def test_project_rejects_non_finite_block_matrix(tmp_path):
         "error: BlockSymMatrix entries must be finite"]
 
 
+def test_project_rejects_overflowing_input_norm(tmp_path):
+    # finite entries whose norm exceeds the largest double: target K used
+    # to print q itself as a certified answer
+    src = tmp_path / "huge.txt"
+    src.write_text("2\n" + " ".join(["-1.5e308"] * 5) + "\n")
+    proc = run_cli("project", "--n", "2", "--target", "K", "--in", str(src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: input norm exceeds the largest double"]
+
+
 def test_project_unreadable_input(tmp_path):
     proc = run_cli("project", "--n", "2", "--target", "K",
                    "--in", str(tmp_path))
@@ -254,7 +275,7 @@ def test_curves_invalid_grid():
 
 
 def test_verify_passes():
-    proc = run_cli("verify", "--n-max", "3")
+    proc = run_cli("verify", "--n-max", "12")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 9

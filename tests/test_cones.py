@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError, curve_step,
-                       holder_gap, lmi_adjoint, lmi_apply, make_cone,
-                       membership_cone, membership_polar_shadow, normal_curve,
-                       normal_ray, polar_curve, read_cone_point, sample_cone,
-                       step_normal_inner, tangent_project, write_cone_point)
+from sliceproj import (BlockSymMatrix, ConeModel, ConePoint, InvalidInputError,
+                       curve_step, holder_gap, lmi_adjoint, lmi_apply,
+                       make_cone, membership_cone, membership_polar_shadow,
+                       normal_curve, normal_ray, polar_curve, read_cone_point,
+                       sample_cone, step_normal_inner, tangent_project,
+                       write_cone_point)
+from sliceproj.cones import _violations
 from sliceproj.symmat import block_min_eigs
 
 
@@ -98,6 +100,49 @@ def test_gram_assembles_both_ways(models):
             basis = ConePoint(n, np.eye(d)[k])
             col = lmi_adjoint(model, lmi_apply(model, basis)).coords
             assert np.allclose(col, model.gram_dense[:, k], atol=1e-12)
+
+
+def test_det_forms_are_block_determinants():
+    # p^T B_k p is the determinant of block k of lmi_apply(p), and the
+    # determinants are the negated coupling and chain rows of the
+    # inequality description
+    rng = np.random.default_rng(41)
+    for n in range(2, 13):
+        model = make_cone(n)
+        for _ in range(20):
+            p = ConePoint(n, rng.standard_normal(2 * n + 1))
+            a, b, c = lmi_apply(model, p).blocks.T
+            forms = np.einsum("kij,i,j->k", model.det_forms, p.coords, p.coords)
+            scale = np.abs(a * c) + b * b
+            assert np.all(np.abs(forms - (a * c - b * b)) <= 1e-12 * scale)
+            rows = np.sort(-np.array(_violations(model, p)[1:]))
+            order = np.argsort(forms)
+            assert np.all(np.abs(rows - forms[order]) <= 1e-12 * scale[order])
+
+
+def test_from_lmi_rebuilds_make_cone_read_only():
+    for n in (2, 7, 12):
+        model = make_cone(n)
+        again = ConeModel.from_lmi(model.lmi_weighted.tolist())
+        assert again.n == n
+        for name in ("gram_dense", "det_forms", "range_proj", "lmi_weighted"):
+            assert np.array_equal(getattr(again, name), getattr(model, name))
+            assert not getattr(again, name).flags.writeable
+        assert not again.gram_factor[0].flags.writeable
+        assert (again.kappa, again.lam, again.gamma, again.lam_max) == (
+            model.kappa, model.lam, model.gamma, model.lam_max)
+
+
+def test_from_lmi_guards():
+    W = make_cone(2).lmi_weighted
+    for bad in (W[:-1], np.vstack([W, W[:3]]), W[:, :-1], W.ravel(),
+                np.zeros((0, 5)), np.where(W == 1.0, np.inf, W)):
+        with pytest.raises(InvalidInputError, match="W must be"):
+            ConeModel.from_lmi(bad)
+    singular = W.copy()
+    singular[:, 0] = 0.0
+    with pytest.raises(InvalidInputError, match="positive definite"):
+        ConeModel.from_lmi(singular)
 
 
 def test_dimension_mismatch_raises(models):
@@ -240,6 +285,20 @@ def test_step_normal_inner_matches_direct_dot(models):
             w = normal_curve(model, t)
             direct = float(h.coords @ w.coords)
             assert abs(direct - closed) <= 1e-13 * closed
+
+
+def test_step_normal_inner_matches_mpmath():
+    # 50-digit reference of 1 - (1 - t^lam)^(1/kappa) at the double t and
+    # lam; the direct dot product cancels too much to serve as one at n >= 9
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for n in range(2, 13):
+            model = make_cone(n)
+            for t in np.linspace(1e-4, 0.9, 25):
+                t_mp, lam = mpmath.mpf(float(t)), mpmath.mpf(model.lam)
+                ref = 1 - (1 - t_mp ** lam) ** (1 / mpmath.mpf(model.kappa))
+                closed = step_normal_inner(model, t)
+                assert abs(closed - ref) <= 1e-14 * ref, (n, t)
 
 
 def test_curve_step_matches_curve_difference(models):

@@ -79,8 +79,9 @@ def test_residual_numeric_variants_agree(models):
 def test_residual_numeric_guards(models):
     with pytest.raises(InvalidInputError):
         residual_numeric(models[2], 0.0, CFG)
-    with pytest.raises(InvalidInputError):
-        residual_numeric(models[2], 0.5, CFG, fd_step=0.0)
+    for fd_step in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="fd_step"):
+            residual_numeric(models[2], 0.5, CFG, fd_step=fd_step)
 
 
 def test_fit_exponent_synthetic_power_laws():
@@ -230,8 +231,14 @@ def test_numeric_probe_checks_origin_once(models, monkeypatch):
     residual_numeric(model, 0.3, CFG)
     assert times_solved(origin) == 1
     assert times_solved(polar_curve(model, 0.3).coords) == 1
-    with pytest.raises(InvalidInputError):
-        probe_semismoothness(model, "numeric", fd_step=0.0)
+    # a bad step is rejected before any solve
+    solved.clear()
+    for fd_step in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="fd_step"):
+            probe_semismoothness(model, "numeric", fd_step=fd_step)
+        with pytest.raises(InvalidInputError, match="fd_step"):
+            residual_numeric(model, 0.3, CFG, fd_step=fd_step)
+    assert solved == []
 
 
 def test_warm_probe_matches_cold_residuals(models):
@@ -265,5 +272,6 @@ def test_stale_warm_start_falls_back_to_cold_answer(models):
             assert np.linalg.norm(p - cold) <= 1e-9 * np.linalg.norm(q)
             assert warm.p is p
         assert stats.iterations > 0
-    with pytest.raises(InvalidInputError):
-        probe_semismoothness(model, "numeric", fd_step=0.0)
+    for fd_step in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="fd_step"):
+            probe_semismoothness(model, "numeric", fd_step=fd_step)

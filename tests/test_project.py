@@ -528,6 +528,20 @@ def test_slice_power_of_two_scaling_is_bitwise(models):
                 assert stats.iterations == ref_stats.iterations
 
 
+def test_overflowing_input_norm_is_rejected(models):
+    # finite inputs whose norm exceeds the largest double: the solve on
+    # q / ||q|| = 0 used to certify a wrong answer
+    q = ConePoint(2, np.full(5, -1.5e308))
+    for project in (project_cone, project_polar):
+        with pytest.raises(InvalidInputError, match="largest double"):
+            project(models[2], q, CFG)
+    # diagonal entries only, so the sqrt(2) weighting itself cannot overflow
+    X = BlockSymMatrix(2, np.tile([-1.5e308, 0.0, -1.5e308], (3, 1)))
+    for kind in SLICE_PROJECTORS:
+        with pytest.raises(InvalidInputError, match="largest double"):
+            _project_slice(kind, models[2], X)
+
+
 def test_dense_dykstra_projects_full_input(models):
     # the range of the LMI map is block-diagonal, so the projection of a
     # full matrix is the projection of its 2x2 diagonal blocks
