@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "input norm (||q|| or ||X||) (default 1e-9)")
         p.add_argument("--max-iter", type=int, default=200_000,
                        help="solver iteration budget (default 200000)")
-        p.add_argument("--rho", type=float, default=1.0,
-                       help="ADMM penalty (default 1.0)")
 
     p_probe = sub.add_parser("probe", help="measure the semismoothness order")
     p_probe.add_argument("--n", type=int, required=True, help="cone index (>= 2)")
@@ -129,7 +127,7 @@ def _residual_norm_any(model, t: float) -> float:
 
 def cmd_probe(args) -> int:
     model = make_cone(args.n)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, rho=args.rho)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     report = probe_semismoothness(
         model, mode=args.mode, t_min=args.t_min, t_max=args.t_max,
         points=args.points, cfg=cfg, fd_step=args.fd_step)
@@ -143,7 +141,7 @@ def cmd_probe(args) -> int:
 
 def cmd_project(args) -> int:
     model = make_cone(args.n)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, rho=args.rho)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     try:
         with open(args.input_path) as fh:
             text = fh.read()

@@ -13,9 +13,9 @@ block plus the two doubling chains). Its shadow on (x1, x2, x3) is the
 kappa-norm cone { ||(x1,x2)||_kappa <= x3 } with kappa = 2^n, whose polar is
 governed by the conjugate exponent lambda = 2^n / (2^n - 1).
 
-A ConeModel may be shared across concurrent workers: apart from a cache of
-solver operators, written whole on first use, it is immutable after
-construction, and every operation here is a pure function.
+A ConeModel is immutable, the cone projector's ADMM operators included
+(built per model, with no penalty parameter), so it may be shared across
+concurrent workers; every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -105,19 +105,22 @@ def _weighted_matrix(n: int) -> np.ndarray:
     return blocks.reshape(-1, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeModel:
     """Everything precomputed for the cone {p : A p blockwise PSD}, each
     array derived by :meth:`from_lmi` from A's weighted matrix
     lmi_weighted = W: the Gram operator gram_dense = A*A = W^T W, its
     Cholesky factorization gram_factor (used by solve_gram), its largest
     eigenvalue lam_max and the fixed-point step gamma = 0.9 / lam_max; the
-    forms det_forms, p^T B_k p being the determinant of block k; and
+    forms det_forms, p^T B_k p being the determinant of block k;
     range_proj, the orthogonal projector onto the range of A in weighted
-    block coordinates. kappa and lam are 2^n and 2^n/(2^n - 1).
+    block coordinates; and the cone projector's ADMM operators
+    admm_minv = (I + W^T W)^-1 and admm_gain = admm_minv W^T. kappa and lam
+    are 2^n and 2^n/(2^n - 1).
 
-    admm_cache, the only mutable part, holds the cone projector's ADMM
-    operators, one per penalty rho, built on first use by sliceproj.project.
+    A model is immutable, its arrays read-only. Equality is identity (the
+    generated __eq__ over ndarray fields would raise), so a model is
+    hashable and works as a dict key.
     """
 
     n: int
@@ -130,8 +133,8 @@ class ConeModel:
     lmi_weighted: np.ndarray = field(repr=False)
     det_forms: np.ndarray = field(repr=False)
     range_proj: np.ndarray = field(repr=False)
-    admm_cache: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    admm_minv: np.ndarray = field(repr=False)
+    admm_gain: np.ndarray = field(repr=False)
 
     @classmethod
     def from_lmi(cls, W) -> "ConeModel":
@@ -153,13 +156,18 @@ class ConeModel:
         a, b, c = W[0::3, :, None], W[1::3, :, None] / RT2, W[2::3, :, None]
         ac, bb = a * c.transpose(0, 2, 1), b * b.transpose(0, 2, 1)
         det_forms = 0.5 * (ac + ac.transpose(0, 2, 1)) - bb
-        for arr in (W, gram_dense, gram_factor[0], range_proj, det_forms):
+        eye = np.eye(W.shape[1])
+        admm_minv = cho_solve(cho_factor(eye + gram_dense), eye)
+        admm_gain = admm_minv @ W.T
+        for arr in (W, gram_dense, gram_factor[0], range_proj, det_forms,
+                    admm_minv, admm_gain):
             arr.setflags(write=False)
         kappa, lam_max = 2.0 ** n, float(eigs[-1])
         return cls(n=n, kappa=kappa, lam=kappa / (kappa - 1.0),
                    gram_dense=gram_dense, gram_factor=gram_factor,
                    gamma=0.9 / lam_max, lam_max=lam_max, lmi_weighted=W,
-                   det_forms=det_forms, range_proj=range_proj)
+                   det_forms=det_forms, range_proj=range_proj,
+                   admm_minv=admm_minv, admm_gain=admm_gain)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """Solve gram @ x = rhs using the cached factorization."""

@@ -167,10 +167,19 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
             f"{stats.final_residual:.3e} > tol {cfg.tol:.1e}", stats=stats)
     _check_polar_fixed_point(model, t, cfg,
                              None if warm is None else replace(warm))
-    r_fd = cone_part / fd_step
+    # a step below the solve's certified floor leaves a cone part of exactly
+    # 0, or one whose scaled norm overflows; either would be fitted as data
+    with np.errstate(over="ignore"):
+        r_fd = cone_part / fd_step
+        norm = float(np.linalg.norm(r_fd))
+    if not 0.0 < norm < math.inf:
+        raise NumericFailureError(
+            f"fd_step={fd_step:g} is below the cone solve's accuracy at "
+            f"t={t:g}: the finite-difference residual vanishes or overflows",
+            stats=stats)
     return NumericResidual(
         vector=ConePoint(model.n, r_fd),
-        norm=float(np.linalg.norm(r_fd)),
+        norm=norm,
         norm_analytic=float(np.linalg.norm(r_analytic)),
         discrepancy=float(np.linalg.norm(r_fd - r_analytic)),
     )

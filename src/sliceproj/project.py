@@ -35,14 +35,14 @@ progress gives up after a few Newton steps, so an early checkpoint with
 a wrong active set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
-number of numpy calls per iteration, not flops. The p-update therefore
-uses operators built once per model and penalty rho and cached on the
-ConeModel: Minv = (I + rho A*A)^-1 and the gain K = rho Minv A*. A solve
-computes Minv u once, for u = q / ||q||; each iteration is then
-p = Minv u + K (Z - U), the product A p, one PSD clip of the flat block
-vector and one product with A* for the dual residual. Dykstra's range
-step uses the model's precomputed orthogonal projector onto the range of
-A.
+number of numpy calls per iteration, not flops. The splitting has no
+penalty parameter (its penalty is 1), so its p-update operators depend on
+the model alone, and ConeModel.from_lmi builds them: Minv = (I + A*A)^-1
+and the gain K = Minv A*. A solve computes Minv u once, for
+u = q / ||q||; each iteration is then p = Minv u + K (Z - U), the product
+A p, one PSD clip of the flat block vector and one product with A* for
+the dual residual. Dykstra's range step uses the model's precomputed
+orthogonal projector onto the range of A.
 
 ADMM, Dykstra and the fixed-point projector share one iteration loop,
 _iterate: each passes a step that returns its residual, and the loop owns
@@ -60,15 +60,11 @@ accuracy. Because its (Z, U) seeds the next solve, a solve on a path
 first tries the refinement at iteration 64, not 32. project_cone passes
 no holder: one-off solves start from zero.
 
-Solver invocations are independent and thread-safe given a shared
-ConeModel, as long as no warm holder is shared between threads: a holder
-is mutable state owned by the one path that created it. The operator
-cache is shared mutable state: an entry is a tuple of read-only arrays
-stored whole under its rho, so two threads that miss together both build
-equal operators and either may keep its own; none sees a partial entry.
-The refinement's cache of LAPACK workspace sizes holds plain integers
-computed from the system's shape alone, so a race there at worst queries
-the same size twice. The library itself starts no threads.
+The ConeModel is immutable, so solves may share one across threads; do
+not share a warm holder, which is mutable state owned by the one path
+that created it. The refinement's cache of LAPACK workspace sizes holds
+plain integers computed from the system's shape alone, so a race there at
+worst queries the same size twice. The library itself starts no threads.
 """
 
 from __future__ import annotations
@@ -80,13 +76,14 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgesv
 
 from .cones import ConeModel, ConePoint, _unweighted, _weighted
 from .errors import InvalidInputError
 from .symmat import RT2, BlockSymMatrix, SymMatrix, block_min_eigs, psd_clip_flat
-# unused here: perfbench installs its symmat.jacobi span on this binding
+# unused here: perfbench installs its symmat.jacobi, project.factor and
+# project.linsolve spans on these bindings
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 from .symmat import jacobi_eig  # noqa: F401
 
 log = logging.getLogger("sliceproj.project")
@@ -110,10 +107,6 @@ _NEWTON_HALVINGS = 16
 _NEWTON_WINDOW = 8
 _NEWTON_MIN_GAIN = 1e-3
 _NEWTON_MAX_STEPS = 60
-# ADMM operators kept per model; a model that sees more penalties starts over
-_ADMM_CACHE_SIZE = 4
-# largest ADMM penalty accepted (see SolverConfig)
-_RHO_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -124,30 +117,27 @@ class SolverConfig:
     for cone solves, X / ||X|| for the slice projectors), so tol is relative
     to ||q|| or ||X||.
 
-    max_iter is an integer (a Python or numpy int, not a bool) >= 1. tol
-    and rho must be finite, and rho at most 1e100: the unit-norm ADMM
-    iterates scale like 1 / rho, and once they fall below about 1e-154 the
-    squared norms of the residual test underflow to 0, so a larger rho
-    would stop an unfinished solve as converged.
+    tol is a real number (not a bool), positive and finite; max_iter is an
+    integer (a Python or numpy int, not a bool) >= 1; polish is a bool.
     """
 
     tol: float = 1e-9
     max_iter: int = 200_000
-    rho: float = 1.0
     polish: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.tol < math.inf):
+        # a bool is a number too, but True would silently mean 1
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not (0.0 < self.tol < math.inf)):
             raise InvalidInputError("tol must be positive and finite")
-        # a bool is an Integral too, but True would silently mean 1
         if (isinstance(self.max_iter, bool)
                 or not isinstance(self.max_iter, numbers.Integral)):
             raise InvalidInputError("max_iter must be an integer")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
         object.__setattr__(self, "max_iter", int(self.max_iter))
-        if not (0.0 < self.rho <= _RHO_MAX):
-            raise InvalidInputError(f"rho must lie in (0, {_RHO_MAX:g}]")
+        if not isinstance(self.polish, (bool, np.bool_)):
+            raise InvalidInputError("polish must be a bool")
 
 
 # why a solve stopped; see SolveStats
@@ -412,26 +402,6 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
     return None
 
 
-def _admm_operator(model: ConeModel, rho: float):
-    """The ADMM p-update operators for penalty rho, cached on the model.
-
-    With Minv = (I + rho A*A)^-1 and K = rho Minv A*, the p-update is
-    p = Minv q + K (Z - U). Returns (Minv, K) as read-only arrays.
-    """
-    cache = model.admm_cache
-    op = cache.get(rho)
-    if op is None:
-        eye = np.eye(model.dim())
-        minv = cho_solve(cho_factor(eye + rho * model.gram_dense), eye)
-        op = (minv, rho * (minv @ model.lmi_weighted.T))
-        for arr in op:
-            arr.setflags(write=False)
-        if len(cache) >= _ADMM_CACHE_SIZE:
-            cache.clear()
-        cache[rho] = op
-    return op
-
-
 @dataclass
 class _WarmStart:
     """The last answer p and ADMM state (Z, U) along a path of cone solves.
@@ -459,10 +429,10 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     rescaling of q rescales the answer bitwise and leaves the iteration
     count unchanged; a q with ||q|| above the largest double is rejected.
 
-    Splitting: p-update solves (I + rho A*A) p = u + rho A*(Z - U), Z-update
-    is the blockwise PSD projection of A p + U, U is the scaled dual.
-    The p-update is p = Minv u + K (Z - U) with the cached operators of
-    :func:`_admm_operator`. A p is formed from p, not as a product of
+    Splitting: p-update solves (I + A*A) p = u + A*(Z - U), Z-update is
+    the blockwise PSD projection of A p + U, U is the scaled dual. The
+    p-update is p = Minv u + K (Z - U) with the model's operators
+    admm_minv and admm_gain. A p is formed from p, not as a product of
     (Z - U) with A K: at the apex the d entries of p can cancel to exactly
     0, while A K (Z - U) keeps a rounding floor in every block entry.
     Stops on max(primal, dual) residual <= tol, on a certified refinement,
@@ -508,7 +478,6 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
     """
     W = model.lmi_weighted
     WT = W.T
-    rho = cfg.rho
     Z = np.zeros(W.shape[0])
     U = np.zeros(W.shape[0])
     if start is not None:
@@ -520,8 +489,8 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
                 return p_hat, Z_warm, U_warm, SolveStats(0, cert_res, True,
                                                          "certified")
         Z, U = Z_warm, U_warm
-    minv, gain = _admm_operator(model, rho)
-    p0 = minv @ u
+    gain = model.admm_gain
+    p0 = model.admm_minv @ u
     p = None
 
     def step():
@@ -531,7 +500,7 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
         X = Ap + U
         Z_new = psd_clip_flat(X)
         U = X - Z_new
-        r_dual = rho * _norm(WT @ (Z_new - Z))
+        r_dual = _norm(WT @ (Z_new - Z))
         Z = Z_new
         return max(_norm(Ap - Z_new), r_dual)
 

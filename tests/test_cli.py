@@ -71,6 +71,18 @@ def test_probe_rejects_infinite_fd_step():
         "error: fd_step must be finite and positive"]
 
 
+def test_probe_rejects_fd_step_below_solver_accuracy():
+    # the cone part of the finite-difference solve is exactly 0 here; it
+    # used to exit 2 with fit_exponent's message
+    proc = run_cli("probe", "--n", "2", "--mode", "numeric",
+                   "--fd-step", "1e-12")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("solver failure: fd_step=1e-12 is below")
+
+
 def test_probe_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("probe", "--n", "3", "--format", "json", "--out", str(a), check=True)
@@ -200,7 +212,7 @@ def test_project_input_without_read_permission(tmp_path):
     assert proc.stderr.startswith("error: cannot read")
 
 
-@pytest.mark.parametrize("flag", ["--rho", "--tol"])
+@pytest.mark.parametrize("flag", ["--tol"])
 def test_project_rejects_non_finite_solver_knobs(tmp_path, flag):
     src = tmp_path / "q.txt"
     src.write_text(write_cone_point(polar_curve(make_cone(2), 0.5)))

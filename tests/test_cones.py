@@ -125,12 +125,22 @@ def test_from_lmi_rebuilds_make_cone_read_only():
         model = make_cone(n)
         again = ConeModel.from_lmi(model.lmi_weighted.tolist())
         assert again.n == n
-        for name in ("gram_dense", "det_forms", "range_proj", "lmi_weighted"):
+        for name in ("gram_dense", "det_forms", "range_proj", "lmi_weighted",
+                     "admm_minv", "admm_gain"):
             assert np.array_equal(getattr(again, name), getattr(model, name))
             assert not getattr(again, name).flags.writeable
         assert not again.gram_factor[0].flags.writeable
         assert (again.kappa, again.lam, again.gamma, again.lam_max) == (
             model.kappa, model.lam, model.gamma, model.lam_max)
+
+
+def test_cone_model_equality_is_identity():
+    # the generated __eq__ over ndarray fields raised ValueError, and hash
+    # raised TypeError
+    m = make_cone(3)
+    assert (m == make_cone(3)) is False
+    assert m == m
+    assert {m: 1}[m] == 1
 
 
 def test_from_lmi_guards():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import sliceproj.probe as probe_module
-from sliceproj import (InvalidInputError, SolverConfig, curve_step,
-                       fit_exponent, make_cone, normal_curve, polar_curve,
-                       probe_semismoothness, report_from_json, report_to_csv,
-                       report_to_json, residual_exact, residual_numeric)
+from sliceproj import (InvalidInputError, NumericFailureError, SolverConfig,
+                       curve_step, fit_exponent, make_cone, normal_curve,
+                       polar_curve, probe_semismoothness, report_from_json,
+                       report_to_csv, report_to_json, residual_exact,
+                       residual_numeric)
 from sliceproj.project import _project_cone_arr, _WarmStart
 
 CFG = SolverConfig()
@@ -82,6 +83,22 @@ def test_residual_numeric_guards(models):
     for fd_step in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError, match="fd_step"):
             residual_numeric(models[2], 0.5, CFG, fd_step=fd_step)
+
+
+def test_fd_step_below_solver_accuracy_is_a_numeric_failure(models):
+    # at 1e-12 the cone part of the finite-difference solve is exactly 0; at
+    # 1e-300 it is 0 or overflows when scaled (n = 2 at t = 0.1). Both used
+    # to reach fit_exponent, 1e-300 with a RuntimeWarning from the norm.
+    for n in (2, 4):
+        for fd_step in (1e-12, 1e-300):
+            with pytest.raises(NumericFailureError,
+                               match=f"fd_step={fd_step:g} is below .* at t="):
+                probe_semismoothness(models[n], "numeric", fd_step=fd_step)
+    with pytest.raises(NumericFailureError, match="vanishes or overflows"):
+        residual_numeric(models[2], 0.1, CFG, fd_step=1e-300)
+    # 1e-10 still resolves the residual at n = 2
+    report = probe_semismoothness(models[2], "numeric", fd_step=1e-10)
+    assert report.fitted_slope == pytest.approx(1.248, abs=1e-3)
 
 
 def test_fit_exponent_synthetic_power_laws():

@@ -14,8 +14,8 @@ from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError,
                        project_slice_dykstra, project_slice_fixedpoint,
                        psd_project_block, sample_cone)
 from sliceproj import project as project_module
-from sliceproj.project import (SolveStats, _admm_operator, _attempt_polish,
-                               _kkt_jacobian, _kkt_residual)
+from sliceproj.project import (SolveStats, _attempt_polish, _kkt_jacobian,
+                               _kkt_residual)
 from sliceproj.symmat import SymMatrix
 
 CFG = SolverConfig()
@@ -31,14 +31,17 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(InvalidInputError):
         SolverConfig(max_iter=0)
-    with pytest.raises(InvalidInputError):
-        SolverConfig(rho=-1.0)
-    # at rho = 1e300 the unit-norm ADMM iterates fall below 1e-154, their
-    # squared norms underflow to 0 and a wrong answer passed the tol test
-    for bad in ({"tol": math.inf}, {"tol": math.nan}, {"rho": math.inf},
-                {"rho": math.nan}, {"rho": 1.01e100}, {"rho": 1e300}):
+    # tol=True silently meant tol = 1.0, and polish="no" turned the polish on
+    for bad in ({"tol": math.inf}, {"tol": math.nan}, {"tol": True},
+                {"tol": "1e-9"}, {"polish": "no"}, {"polish": 1},
+                {"polish": None}):
         with pytest.raises(InvalidInputError):
             SolverConfig(**bad)
+    # numpy scalars stay valid
+    q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
+    _, stats = project_cone(make_cone(2), q, SolverConfig(
+        tol=np.float64(1e-6), polish=np.bool_(False)))
+    assert stats.converged and stats.exit_reason == "tol"
 
 
 def test_solver_config_max_iter_must_be_an_integer():
@@ -51,19 +54,6 @@ def test_solver_config_max_iter_must_be_an_integer():
     q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
     _, stats = project_cone(make_cone(2), q, replace(cfg, polish=False))
     assert (stats.exit_reason, stats.iterations) == ("budget", 3)
-
-
-def test_solver_config_accepts_the_largest_rho(models):
-    # rho = 1e100 often stalls, but an answer it reports converged is right
-    converged = 0
-    for seed in (6, 7, 8):
-        q = ConePoint(2, np.random.default_rng(seed).standard_normal(5))
-        ref, _ = project_cone(models[2], q, CFG)
-        out, stats = project_cone(models[2], q, SolverConfig(rho=1e100))
-        if stats.converged:
-            converged += 1
-            assert np.linalg.norm(out.coords - ref.coords) <= 1e-6 * q.norm()
-    assert converged >= 1
 
 
 def test_each_solve_logs_one_exit_line(models, caplog):
@@ -614,33 +604,14 @@ def test_unpolished_admm_still_converges_on_regular_inputs(models):
     assert np.linalg.norm(out.coords - w.coords) <= 1e-6
 
 
-def test_admm_penalty_variants(models):
-    # the answer must not depend on the splitting knobs
-    model = models[3]
-    rng = np.random.default_rng(149)
-    q = ConePoint(3, rng.standard_normal(7) * 2.0)
-    baseline, _ = project_cone(model, q, CFG)
-    for cfg in (SolverConfig(rho=5.0), SolverConfig(rho=1.6),
-                SolverConfig(rho=0.3)):
-        out, stats = project_cone(model, q, cfg)
-        assert stats.converged
-        assert np.linalg.norm(out.coords - baseline.coords) <= 1e-7
-
-
-def test_admm_operator_cache_tracks_rho():
-    model = make_cone(4)
-    rng = np.random.default_rng(151)
-    q = ConePoint(4, rng.standard_normal(9) * 3.0)
-    out1, stats1 = project_cone(model, q, SolverConfig(rho=1.0))
-    out2, stats2 = project_cone(model, q, SolverConfig(rho=1.7))
-    assert stats1.converged and stats2.converged
-    assert np.linalg.norm(out1.coords - out2.coords) <= 1e-9 * q.norm()
-    eye = np.eye(model.dim())
-    for rho in (1.0, 1.7):
-        minv, gain = _admm_operator(model, rho)
-        assert np.allclose((eye + rho * model.gram_dense) @ minv, eye,
+def test_admm_operator_inverts_the_unit_penalty_system():
+    for n in range(2, 13):
+        model = make_cone(n)
+        eye = np.eye(model.dim())
+        assert np.allclose((eye + model.gram_dense) @ model.admm_minv, eye,
                            atol=1e-12)
-        assert np.allclose(gain, rho * minv @ model.lmi_weighted.T, atol=1e-12)
+        assert np.array_equal(model.admm_gain,
+                              model.admm_minv @ model.lmi_weighted.T)
 
 
 def _loop_kkt_residual(Bs, q, u):
