@@ -15,8 +15,7 @@ from .project import (SolveStats, SolverConfig, project_cone, project_polar,
                       project_range, project_slice_dykstra,
                       project_slice_fixedpoint)
 from .symmat import (BlockSymMatrix, SymMatrix, jacobi_eig, psd_project_block,
-                     read_block_matrix, read_symmatrix, write_block_matrix,
-                     write_symmatrix)
+                     read_block_matrix, write_block_matrix)
 
 __version__ = "0.1.0"
 
@@ -29,8 +28,8 @@ __all__ = [
     "normal_ray", "polar_curve", "probe_semismoothness", "project_cone",
     "project_polar", "project_range", "project_slice_dykstra",
     "project_slice_fixedpoint", "psd_project_block", "read_block_matrix",
-    "read_cone_point", "read_symmatrix", "report_from_json", "report_to_csv",
+    "read_cone_point", "report_from_json", "report_to_csv",
     "report_to_json", "residual_exact", "residual_numeric", "sample_cone",
     "step_normal_inner", "tangent_project", "write_block_matrix",
-    "write_cone_point", "write_symmatrix",
+    "write_cone_point",
 ]

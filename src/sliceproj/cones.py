@@ -384,35 +384,34 @@ def holder_gap(x, y, p: float) -> float:
     return rhs - lhs
 
 
-def sample_cone(model: ConeModel, rng: np.random.Generator,
-                scale: float = 1.0, boundary_bias: float = 0.0) -> ConePoint:
-    """Draw a random cone member by walking the doubling chains.
+def sample_cone(model: ConeModel, rng: np.random.Generator) -> ConePoint:
+    """Draw a random cone member by walking the doubling chains, each chain
+    inequality with a uniform slack factor.
 
-    With boundary_bias = 1 every chain inequality is tight; with 0 the slack
-    factors are uniform. Used by the verification suites as an independent
-    source of feasible points.
+    Used by the verification suites as an independent source of feasible
+    points.
     """
     n = model.n
     x3 = rng.uniform(0.2, 1.0)
     # head block: y1^2 + z1^2 <= x3^2
     ang = rng.uniform(0.0, 0.5 * math.pi)
-    rad = x3 * (boundary_bias + (1.0 - boundary_bias) * rng.uniform(0.0, 1.0))
+    rad = x3 * rng.uniform(0.0, 1.0)
     y_prev, z_prev = rad * math.cos(ang), rad * math.sin(ang)
     y = [y_prev]
     z = [z_prev]
     for _ in range(n - 2):
-        fy = boundary_bias + (1.0 - boundary_bias) * rng.uniform(0.0, 1.0)
-        fz = boundary_bias + (1.0 - boundary_bias) * rng.uniform(0.0, 1.0)
+        fy = rng.uniform(0.0, 1.0)
+        fz = rng.uniform(0.0, 1.0)
         y.append(fy * math.sqrt(x3 * y[-1]))
         z.append(fz * math.sqrt(x3 * z[-1]))
     sx1 = rng.choice([-1.0, 1.0])
     sx2 = rng.choice([-1.0, 1.0])
-    fy = boundary_bias + (1.0 - boundary_bias) * rng.uniform(0.0, 1.0)
-    fz = boundary_bias + (1.0 - boundary_bias) * rng.uniform(0.0, 1.0)
+    fy = rng.uniform(0.0, 1.0)
+    fz = rng.uniform(0.0, 1.0)
     x1 = sx1 * fy * math.sqrt(x3 * y[-1])
     x2 = sx2 * fz * math.sqrt(x3 * z[-1])
     point = ConePoint.from_parts(n, x1, x2, x3, y, z)
-    return ConePoint(n, point.coords * (scale * rng.uniform(0.1, 2.0)))
+    return ConePoint(n, point.coords * rng.uniform(0.1, 2.0))
 
 
 def read_cone_point(text: str) -> ConePoint:

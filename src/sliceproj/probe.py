@@ -124,7 +124,16 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     if not 0.0 < fd_step < math.inf:
         raise InvalidInputError("fd_step must be finite and positive")
     _check_polar_fixed_point(model, 0.0, cfg)
-    return _residual_at(model, t, cfg, fd_step)
+    r_fd, norm = _residual_at(model, t, cfg, fd_step)
+    # analytic variant: strip the normal component
+    h = curve_step(model, t)
+    r_analytic = h.coords - tangent_project(normal_ray(model, t), h).coords
+    return NumericResidual(
+        vector=ConePoint(model.n, r_fd),
+        norm=norm,
+        norm_analytic=float(np.linalg.norm(r_analytic)),
+        discrepancy=float(np.linalg.norm(r_fd - r_analytic)),
+    )
 
 
 def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
@@ -141,24 +150,20 @@ def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
 
 
 def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
-                 fd_step: float, warm: _WarmStart | None = None
-                 ) -> NumericResidual:
-    """:func:`residual_numeric` on checked arguments, minus the t = 0
-    fixed-point check, which does not depend on t.
+                 fd_step: float, warm: _WarmStart | None = None):
+    """The finite-difference residual vector and its norm at t, on checked
+    arguments, without the t = 0 fixed-point check, which does not depend
+    on t.
 
     The finite-difference solve starts from warm and refills it; the base
     check starts from a copy, so warm ends holding the finite-difference
     answer.
     """
-    base = polar_curve(model, t)
-    h = curve_step(model, t)
-    # analytic variant: strip the normal component
-    dd_analytic = tangent_project(normal_ray(model, t), h)
-    r_analytic = h.coords - dd_analytic.coords
-    # finite-difference variant, via the Moreau complement: the polar
-    # projection of base + s h equals the input minus its cone projection,
-    # so the residual reduces to Pi_cone(base + s h) / s
-    probe_point = base.coords + fd_step * h.coords
+    # via the Moreau complement: the polar projection of base + s h equals
+    # the input minus its cone projection, so the residual reduces to
+    # Pi_cone(base + s h) / s
+    probe_point = (polar_curve(model, t).coords
+                   + fd_step * curve_step(model, t).coords)
     tight = replace(cfg, tol=min(cfg.tol, 1e-13))
     cone_part, stats = _project_cone_arr(model, probe_point, tight, warm)
     if stats.final_residual > cfg.tol:
@@ -177,12 +182,7 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
             f"fd_step={fd_step:g} is below the cone solve's accuracy at "
             f"t={t:g}: the finite-difference residual vanishes or overflows",
             stats=stats)
-    return NumericResidual(
-        vector=ConePoint(model.n, r_fd),
-        norm=norm,
-        norm_analytic=float(np.linalg.norm(r_analytic)),
-        discrepancy=float(np.linalg.norm(r_fd - r_analytic)),
-    )
+    return r_fd, norm
 
 
 def fit_exponent(t_grid, residual_norms):
@@ -245,8 +245,8 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
         warm = _WarmStart()
         residuals = np.empty(points)
         for i in reversed(range(points)):
-            residuals[i] = _residual_at(model, float(t_grid[i]), cfg, fd_step,
-                                        warm).norm
+            _, residuals[i] = _residual_at(model, float(t_grid[i]), cfg,
+                                           fd_step, warm)
 
     slope, _, _ = fit_exponent(t_grid, residuals)
     return ProbeReport(

@@ -118,12 +118,11 @@ class SolverConfig:
     to ||q|| or ||X||.
 
     tol is a real number (not a bool), positive and finite; max_iter is an
-    integer (a Python or numpy int, not a bool) >= 1; polish is a bool.
+    integer (a Python or numpy int, not a bool) >= 1.
     """
 
     tol: float = 1e-9
     max_iter: int = 200_000
-    polish: bool = True
 
     def __post_init__(self):
         # a bool is a number too, but True would silently mean 1
@@ -136,8 +135,6 @@ class SolverConfig:
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
         object.__setattr__(self, "max_iter", int(self.max_iter))
-        if not isinstance(self.polish, (bool, np.bool_)):
-            raise InvalidInputError("polish must be a bool")
 
 
 # why a solve stopped; see SolveStats
@@ -482,12 +479,11 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
     U = np.zeros(W.shape[0])
     if start is not None:
         p_warm, Z_warm, U_warm = start
-        if cfg.polish:
-            refined = _attempt_polish(model, u, p_warm, U_warm)
-            if refined is not None and refined[1] <= cfg.tol:
-                p_hat, cert_res = refined
-                return p_hat, Z_warm, U_warm, SolveStats(0, cert_res, True,
-                                                         "certified")
+        refined = _attempt_polish(model, u, p_warm, U_warm)
+        if refined is not None and refined[1] <= cfg.tol:
+            p_hat, cert_res = refined
+            return p_hat, Z_warm, U_warm, SolveStats(0, cert_res, True,
+                                                     "certified")
         Z, U = Z_warm, U_warm
     gain = model.admm_gain
     p0 = model.admm_minv @ u
@@ -512,8 +508,7 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
         p, cert_res = refined
         return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
 
-    stats = _iterate(step, cfg, "cone projection",
-                     checkpoint=polish if cfg.polish else None,
+    stats = _iterate(step, cfg, "cone projection", checkpoint=polish,
                      first_check=first_polish)
     return p, Z, U, stats
 

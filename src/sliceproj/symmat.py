@@ -2,15 +2,12 @@
 
 Provides the closed forms for block-diagonal matrices built from 2x2
 blocks (the blockwise PSD projection, psd_clip_flat, and the blocks'
-smallest eigenvalues, block_min_eigs) and a threshold Jacobi eigensolver
-for full symmetric matrices. Jacobi sweeps in parallel (round-robin)
-order (Brent & Luk, 1985): each round is a set of disjoint index pairs,
-rotated at once by one orthogonal matrix, so a sweep costs a few array
-operations per round instead of a Python call per pair. The
-first round pairs (0, 1), (2, 3), ..., so a matrix of 2x2 diagonal blocks
-is diagonalised in one round. The Jacobi solver is deliberately
-independent of the closed-form 2x2 clip (psd_clip_flat) so the two can
-cross-check each other.
+smallest eigenvalues, block_min_eigs) and a cyclic threshold Jacobi
+eigensolver for full symmetric matrices. Every Jacobi rotation of a matrix
+of 2x2 diagonal blocks stays inside one block, so each eigenvector is
+supported on one block. The Jacobi solver is deliberately independent of
+the closed-form 2x2 clip (psd_clip_flat) so the two can cross-check each
+other.
 
 All operations are pure functions of their inputs and safe for unrestricted
 concurrent use.
@@ -195,52 +192,18 @@ def psd_project_block(mat: BlockSymMatrix) -> BlockSymMatrix:
     return BlockSymMatrix(mat.n, psd_clip_rows(mat.blocks))
 
 
-@lru_cache(maxsize=None)
-def _jacobi_rounds(d: int):
-    """Parallel (round-robin) ordering of the off-diagonal pairs of a d x d
-    matrix, built on first use for each d.
+def jacobi_eig(mat):
+    """Eigendecomposition of a full symmetric matrix by cyclic threshold
+    Jacobi sweeps (Golub & Van Loan, Matrix Computations, section 8.5).
 
-    Returns (rounds, round_of). rounds holds one (p, q) pair of index
-    arrays per round, p < q: d - 1 rounds of d/2 disjoint pairs for even d;
-    an odd d gets a dummy index d, whose pairs are dropped, so it takes d
-    rounds. Together the rounds cover every pair exactly once. Round 0 is
-    (0, 1), (2, 3), ..., so a matrix of 2x2 diagonal blocks is diagonal
-    after one round. round_of is the d x d matrix of each pair's round
-    index (symmetric; its diagonal is unused). All arrays are read-only.
-    """
-    m = d + d % 2
-    half = m // 2
-    # circle method on seats 0..m-1 (seat 0 fixed, the others rotate),
-    # relabelled so that round 0 pairs 2k with 2k + 1
-    label = np.concatenate([2 * np.arange(half), 2 * np.arange(half)[::-1] + 1])
-    rounds = []
-    round_of = np.zeros((d, d), dtype=np.intp)
-    for r in range(m - 1):
-        seat = np.concatenate([[0], (r + np.arange(m - 1)) % (m - 1) + 1])
-        a, b = label[seat[:half]], label[seat[::-1][:half]]
-        p, q = np.minimum(a, b), np.maximum(a, b)
-        keep = q < d
-        p, q = p[keep], q[keep]
-        round_of[p, q] = round_of[q, p] = r
-        for arr in (p, q):
-            arr.setflags(write=False)
-        rounds.append((p, q))
-    round_of.setflags(write=False)
-    return tuple(rounds), round_of
-
-
-def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a full symmetric matrix by threshold Jacobi
-    sweeps in parallel (round-robin) order.
-
-    Each sweep walks the rounds of :func:`_jacobi_rounds`, visiting only
-    the rounds that hold an entry above the sweep's threshold
-    (off / (100 d^2), off the norm of the off-diagonal part) when the sweep
-    starts. A round's above-threshold pairs are disjoint, so their
-    rotations go into one orthogonal J and are applied at once, as
-    A <- J^T A J and V <- V J; the rotated entries are then set to exact 0.
-    Sweeps stop once off <= 1e-13 ||A||. A matrix of 2x2 diagonal blocks is
-    diagonalised by the first round. Jacobi stays independent of the
+    Each sweep visits the pairs p < q in row order and rotates away every
+    entry A[p, q] above the sweep's threshold off / (100 d^2), off the norm
+    of the off-diagonal part when the sweep starts: the rotation is applied
+    to rows and columns p, q of A and to columns p, q of V, and the rotated
+    entry is set to exact 0. Sweeps stop once off <= 1e-13 ||A||; more than
+    JACOBI_MAX_SWEEPS sweeps is a NumericFailureError. Every rotation of a
+    matrix of 2x2 diagonal blocks stays inside one block, so each
+    eigenvector is supported on one block. Jacobi stays independent of the
     closed-form 2x2 clip (:func:`psd_clip_flat`), so the two can
     cross-check each other.
 
@@ -248,8 +211,6 @@ def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
     ----------
     mat : SymMatrix or array_like
         Symmetric matrix, dimension at most 200.
-    max_sweeps : int
-        Sweep budget before declaring non-convergence.
 
     Returns
     -------
@@ -274,10 +235,8 @@ def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
     # below neither underflow nor overflow
     unit = math.ldexp(1.0, math.frexp(amax)[1])
     A /= unit
-    norm0 = np.linalg.norm(A)
-    target = 1e-13 * norm0
-    rounds, round_of = _jacobi_rounds(d)
-    for _ in range(max_sweeps):
+    target = 1e-13 * np.linalg.norm(A)
+    for _ in range(JACOBI_MAX_SWEEPS):
         # the off-diagonal part, summed directly so its norm can reach
         # machine floor instead of the rounding floor of ||A||^2 - ||diag||^2
         off_part = A.copy()
@@ -288,67 +247,28 @@ def jacobi_eig(mat, max_sweeps: int = JACOBI_MAX_SWEEPS):
         # skip rotations on entries carrying a negligible share of the
         # current off-diagonal mass
         thresh = off / (100.0 * d * d)
-        hot = np.zeros(len(rounds), dtype=bool)
-        hot[round_of[np.abs(off_part) > thresh]] = True
-        for r in np.flatnonzero(hot):
-            p, q = rounds[r]
-            apq = A[p, q]
-            big = np.abs(apq) > thresh
-            if not big.all():
-                if not big.any():
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = A[p, q]
+                if abs(apq) <= thresh:
                     continue
-                p, q, apq = p[big], q[big], apq[big]
-            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-            t = (np.where(tau >= 0.0, 1.0, -1.0)
-                 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            J = np.eye(d)
-            J[p, p] = c
-            J[q, q] = c
-            J[p, q] = s
-            J[q, p] = -s
-            A = J.T @ A @ J
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            V = V @ J
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = ((1.0 if tau >= 0.0 else -1.0)
+                     / (abs(tau) + math.sqrt(1.0 + tau * tau)))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                R = np.array([[c, s], [-s, c]])
+                A[:, [p, q]] = A[:, [p, q]] @ R
+                A[[p, q]] = R.T @ A[[p, q]]
+                A[p, q] = A[q, p] = 0.0
+                V[:, [p, q]] = V[:, [p, q]] @ R
     else:
         raise NumericFailureError(
-            f"Jacobi sweeps did not converge within {max_sweeps} sweeps"
+            f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
     w = np.diag(A) * unit
     order = np.argsort(-w, kind="stable")
     return w[order], V[:, order]
-
-
-def read_symmatrix(text: str) -> SymMatrix:
-    """Parse the SymMatrix text format: first line d, then d(d+1)/2 reals."""
-    lines = text.strip().splitlines()
-    if not lines:
-        raise InvalidInputError("empty SymMatrix input")
-    try:
-        d = int(lines[0].split()[0])
-    except (ValueError, IndexError) as exc:
-        raise InvalidInputError("first line must hold the dimension d") from exc
-    tokens = " ".join(lines[1:]).split()
-    expected = d * (d + 1) // 2
-    if len(tokens) != expected:
-        raise InvalidInputError(f"expected {expected} entries, got {len(tokens)}")
-    try:
-        vals = np.array([float(tok) for tok in tokens])
-    except ValueError as exc:
-        raise InvalidInputError("non-numeric entry in SymMatrix input") from exc
-    return SymMatrix(d, vals)
-
-
-def write_symmatrix(mat: SymMatrix) -> str:
-    lines = [str(mat.dim)]
-    pos = 0
-    for row in range(mat.dim):
-        chunk = mat.packed[pos:pos + row + 1]
-        lines.append(" ".join(format(v, ".17g") for v in chunk))
-        pos += row + 1
-    return "\n".join(lines) + "\n"
 
 
 def read_block_matrix(text: str) -> BlockSymMatrix:
