@@ -91,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(default 4)")
     p_verify.add_argument("--seed", type=int, default=12345,
                           help="RNG seed for the sampled checks")
-    p_verify.add_argument("--inject-defect", action="store_true",
-                          help=argparse.SUPPRESS)
 
     p_curves = sub.add_parser("curves", help="dump curve and residual data")
     p_curves.add_argument("--n", type=int, required=True)
@@ -172,8 +170,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verify(n_max=args.n_max, seed=args.seed,
-                         inject_defect=args.inject_defect)
+    results = run_verify(n_max=args.n_max, seed=args.seed)
     all_ok = True
     for res in results:
         tag = "PASS" if res.ok else "FAIL"

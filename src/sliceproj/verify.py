@@ -1,15 +1,20 @@
-"""Reduced-sample invariant suites runnable from the command line.
+"""Invariant groups behind the ``verify`` subcommand and the acceptance suite.
 
-Each group re-checks one slab of the library's mathematical contract with
+Each group checks one slab of the library's mathematical contract with
 freshly drawn random data: kernel correctness, adjoint consistency,
 membership equivalence, curve geometry, Hoelder gaps, the Moreau suite,
 normal-ray fixed points, slice-projector agreement, and exact-mode probe
-quality. Sample counts are kept small so the whole run stays interactive;
-the pytest suite is the full-strength version of the same checks.
+quality. Each group is the single implementation of its invariant: a
+function of its sample counts, its n range and a random generator, which
+returns ``(ok, detail)``. ``verify`` runs every group at small sample
+counts so the whole run stays interactive; ``tests/test_acceptance.py``
+runs the kernel, Hoelder, Moreau, normal-ray, slice and probe groups at
+full strength as its criteria.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,33 +32,45 @@ class GroupResult:
     detail: str
 
 
-def _check_kernel(n_max, rng, _defect):
-    worst = 0.0
-    for _ in range(10):
+def check_kernel(rng, draws, n_max):
+    """Blockwise PSD projection of random block matrices, n in [2, n_max],
+    against the clipped Jacobi eigendecomposition of the full matrix; also
+    the projection's idempotence and nonexpansiveness."""
+    worst_gap = worst_idem = 0.0
+    projected = []
+    for _ in range(draws):
         n = int(rng.integers(2, n_max + 1))
-        blocks = rng.standard_normal((2 * n - 1, 3)) * 2.0
-        mat = symmat.BlockSymMatrix(n, blocks)
-        blockwise = symmat.psd_project_block(mat).to_full().to_dense()
+        mat = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)) * 2.0)
+        once = symmat.psd_project_block(mat)
         w, V = symmat.jacobi_eig(mat.to_full())
         full = (V * np.maximum(w, 0.0)) @ V.T
-        worst = max(worst, float(np.linalg.norm(blockwise - full)))
-        # idempotence and nonexpansiveness of the blockwise projection
-        once = symmat.psd_project_block(mat)
+        worst_gap = max(worst_gap, float(np.linalg.norm(
+            once.to_full().to_dense() - full)))
         twice = symmat.psd_project_block(once)
-        worst = max(worst, float(np.linalg.norm(twice.blocks - once.blocks)))
-        other = symmat.BlockSymMatrix(n, blocks + rng.standard_normal(blocks.shape))
-        d_proj = symmat.psd_project_block(other).to_full().to_dense() \
-            - symmat.psd_project_block(mat).to_full().to_dense()
+        worst_idem = max(worst_idem, float(np.linalg.norm(
+            twice.blocks - once.blocks)))
+        projected.append((mat, once))
+    # the perturbations come after every matrix, so the matrices a seed
+    # draws do not depend on which checks are made on them
+    worst_nonexp = 0.0
+    for mat, once in projected:
+        other = symmat.BlockSymMatrix(
+            mat.n, mat.blocks + rng.standard_normal(mat.blocks.shape))
+        d_proj = (symmat.psd_project_block(other).to_full().to_dense()
+                  - once.to_full().to_dense())
         d_in = other.to_full().to_dense() - mat.to_full().to_dense()
-        if np.linalg.norm(d_proj) > np.linalg.norm(d_in) + 1e-12:
-            return False, "nonexpansiveness violated"
-    ok = worst <= 1e-10
-    return ok, f"block vs full projection gap {worst:.2e} (tol 1e-10)"
+        worst_nonexp = max(worst_nonexp, float(
+            np.linalg.norm(d_proj) - np.linalg.norm(d_in)))
+    ok = worst_gap <= 1e-10 and worst_idem <= 1e-10 and worst_nonexp <= 1e-12
+    return ok, (f"worst blockwise vs full-eigendecomposition gap "
+                f"{worst_gap:.2e} (tol 1e-10), idempotence {worst_idem:.2e} "
+                f"(tol 1e-10), nonexpansiveness excess {worst_nonexp:.1e} "
+                f"(tol 1e-12)")
 
 
-def _check_adjoint(n_max, rng, _defect):
+def _check_adjoint(ns, rng):
     worst = 0.0
-    for n in range(2, n_max + 1):
+    for n in ns:
         model = cones.make_cone(n)
         for _ in range(25):
             p = cones.ConePoint(n, rng.standard_normal(2 * n + 1))
@@ -66,9 +83,9 @@ def _check_adjoint(n_max, rng, _defect):
     return ok, f"adjoint identity relative gap {worst:.2e} (tol 1e-12)"
 
 
-def _check_membership(n_max, rng, _defect):
+def _check_membership(ns, rng):
     checked = 0
-    for n in range(2, n_max + 1):
+    for n in ns:
         model = cones.make_cone(n)
         for _ in range(200):
             p = cones.ConePoint(n, rng.standard_normal(2 * n + 1))
@@ -86,10 +103,10 @@ def _check_membership(n_max, rng, _defect):
     return True, f"inequality and eigenvalue criteria agree on {checked} points"
 
 
-def _check_curves(n_max, rng, _defect):
+def _check_curves(ns):
     worst_orth = 0.0
     worst_inner = 0.0
-    for n in range(2, n_max + 1):
+    for n in ns:
         model = cones.make_cone(n)
         for t in np.linspace(1e-4, 0.9, 25):
             v = cones.polar_curve(model, t)
@@ -112,27 +129,22 @@ def _check_curves(n_max, rng, _defect):
                 f"(tol 4)")
 
 
-def _check_holder(_n_max, rng, defect):
-    for _ in range(300):
-        k = int(rng.integers(1, 8))
+def check_holder(rng, draws, equality_draws):
+    """Hoelder gap, scaled by sum|x y| + 1, for k <= 8 coordinates and
+    p in {4/3, 2, 4}: nonnegative on random pairs, zero on the proportional
+    pairs |x|^p = c |y|^q."""
+    worst_neg = 0.0
+    for _ in range(draws):
+        k = int(rng.integers(1, 9))
         x = rng.standard_normal(k) * 3.0
         y = rng.standard_normal(k) * 3.0
         p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
-        if defect:
-            # deliberately broken pairing used by the self-test of this suite
-            q = p / (p - 1.0) + 0.05
-            lhs = float(np.sum(np.abs(x * y)))
-            rhs = float(np.sum(np.abs(x) ** p) ** (1.0 / p)
-                        * np.sum(np.abs(y) ** q) ** (1.0 / q))
-            gap = rhs - lhs
-        else:
-            gap = cones.holder_gap(x, y, p)
+        gap = cones.holder_gap(x, y, p)
         scale = float(np.sum(np.abs(x * y)) + 1.0)
-        if gap < -1e-12 * scale:
-            return False, f"negative gap {gap:.3e} at p={p:g}"
-    # equality on proportional pairs
-    for _ in range(50):
-        k = int(rng.integers(1, 8))
+        worst_neg = min(worst_neg, gap / scale)
+    worst_eq = 0.0
+    for _ in range(equality_draws):
+        k = int(rng.integers(1, 9))
         p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
         q = p / (p - 1.0)
         y = rng.uniform(0.1, 2.0, k) * rng.choice([-1.0, 1.0], k)
@@ -140,33 +152,58 @@ def _check_holder(_n_max, rng, defect):
         x = (c * np.abs(y) ** q) ** (1.0 / p) * rng.choice([-1.0, 1.0], k)
         gap = cones.holder_gap(x, y, p)
         scale = float(np.sum(np.abs(x * y)) + 1.0)
-        if gap > 1e-12 * scale:
-            return False, f"equality case has gap {gap:.3e}"
-    return True, "gap nonnegative, equality holds on proportional pairs"
+        worst_eq = max(worst_eq, abs(gap) / scale)
+    ok = worst_neg >= -1e-12 and worst_eq <= 1e-12
+    return ok, (f"most negative scaled gap {worst_neg:.1e} (>= -1e-12), worst "
+                f"equality-case scaled gap {worst_eq:.1e} (<= 1e-12)")
 
 
-def _check_moreau(n_max, rng, _defect):
+def check_moreau(rng, ns, draws, idempotence_draws):
+    """Moreau decomposition q = P_K q + (q - P_K q) of random points at each
+    n: orthogonality and Pythagoras relative to max(1, ||q||^2), and the
+    cone projection's nonexpansiveness (on consecutive draws) and
+    idempotence, all within 100 * tol."""
     cfg = project.SolverConfig()
-    worst = 0.0
-    for n in range(2, n_max + 1):
+    worst_orth = worst_pyth = worst_idem = worst_nonexp = 0.0
+    for n in ns:
         model = cones.make_cone(n)
-        for _ in range(15):
+        prev = None
+        for _ in range(draws):
             q = cones.ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            part, _ = project.project_cone(model, q, cfg)
-            polar = q.coords - part.coords
+            cone_part, _ = project.project_cone(model, q, cfg)
+            polar_part = q.coords - cone_part.coords
             qq = max(1.0, float(q.coords @ q.coords))
-            worst = max(worst, abs(float(part.coords @ polar)) / qq)
-            worst = max(worst,
-                        abs(float(part.coords @ part.coords + polar @ polar
-                                  - q.coords @ q.coords)) / qq)
-    ok = worst <= 100.0 * cfg.tol
-    return ok, f"orthogonality/Pythagoras gap {worst:.2e} (tol {100 * cfg.tol:.1e})"
+            worst_orth = max(worst_orth,
+                             abs(float(cone_part.coords @ polar_part)) / qq)
+            worst_pyth = max(worst_pyth, abs(
+                float(cone_part.coords @ cone_part.coords
+                      + polar_part @ polar_part - q.coords @ q.coords)) / qq)
+            if prev is not None:
+                q_prev, p_prev = prev
+                d_proj = np.linalg.norm(cone_part.coords - p_prev)
+                d_in = np.linalg.norm(q.coords - q_prev)
+                worst_nonexp = max(worst_nonexp, float(d_proj - d_in))
+            prev = (q.coords, cone_part.coords)
+        for _ in range(idempotence_draws):
+            q = cones.ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
+            once, _ = project.project_cone(model, q, cfg)
+            twice, _ = project.project_cone(model, once, cfg)
+            worst_idem = max(worst_idem, float(
+                np.linalg.norm(twice.coords - once.coords)))
+    bound = 100.0 * cfg.tol
+    ok = (worst_orth <= bound and worst_pyth <= bound
+          and worst_idem <= bound and worst_nonexp <= bound)
+    return ok, (f"orth {worst_orth:.1e}, pythagoras {worst_pyth:.1e}, "
+                f"idempotence {worst_idem:.1e}, nonexpansiveness "
+                f"{worst_nonexp:.1e} (all <= {bound:.0e})")
 
 
-def _check_normal_ray(n_max, rng, _defect):
+def check_normal_ray(ns):
+    """The polar projection of v(t) + alpha w(t) is v(t), for t in
+    {0.1, 0.5, 0.9} and alpha in {0.1, 1}: the normal-cone lemma."""
     cfg = project.SolverConfig()
     worst = 0.0
-    for n in range(2, min(4, n_max) + 1):
+    for n in ns:
         model = cones.make_cone(n)
         for t in (0.1, 0.5, 0.9):
             v = cones.polar_curve(model, t)
@@ -174,84 +211,113 @@ def _check_normal_ray(n_max, rng, _defect):
             for alpha in (0.1, 1.0):
                 q = cones.ConePoint(n, v.coords + alpha * w.coords)
                 back, _ = project.project_polar(model, q, cfg)
-                worst = max(worst, float(np.linalg.norm(back.coords - v.coords)))
+                worst = max(worst,
+                            float(np.linalg.norm(back.coords - v.coords)))
     ok = worst <= 1e-5
-    return ok, f"polar projection returns to the curve within {worst:.2e} (tol 1e-5)"
+    return ok, (f"worst ||polar_proj(v + a w) - v|| = {worst:.2e} "
+                f"(tol 1e-5)")
 
 
-def _check_slice(n_max, rng, _defect):
+def check_slice(rng, ns, pairs, sweeps):
+    """Slice projection of random block matrices: Dykstra and the fixed
+    point agree within 1e-5, and the fixed point moves by at most 1e-6
+    over step sizes gamma in {0.3, 0.6, 0.9} / lam_max."""
     cfg = project.SolverConfig()
-    worst = 0.0
-    for n in (2, 3):
-        if n > n_max:
-            continue
+    worst_pair = 0.0
+    worst_gamma = 0.0
+    for n in ns:
         model = cones.make_cone(n)
-        for _ in range(4):
+        for _ in range(pairs):
             X = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
             via_dyk, _ = project.project_slice_dykstra(model, X, cfg)
             via_fp, _ = project.project_slice_fixedpoint(model, X, cfg)
-            worst = max(worst, float(np.linalg.norm(
+            worst_pair = max(worst_pair, float(np.linalg.norm(
                 via_dyk.blocks - via_fp.blocks)))
-        X = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-        sweep = [project.project_slice_fixedpoint(
-            model, X, cfg, gamma=frac / model.lam_max)[0]
-            for frac in (0.3, 0.6, 0.9)]
-        for other in sweep[1:]:
-            gap = float(np.linalg.norm(sweep[0].blocks - other.blocks))
-            if gap > 1e-6:
-                return False, f"fixed point depends on gamma (gap {gap:.2e})"
-    ok = worst <= 1e-5
-    return ok, f"Dykstra vs fixed point {worst:.2e} (tol 1e-5)"
+        for _ in range(sweeps):
+            X = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+            sweep = [project.project_slice_fixedpoint(
+                model, X, cfg, gamma=frac / model.lam_max)[0]
+                for frac in (0.3, 0.6, 0.9)]
+            for other in sweep[1:]:
+                worst_gamma = max(worst_gamma, float(np.linalg.norm(
+                    sweep[0].blocks - other.blocks)))
+    ok = worst_pair <= 1e-5 and worst_gamma <= 1e-6
+    return ok, (f"Dykstra vs fixed point {worst_pair:.2e} (tol 1e-5), gamma "
+                f"sweep spread {worst_gamma:.2e} (tol 1e-6)")
 
 
-def _check_probe_exact(n_max, rng, _defect):
-    prev_order = None
-    details = []
-    for n in range(2, min(6, n_max) + 1):
+def check_probe_fit(ns):
+    """Exact-mode probe on the default grid at each n: fitted slope within
+    0.02 of lambda, log-log fit deviation at most 0.05, and residual /
+    t^lambda within a factor 2 over the grid."""
+    worst_gap = worst_dev = worst_ratio = 0.0
+    for n in ns:
         model = cones.make_cone(n)
         report = probe.probe_semismoothness(model, "exact")
-        gap = abs(report.fitted_slope - model.lam)
+        worst_gap = max(worst_gap, abs(report.fitted_slope - model.lam))
         _, _, dev = probe.fit_exponent(report.t_grid, report.residual_norms)
+        worst_dev = max(worst_dev, dev)
         ratio = report.residual_norms / report.t_grid ** model.lam
-        sandwich = float(ratio.max() / ratio.min())
-        if gap > 0.02:
-            return False, f"slope gap {gap:.3f} at n={n} (tol 0.02)"
-        if dev > 0.05:
-            return False, f"fit deviation {dev:.3f} at n={n} (tol 0.05)"
-        if sandwich > 2.0:
-            return False, f"scaling bracket ratio {sandwich:.2f} at n={n} (max 2)"
-        if prev_order is not None and report.implied_order >= prev_order:
-            return False, f"implied order fails to decrease at n={n}"
-        prev_order = report.implied_order
-        details.append(f"n={n}:{report.fitted_slope:.4f}")
-    return True, "slopes " + " ".join(details)
+        worst_ratio = max(worst_ratio, float(ratio.max() / ratio.min()))
+    ok = worst_gap <= 0.02 and worst_dev <= 0.05 and worst_ratio <= 2.0
+    return ok, (f"worst |slope - lambda| = {worst_gap:.4f} (tol 0.02), fit "
+                f"deviation {worst_dev:.3f} (tol 0.05), scaling bracket "
+                f"ratio {worst_ratio:.2f} (max 2)")
 
 
-_GROUPS = (
-    ("kernel", _check_kernel),
-    ("adjoint", _check_adjoint),
-    ("membership", _check_membership),
-    ("curves", _check_curves),
-    ("holder", _check_holder),
-    ("moreau", _check_moreau),
-    ("normal-ray", _check_normal_ray),
-    ("slice", _check_slice),
-    ("probe-exact", _check_probe_exact),
-)
+def check_probe_orders(ns):
+    """The exact probe's implied order strictly decreases along ns."""
+    orders = [probe.probe_semismoothness(cones.make_cone(n), "exact")
+              .implied_order for n in ns]
+    decreasing = all(a > b for a, b in zip(orders, orders[1:]))
+    return decreasing, f"orders strictly decreasing: {decreasing}"
 
 
-def run_verify(n_max: int = 4, seed: int = 12345, inject_defect: bool = False):
+def _check_probe_exact(ns):
+    fit_ok, fit_detail = check_probe_fit(ns)
+    orders_ok, orders_detail = check_probe_orders(ns)
+    return fit_ok and orders_ok, f"{fit_detail}, {orders_detail}"
+
+
+def _groups(n_max):
+    """(name, check of an rng) for each group, at the reduced counts."""
+    ns = range(2, n_max + 1)
+    return (
+        ("kernel", lambda rng: check_kernel(rng, 10, n_max)),
+        ("adjoint", lambda rng: _check_adjoint(ns, rng)),
+        ("membership", lambda rng: _check_membership(ns, rng)),
+        ("curves", lambda rng: _check_curves(ns)),
+        ("holder", lambda rng: check_holder(rng, 300, 50)),
+        ("moreau", lambda rng: check_moreau(rng, ns, 15, 2)),
+        ("normal-ray", lambda rng: check_normal_ray(ns[:3])),
+        ("slice", lambda rng: check_slice(rng, ns[:2], 4, 1)),
+        ("probe-exact", lambda rng: _check_probe_exact(ns[:5])),
+    )
+
+
+def _is_int(value):
+    # a bool is an int too, but True would silently mean 1
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def run_verify(n_max: int = 4, seed: int = 12345):
     """Run every invariant group; returns the ordered list of GroupResult.
 
-    Raises InvalidInputError unless 2 <= n_max <= 12.
+    Raises InvalidInputError unless n_max is an integer in [2, 12] and seed
+    a non-negative integer (Python or numpy ints, not bools).
     """
+    if not _is_int(n_max):
+        raise InvalidInputError(f"n_max must be an integer, got {n_max!r}")
     if not 2 <= n_max <= 12:
         raise InvalidInputError(f"n_max must lie in [2, 12], got {n_max}")
+    if not _is_int(seed) or seed < 0:
+        raise InvalidInputError(
+            f"seed must be a non-negative integer, got {seed!r}")
     results = []
-    for idx, (name, fn) in enumerate(_GROUPS):
+    for idx, (name, check) in enumerate(_groups(n_max)):
         rng = np.random.default_rng(seed + idx)
         try:
-            ok, detail = fn(n_max, rng, inject_defect)
+            ok, detail = check(rng)
         except Exception as exc:  # a crash counts as a failed group
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(GroupResult(name, ok, detail))

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; every tolerance is pinned here exactly as stated.
+lines; every tolerance is pinned here exactly as stated. The checks shared
+with the ``verify`` subcommand live in ``sliceproj.verify``, one copy each;
+the criteria run them at full sample counts with fixed seeds.
 """
 
 import time
@@ -9,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from sliceproj import (BlockSymMatrix, ConePoint, SolverConfig, holder_gap,
-                       jacobi_eig, make_cone, normal_curve, polar_curve,
-                       probe_semismoothness, project_cone, project_polar,
-                       project_slice_dykstra, project_slice_fixedpoint,
-                       psd_project_block, residual_exact, residual_numeric)
+from sliceproj import (SolverConfig, make_cone, probe_semismoothness,
+                       residual_exact, residual_numeric)
+from sliceproj.verify import (check_holder, check_kernel, check_moreau,
+                              check_normal_ray, check_probe_fit,
+                              check_probe_orders, check_slice)
 
 CFG = SolverConfig(tol=1e-9)
 
@@ -24,34 +26,26 @@ TARGET_LAMBDAS = {2: 4.0 / 3.0, 3: 8.0 / 7.0, 4: 16.0 / 15.0,
 
 
 def _report(num, name, ok, detail):
-    print(f"{'PASS' if ok else 'FAIL'} criterion {num} ({name}): {detail}")
+    # a leading newline, since pytest's progress dots do not end their line
+    print(f"\n{'PASS' if ok else 'FAIL'} criterion {num} ({name}): {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
 def test_criterion_1_exponent_recovery():
-    start = time.perf_counter()
-    gaps = {}
     for n, model in MODELS.items():
         assert model.lam == pytest.approx(TARGET_LAMBDAS[n], rel=1e-15)
-        report = probe_semismoothness(model, "exact", t_min=1e-4, t_max=1e-1,
-                                      points=20)
-        gaps[n] = abs(report.fitted_slope - model.lam)
+    start = time.perf_counter()
+    ok, detail = check_probe_fit(range(2, 7))
     elapsed = time.perf_counter() - start
-    ok = all(gap <= 0.02 for gap in gaps.values()) and elapsed < 1.0
-    worst = max(gaps.values())
-    _report(1, "exponent recovery", ok,
-            f"worst |slope - lambda| = {worst:.4f} (tol 0.02), "
-            f"runtime {elapsed:.2f}s (< 1s)")
+    _report(1, "exponent recovery", ok and elapsed < 1.0,
+            f"{detail}, runtime {elapsed:.2f}s (< 1s)")
 
 
 def test_criterion_2_order_collapse():
-    orders = {n: probe_semismoothness(MODELS[n], "exact").implied_order
-              for n in range(2, 7)}
-    decreasing = all(orders[n] > orders[n + 1] for n in range(2, 6))
-    ok = orders[6] <= 0.05 and decreasing
-    _report(2, "order collapse", ok,
-            f"implied_order(n=6) = {orders[6]:.4f} (<= 0.05), "
-            f"orders strictly decreasing: {decreasing}")
+    ok, detail = check_probe_orders(range(2, 7))
+    order_6 = probe_semismoothness(MODELS[6], "exact").implied_order
+    _report(2, "order collapse", ok and order_6 <= 0.05,
+            f"implied_order(n=6) = {order_6:.4f} (<= 0.05), {detail}")
 
 
 def test_criterion_3_numeric_mode_agreement():
@@ -77,125 +71,27 @@ def test_criterion_3_numeric_mode_agreement():
 
 
 def test_criterion_4_normal_cone_lemma():
-    worst = 0.0
-    for n in (2, 3, 4):
-        model = MODELS[n]
-        for t in (0.1, 0.5, 0.9):
-            v = polar_curve(model, t)
-            w = normal_curve(model, t)
-            for alpha in (0.1, 1.0):
-                q = ConePoint(n, v.coords + alpha * w.coords)
-                back, _ = project_polar(model, q, CFG)
-                worst = max(worst,
-                            float(np.linalg.norm(back.coords - v.coords)))
-    ok = worst <= 1e-5
-    _report(4, "normal-cone ray as executable fact", ok,
-            f"worst ||polar_proj(v + a w) - v|| = {worst:.2e} (tol 1e-5)")
+    _report(4, "normal-cone ray as executable fact",
+            *check_normal_ray((2, 3, 4)))
 
 
 def test_criterion_5_moreau_suite():
     rng = np.random.default_rng(2024)
-    worst_orth = worst_pyth = worst_idem = worst_nonexp = 0.0
-    for n in range(2, 6):
-        model = MODELS[n]
-        prev = None
-        for _ in range(200):
-            q = ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            cone_part, _ = project_cone(model, q, CFG)
-            polar_part = q.coords - cone_part.coords
-            qq = max(1.0, float(q.coords @ q.coords))
-            worst_orth = max(worst_orth,
-                             abs(float(cone_part.coords @ polar_part)) / qq)
-            worst_pyth = max(worst_pyth, abs(
-                float(cone_part.coords @ cone_part.coords
-                      + polar_part @ polar_part - q.coords @ q.coords)) / qq)
-            if prev is not None:
-                q_prev, p_prev = prev
-                d_proj = np.linalg.norm(cone_part.coords - p_prev)
-                d_in = np.linalg.norm(q.coords - q_prev)
-                worst_nonexp = max(worst_nonexp, d_proj - d_in)
-            prev = (q.coords, cone_part.coords)
-        # idempotence at solver tolerance, spot-checked on a subsample
-        for _ in range(20):
-            q = ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            once, _ = project_cone(model, q, CFG)
-            twice, _ = project_cone(model, once, CFG)
-            worst_idem = max(worst_idem, float(
-                np.linalg.norm(twice.coords - once.coords)))
-    bound = 100.0 * CFG.tol
-    ok = (worst_orth <= bound and worst_pyth <= bound
-          and worst_idem <= bound and worst_nonexp <= bound)
-    _report(5, "Moreau suite", ok,
-            f"orth {worst_orth:.1e}, pythagoras {worst_pyth:.1e}, "
-            f"idempotence {worst_idem:.1e}, nonexpansiveness "
-            f"{worst_nonexp:.1e} (all <= {bound:.0e})")
+    _report(5, "Moreau suite", *check_moreau(rng, range(2, 6), 200, 20))
 
 
 def test_criterion_6_slice_cross_validation():
     rng = np.random.default_rng(4096)
-    worst_pair = 0.0
-    worst_gamma = 0.0
-    for n in (2, 3):
-        model = MODELS[n]
-        for _ in range(20):
-            X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            via_dyk, _ = project_slice_dykstra(model, X, CFG)
-            via_fp, _ = project_slice_fixedpoint(model, X, CFG)
-            worst_pair = max(worst_pair, float(np.linalg.norm(
-                via_dyk.blocks - via_fp.blocks)))
-        for _ in range(3):
-            X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            sweep = [project_slice_fixedpoint(
-                model, X, CFG, gamma=frac / model.lam_max)[0]
-                for frac in (0.3, 0.6, 0.9)]
-            for other in sweep[1:]:
-                worst_gamma = max(worst_gamma, float(np.linalg.norm(
-                    sweep[0].blocks - other.blocks)))
-    ok = worst_pair <= 1e-5 and worst_gamma <= 1e-6
-    _report(6, "slice projector cross-validation", ok,
-            f"Dykstra vs fixed point {worst_pair:.2e} (tol 1e-5), gamma "
-            f"sweep spread {worst_gamma:.2e} (tol 1e-6)")
+    _report(6, "slice projector cross-validation",
+            *check_slice(rng, (2, 3), 20, 3))
 
 
 def test_criterion_7_holder_suite():
     rng = np.random.default_rng(97531)
-    worst_neg = 0.0
-    for _ in range(1000):
-        k = int(rng.integers(1, 9))
-        x = rng.standard_normal(k) * 3.0
-        y = rng.standard_normal(k) * 3.0
-        p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
-        gap = holder_gap(x, y, p)
-        scale = float(np.sum(np.abs(x * y)) + 1.0)
-        worst_neg = min(worst_neg, gap / scale)
-    worst_eq = 0.0
-    for _ in range(100):
-        k = int(rng.integers(1, 9))
-        p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
-        q = p / (p - 1.0)
-        y = rng.uniform(0.1, 2.0, k) * rng.choice([-1.0, 1.0], k)
-        c = float(rng.uniform(0.1, 4.0))
-        x = (c * np.abs(y) ** q) ** (1.0 / p) * rng.choice([-1.0, 1.0], k)
-        gap = holder_gap(x, y, p)
-        scale = float(np.sum(np.abs(x * y)) + 1.0)
-        worst_eq = max(worst_eq, abs(gap) / scale)
-    ok = worst_neg >= -1e-12 and worst_eq <= 1e-12
-    _report(7, "Hoelder suite", ok,
-            f"most negative scaled gap {worst_neg:.1e} (>= -1e-12), worst "
-            f"equality-case scaled gap {worst_eq:.1e} (<= 1e-12)")
+    _report(7, "Hoelder suite", *check_holder(rng, 1000, 100))
 
 
 def test_criterion_8_kernel_correctness():
     rng = np.random.default_rng(31337)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 7))  # up to dim 4n-2 = 22
-        mat = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)) * 2.0)
-        blockwise = psd_project_block(mat).to_full().to_dense()
-        w, V = jacobi_eig(mat.to_full())
-        full = (V * np.maximum(w, 0.0)) @ V.T
-        worst = max(worst, float(np.linalg.norm(blockwise - full)))
-    ok = worst <= 1e-10
-    _report(8, "kernel correctness", ok,
-            f"worst blockwise vs full-eigendecomposition gap {worst:.2e} "
-            f"(tol 1e-10)")
+    # n in 2..6, up to dim 4n-2 = 22
+    _report(8, "kernel correctness", *check_kernel(rng, 100, 6))

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sliceproj
-from sliceproj import (BlockSymMatrix, make_cone, polar_curve,
-                       read_block_matrix, read_cone_point, sample_cone,
-                       write_block_matrix, write_cone_point)
+from sliceproj import (BlockSymMatrix, InvalidInputError, cli, cones,
+                       make_cone, polar_curve, read_block_matrix,
+                       read_cone_point, sample_cone, write_block_matrix,
+                       write_cone_point)
+from sliceproj.verify import run_verify
 
 # the child interpreter imports the package from the same place this one did
 _SRC = str(Path(sliceproj.__file__).resolve().parents[1])
@@ -294,11 +296,18 @@ def test_verify_passes():
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_verify_detects_injected_defect():
-    proc = run_cli("verify", "--n-max", "3", "--inject-defect")
-    assert proc.returncode == 1
+def test_verify_detects_injected_defect(monkeypatch, capsys):
+    def broken_gap(x, y, p):
+        # pairs p with the wrong conjugate exponent
+        q = p / (p - 1.0) + 0.05
+        return float(np.sum(np.abs(x) ** p) ** (1.0 / p)
+                     * np.sum(np.abs(y) ** q) ** (1.0 / q)
+                     - np.sum(np.abs(x * y)))
+
+    monkeypatch.setattr(cones, "holder_gap", broken_gap)
+    assert cli.main(["verify", "--n-max", "3"]) == 1
     assert any(line.startswith("FAIL holder") for line in
-               proc.stdout.strip().splitlines())
+               capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("n_max", ["0", "13"])
@@ -308,6 +317,21 @@ def test_verify_rejects_out_of_range_n_max(n_max):
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [
         f"error: n_max must lie in [2, 12], got {n_max}"]
+
+
+def test_verify_rejects_negative_seed():
+    proc = run_cli("verify", "--seed", "-5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: seed must be a non-negative integer, got -5"]
+
+
+@pytest.mark.parametrize("kwargs", [{"n_max": 3.5}, {"n_max": True},
+                                    {"seed": True}, {"seed": 1.0}])
+def test_run_verify_rejects_non_integer_arguments(kwargs):
+    with pytest.raises(InvalidInputError):
+        run_verify(**kwargs)
 
 
 @pytest.mark.parametrize("command", ["probe", "project", "curves"])

@@ -325,32 +325,6 @@ def test_holder_gap_examples():
     assert holder_gap([1.0, 0.0], [0.0, 1.0], 1.5) == pytest.approx(1.0)
 
 
-def test_holder_gap_nonnegative_random():
-    rng = np.random.default_rng(59)
-    for _ in range(1000):
-        k = int(rng.integers(1, 9))
-        x = rng.standard_normal(k) * 3.0
-        y = rng.standard_normal(k) * 3.0
-        p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
-        gap = holder_gap(x, y, p)
-        scale = float(np.sum(np.abs(x * y)) + 1.0)
-        assert gap >= -1e-12 * scale
-
-
-def test_holder_gap_equality_on_proportional_pairs():
-    rng = np.random.default_rng(61)
-    for _ in range(100):
-        k = int(rng.integers(1, 9))
-        p = float(rng.choice([4.0 / 3.0, 2.0, 4.0]))
-        q = p / (p - 1.0)
-        y = rng.uniform(0.1, 2.0, k) * rng.choice([-1.0, 1.0], k)
-        c = float(rng.uniform(0.1, 4.0))
-        x = (c * np.abs(y) ** q) ** (1.0 / p) * rng.choice([-1.0, 1.0], k)
-        gap = holder_gap(x, y, p)
-        scale = float(np.sum(np.abs(x * y)) + 1.0)
-        assert abs(gap) <= 1e-12 * scale
-
-
 def test_holder_gap_guards():
     with pytest.raises(InvalidInputError):
         holder_gap([1.0], [1.0], 1.0)

@@ -151,26 +151,6 @@ def test_probe_step_norm_ratios(models):
             assert np.all(ratio >= 0.9) and np.all(ratio <= 1.1)
 
 
-def test_probe_monotone_degradation(models):
-    orders = [probe_semismoothness(models[n], "exact").implied_order
-              for n in range(2, 7)]
-    assert all(a > b for a, b in zip(orders, orders[1:]))
-
-
-def test_probe_scaling_sandwich(models):
-    for n, model in models.items():
-        report = probe_semismoothness(model, "exact")
-        ratio = report.residual_norms / report.t_grid ** model.lam
-        assert ratio.max() / ratio.min() <= 2.0
-
-
-def test_probe_fit_quality(models):
-    for n, model in models.items():
-        report = probe_semismoothness(model, "exact")
-        _, _, dev = fit_exponent(report.t_grid, report.residual_norms)
-        assert dev <= 0.05
-
-
 def test_probe_exact_numeric_consistency_spot(models):
     model = models[2]
     t = 1e-2

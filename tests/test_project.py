@@ -306,45 +306,6 @@ def test_moreau_identity_orthogonality_pythagoras(models):
             assert pyth <= 100.0 * CFG.tol * qq
 
 
-def test_projector_idempotence(models):
-    rng = np.random.default_rng(97)
-    for n, model in models.items():
-        for _ in range(5):
-            q = ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            once, _ = project_cone(model, q, CFG)
-            twice, _ = project_cone(model, once, CFG)
-            scale = max(1.0, q.norm())
-            assert np.linalg.norm(twice.coords - once.coords) \
-                <= 100.0 * CFG.tol * scale
-
-
-def test_projector_nonexpansive(models):
-    rng = np.random.default_rng(101)
-    for n, model in models.items():
-        for _ in range(10):
-            q1 = ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            q2 = ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            p1, _ = project_cone(model, q1, CFG)
-            p2, _ = project_cone(model, q2, CFG)
-            d_proj = np.linalg.norm(p1.coords - p2.coords)
-            d_in = np.linalg.norm(q1.coords - q2.coords)
-            assert d_proj <= d_in + 100.0 * CFG.tol
-
-
-def test_normal_ray_fixed_point(models):
-    # executable content of the normal-cone characterization: adding any
-    # positive multiple of the generator projects straight back to the base
-    for n in (2, 3, 4):
-        model = models[n]
-        for t in (0.1, 0.5, 0.9):
-            v = polar_curve(model, t)
-            w = normal_curve(model, t)
-            for alpha in (0.1, 1.0):
-                q = ConePoint(n, v.coords + alpha * w.coords)
-                back, _ = project_polar(model, q, CFG)
-                assert np.linalg.norm(back.coords - v.coords) <= 1e-5
-
-
 def test_project_range_fixes_images(models):
     rng = np.random.default_rng(103)
     for n, model in models.items():
@@ -404,17 +365,6 @@ def test_dykstra_output_lands_in_both_sets(models):
         assert np.linalg.norm(clipped.blocks - out.blocks) <= 10.0 * CFG.tol
         ranged = project_range(model, out)
         assert np.linalg.norm(ranged.blocks - out.blocks) <= 10.0 * CFG.tol
-
-
-def test_dykstra_agrees_with_fixedpoint(models):
-    rng = np.random.default_rng(113)
-    for n in (2, 3):
-        model = models[n]
-        for _ in range(6):
-            X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            via_dyk, s1 = project_slice_dykstra(model, X, CFG)
-            via_fp, s2 = project_slice_fixedpoint(model, X, CFG)
-            assert np.linalg.norm(via_dyk.blocks - via_fp.blocks) <= 1e-5
 
 
 def test_dykstra_agrees_with_fixedpoint_on_infeasible_curve_image(models):
@@ -563,18 +513,6 @@ def test_fixedpoint_fixes_cone_images(models):
         out, stats = project_slice_fixedpoint(model, X, CFG)
         assert stats.converged
         assert np.linalg.norm(out.blocks - X.blocks) <= 1e-6
-
-
-def test_fixedpoint_gamma_independence(models):
-    rng = np.random.default_rng(137)
-    for n in (2, 3):
-        model = models[n]
-        X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-        outs = [project_slice_fixedpoint(model, X, CFG,
-                                         gamma=frac / model.lam_max)[0]
-                for frac in (0.3, 0.6, 0.9)]
-        for other in outs[1:]:
-            assert np.linalg.norm(outs[0].blocks - other.blocks) <= 1e-6
 
 
 def test_fixedpoint_gamma_guard(models):

@@ -118,19 +118,6 @@ def test_psd_project_block_matches_scalar_projection():
                                atol=1e-14)
 
 
-def test_psd_project_block_agrees_with_full_eigendecomposition():
-    # oracle: assemble the block-diagonal matrix, full Jacobi
-    # eigendecomposition, clip, compare
-    rng = np.random.default_rng(19)
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        mat = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)) * 2.0)
-        blockwise = psd_project_block(mat).to_full().to_dense()
-        w, V = jacobi_eig(mat.to_full())
-        full = (V * np.maximum(w, 0.0)) @ V.T
-        assert np.linalg.norm(blockwise - full) <= 1e-10
-
-
 def _reference_clip_rows(rows):
     """The closed form with masked writes for the PSD and negative
     semidefinite cases, as the kernel was first written."""
