@@ -23,8 +23,9 @@ from . import __version__
 from .cones import (make_cone, membership_polar_shadow, normal_curve,
                     polar_curve, curve_step, read_cone_point, write_cone_point)
 from .errors import InvalidInputError, NumericFailureError
-from .probe import (probe_semismoothness, report_to_csv, report_to_json,
-                    residual_exact)
+from .probe import (DEFAULT_FD_STEP, DEFAULT_POINTS, DEFAULT_T_MAX,
+                    DEFAULT_T_MIN, probe_semismoothness, report_to_csv,
+                    report_to_json, residual_exact)
 from .project import (SolverConfig, project_cone, project_polar,
                       project_slice_dykstra, project_slice_fixedpoint)
 from .symmat import read_block_matrix, write_block_matrix
@@ -53,20 +54,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(p):
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=float, default=SolverConfig.tol,
                        help="solver residual tolerance, relative to the "
-                            "input norm (||q|| or ||X||) (default 1e-9)")
-        p.add_argument("--max-iter", type=int, default=200_000,
-                       help="solver iteration budget (default 200000)")
+                            "input norm (||q|| or ||X||) (default %(default)s)")
+        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                       help="solver iteration budget (default %(default)s)")
+
+    def add_grid_flags(p):
+        p.add_argument("--t-min", type=float, default=DEFAULT_T_MIN,
+                       help="smallest curve parameter (default %(default)s)")
+        p.add_argument("--t-max", type=float, default=DEFAULT_T_MAX,
+                       help="largest curve parameter (default %(default)s)")
+        p.add_argument("--points", type=int, default=DEFAULT_POINTS,
+                       help="grid points (default %(default)s)")
 
     p_probe = sub.add_parser("probe", help="measure the semismoothness order")
     p_probe.add_argument("--n", type=int, required=True, help="cone index (>= 2)")
     p_probe.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p_probe.add_argument("--t-min", type=float, default=1e-4)
-    p_probe.add_argument("--t-max", type=float, default=1e-1)
-    p_probe.add_argument("--points", type=int, default=20)
-    p_probe.add_argument("--fd-step", type=float, default=1e-6,
-                         help="one-sided finite-difference step (numeric mode)")
+    add_grid_flags(p_probe)
+    p_probe.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP,
+                         help="one-sided finite-difference step (numeric "
+                              "mode) (default %(default)s)")
     p_probe.add_argument("--out", help="report file (default: stdout)")
     p_probe.add_argument("--format", choices=("csv", "json"), default="csv")
     add_solver_flags(p_probe)
@@ -81,8 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="input file (cone point for K/polar, block "
                                 "matrix for the slice targets)")
     p_project.add_argument("--out", help="output file for the projected object")
-    p_project.add_argument("--gamma-frac", type=float, default=0.9,
-                           help="fixed-point step as a fraction of 1/lam_max")
     add_solver_flags(p_project)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
@@ -94,9 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_curves = sub.add_parser("curves", help="dump curve and residual data")
     p_curves.add_argument("--n", type=int, required=True)
-    p_curves.add_argument("--t-min", type=float, default=1e-4)
-    p_curves.add_argument("--t-max", type=float, default=1e-1)
-    p_curves.add_argument("--points", type=int, default=20)
+    add_grid_flags(p_curves)
     p_curves.add_argument("--out", help="CSV file (default: stdout)")
     return parser
 
@@ -161,8 +165,7 @@ def cmd_project(args) -> int:
         if args.target == "slice-dykstra":
             result, stats = project_slice_dykstra(model, mat, cfg)
         else:
-            gamma = args.gamma_frac / model.lam_max
-            result, stats = project_slice_fixedpoint(model, mat, cfg, gamma=gamma)
+            result, stats = project_slice_fixedpoint(model, mat, cfg)
         out_text = write_block_matrix(result)
     _write_output(out_text, args.out)
     print(json.dumps(stats.to_json_dict()))

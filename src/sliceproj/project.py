@@ -28,7 +28,9 @@ at 64, 128 and so on (from 64 on a warm path, see below), as well as on
 reaching tol, on stalling and at the budget. The refined point is
 accepted only when an exact optimality certificate holds (matched KKT
 residual, nonnegative multipliers, feasible direction), otherwise the raw
-ADMM iterate is kept. The certificate uses nothing beyond the cone's
+ADMM iterate is kept. One rule holds at every checkpoint: a certified
+refinement ends the solve, which is converged when the certificate
+residual is within tol. The certificate uses nothing beyond the cone's
 defining inequalities, so the refined answers remain an independent
 check on any closed-form prediction. A refinement that stops making
 progress gives up after a few Newton steps, so an early checkpoint with
@@ -52,13 +54,14 @@ checkpoints, the exit reason and one debug log line per exit.
 Callers that solve a path of nearby cone projections (the numeric probe's
 grid, the fixed-point projector's outer loop) pass a private warm holder,
 _WarmStart, to each solve. The solver leaves its answer and ADMM state
-(p, Z, U) there, and the next solve first tries the certified refinement
-from that answer, returning with 0 iterations when the same certificate
-holds; otherwise it runs ADMM from the held (Z, U). The certificate, not
-the start, decides acceptance, so a stale holder costs time, never
-accuracy. Because its (Z, U) seeds the next solve, a solve on a path
-first tries the refinement at iteration 64, not 32. project_cone passes
-no holder: one-off solves start from zero.
+(p, Z, U) there. The next solve's checkpoint 0 tries the certified
+refinement from that answer before any iteration, and ends with 0
+iterations when the certificate holds; otherwise it runs ADMM from the
+held (Z, U). The certificate, not the start, decides acceptance, so a
+stale holder costs time, never accuracy. Because its (Z, U) seeds the
+next solve, a solve on a path first runs the refinement's loop
+checkpoint at iteration 64, not 32. project_cone passes no holder:
+one-off solves start from zero.
 
 The ConeModel is immutable, so solves may share one across threads; do
 not share a warm holder, which is mutable state owned by the one path
@@ -219,6 +222,11 @@ def _iterate(step, cfg: SolverConfig, what: str, window: int = _STALL_WINDOW,
             break
     if stats is None:
         stats = SolveStats(k, res, res <= tol, reason)
+    return _log_exit(what, stats)
+
+
+def _log_exit(what: str, stats: SolveStats) -> SolveStats:
+    """Log the one debug line of a solve's exit and return its stats."""
     log.debug("%s: %s after %d iterations at residual %.3e", what,
               stats.exit_reason, stats.iterations, stats.final_residual)
     return stats
@@ -436,10 +444,10 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     or when the residual stalls at its attainable floor.
 
     With a filled warm holder (absolute p, Z, U, divided by ||q|| here),
-    the certified refinement is first tried from the holder's answer and
-    dual; it is returned with 0 iterations when its certificate residual
-    is within tol. Otherwise ADMM starts from the holder's (Z, U) instead
-    of zeros.
+    the refinement's checkpoint 0 tries the holder's answer and dual
+    before any iteration; a certified refinement there ends the solve
+    with 0 iterations, under the same rule as every later checkpoint.
+    Otherwise ADMM starts from the holder's (Z, U) instead of zeros.
     """
     W = model.lmi_weighted
     m = W.shape[0]
@@ -469,25 +477,20 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
           first_polish: int):
     """The ADMM loop of :func:`_project_cone_arr` on the unit vector u.
 
-    start is None or the warm (p, Z, U) divided by ||q||; the refinement
-    is first tried at iteration first_polish. Returns (p, Z, U, stats) of
-    the unit-norm problem.
+    start is None or the warm (p, Z, U) divided by ||q||. The refinement
+    runs at checkpoint 0 on a warm start, then at iteration first_polish
+    and the loop's later checkpoints; at each, a certified refinement ends
+    the solve, converged when its certificate residual is within tol.
+    Returns (p, Z, U, stats) of the unit-norm problem.
     """
     W = model.lmi_weighted
     WT = W.T
-    Z = np.zeros(W.shape[0])
-    U = np.zeros(W.shape[0])
-    if start is not None:
-        p_warm, Z_warm, U_warm = start
-        refined = _attempt_polish(model, u, p_warm, U_warm)
-        if refined is not None and refined[1] <= cfg.tol:
-            p_hat, cert_res = refined
-            return p_hat, Z_warm, U_warm, SolveStats(0, cert_res, True,
-                                                     "certified")
-        Z, U = Z_warm, U_warm
+    if start is None:
+        p, Z, U = None, np.zeros(W.shape[0]), np.zeros(W.shape[0])
+    else:
+        p, Z, U = start
     gain = model.admm_gain
     p0 = model.admm_minv @ u
-    p = None
 
     def step():
         nonlocal p, Z, U
@@ -508,6 +511,11 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
         p, cert_res = refined
         return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
 
+    if start is not None:
+        # a warm start is the refinement's checkpoint 0
+        stats = polish(0)
+        if stats is not None:
+            return p, Z, U, _log_exit("cone projection", stats)
     stats = _iterate(step, cfg, "cone projection", checkpoint=polish,
                      first_check=first_polish)
     return p, Z, U, stats

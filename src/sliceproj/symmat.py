@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,60 +33,34 @@ JACOBI_MAX_SWEEPS = 50
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """General d x d symmetric matrix in packed lower-triangular storage.
+    """General d x d symmetric matrix, held as one read-only dense array.
 
-    ``packed`` holds the d(d+1)/2 lower-triangle entries row-major.
+    The constructor takes a square array and mirrors its lower triangle
+    onto the upper one, so only the lower triangle is read.
     """
 
-    dim: int
-    packed: np.ndarray
+    dense: np.ndarray
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise InvalidInputError("SymMatrix dimension must be positive")
-        packed = np.asarray(self.packed, dtype=float)
-        if packed.shape != (self.dim * (self.dim + 1) // 2,):
-            raise InvalidInputError(
-                f"packed storage must hold {self.dim * (self.dim + 1) // 2} entries"
-            )
-        if not np.all(np.isfinite(packed)):
+        mat = np.asarray(self.dense, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise InvalidInputError("SymMatrix needs a nonempty square array")
+        lower = np.tril(mat)
+        dense = lower + np.tril(lower, -1).T
+        if not np.all(np.isfinite(dense)):
             raise InvalidInputError("SymMatrix entries must be finite")
-        object.__setattr__(self, "packed", packed)
+        dense.setflags(write=False)
+        object.__setattr__(self, "dense", dense)
 
-    @classmethod
-    def from_dense(cls, mat) -> "SymMatrix":
-        mat = np.asarray(mat, dtype=float)
-        d = mat.shape[0]
-        idx = np.tril_indices(d)
-        return cls(d, mat[idx])
+    @property
+    def dim(self) -> int:
+        return self.dense.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        out[np.tril_indices(self.dim)] = self.packed
-        out = out + np.tril(out, -1).T
-        return out
+        return self.dense.copy()
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.to_dense()))
-
-
-@lru_cache(maxsize=None)
-def block_diag_index(n: int):
-    """Where the 2x2 diagonal blocks of a (4n-2)-matrix sit in its row-major
-    flattening, as read-only (gather, scatter) index arrays.
-
-    ``dense.ravel()[gather]`` lists the blocks' (a, b, c) entries, block by
-    block, with b read above the diagonal. ``full.ravel()[scatter] =
-    rows[:, (0, 1, 1, 2)].ravel()`` writes (a, b, c) rows back, b on both
-    sides of the diagonal.
-    """
-    d = 4 * n - 2
-    corner = 2 * (d + 1) * np.arange(2 * n - 1)   # position of entry (2k, 2k)
-    gather = (corner[:, None] + np.array([0, 1, d + 1])).ravel()
-    scatter = (corner[:, None] + np.array([0, 1, d, d + 1])).ravel()
-    gather.setflags(write=False)
-    scatter.setflags(write=False)
-    return gather, scatter
+        return float(np.linalg.norm(self.dense))
 
 
 @dataclass(frozen=True)
@@ -116,18 +89,21 @@ class BlockSymMatrix:
 
     def to_full(self) -> SymMatrix:
         """Assemble the (4n-2) x (4n-2) block-diagonal matrix."""
-        d = 4 * self.n - 2
-        out = np.zeros(d * d)
-        out[block_diag_index(self.n)[1]] = self.blocks[:, (0, 1, 1, 2)].ravel()
-        return SymMatrix.from_dense(out.reshape(d, d))
+        k = np.arange(2 * self.n - 1)
+        # entry (2k + i, 2l + j) sits at [k, i, l, j]
+        out = np.zeros((k.size, 2, k.size, 2))
+        out[k, :, k, :] = self.blocks[:, (0, 1, 1, 2)].reshape(-1, 2, 2)
+        return SymMatrix(out.reshape(2 * k.size, 2 * k.size))
 
     @classmethod
     def from_full(cls, n: int, mat: SymMatrix) -> "BlockSymMatrix":
         """Extract the 2x2 diagonal blocks of a (4n-2)-dimensional matrix."""
-        dense = mat.to_dense()
-        if dense.shape[0] != 4 * n - 2:
+        if mat.dim != 4 * n - 2:
             raise InvalidInputError("matrix dimension does not match 4n-2")
-        return cls(n, dense.ravel()[block_diag_index(n)[0]].reshape(-1, 3))
+        k = np.arange(2 * n - 1)
+        blocks = mat.dense.reshape(k.size, 2, k.size, 2)[k, :, k, :]
+        # (a, b, c) of each block, b read above the diagonal
+        return cls(n, blocks.reshape(-1, 4)[:, (0, 1, 3)])
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.blocks[:, 0] ** 2
@@ -218,7 +194,7 @@ def jacobi_eig(mat):
         Eigenvalues sorted descending (ties broken by original index order)
         and the matching orthonormal eigenvector columns.
     """
-    A = mat.to_dense() if isinstance(mat, SymMatrix) else np.array(mat, dtype=float)
+    A = mat.dense if isinstance(mat, SymMatrix) else np.asarray(mat, dtype=float)
     d = A.shape[0]
     if A.shape != (d, d):
         raise InvalidInputError("jacobi_eig requires a square matrix")

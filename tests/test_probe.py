@@ -101,6 +101,15 @@ def test_fd_step_below_solver_accuracy_is_a_numeric_failure(models):
     assert report.fitted_slope == pytest.approx(1.248, abs=1e-3)
 
 
+def test_probe_numeric_n10_coarse_step_passes():
+    # a warm refinement certified just above the probe's tight tol (1e-13)
+    # used to be rejected, and ADMM then ran its whole budget until the
+    # probe raised at t = 1e-4 (residual 1.2e-8)
+    model = make_cone(10)
+    report = probe_semismoothness(model, "numeric", fd_step=1e-4)
+    assert abs(report.fitted_slope - model.lam) <= 0.1
+
+
 def test_fit_exponent_synthetic_power_laws():
     t = np.logspace(-4, -1, 12)
     slope, intercept, dev = fit_exponent(t, 0.7 * t ** 1.5)

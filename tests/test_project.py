@@ -56,11 +56,23 @@ def test_each_solve_logs_one_exit_line(models, caplog):
     model = models[2]
     q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
     X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
+    # an input whose ADMM answer the refinement certifies
+    q4 = np.random.default_rng(0).standard_normal(9)
+    warm = project_module._WarmStart()
+    project_module._project_cone_arr(models[4], q4, CFG, warm)
+
+    def warm_solve():
+        return project_module._project_cone_arr(models[4], q4, CFG, warm)
+
     for what, solve in (("cone projection", lambda: project_cone(model, q, CFG)),
+                        ("cone projection", warm_solve),
                         ("Dykstra", lambda: project_slice_dykstra(model, X, CFG))):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="sliceproj.project"):
             _, stats = solve()
+        if solve is warm_solve:
+            # certified at checkpoint 0, from the held answer
+            assert stats.iterations == 0
         assert len(caplog.records) == 1
         assert caplog.records[0].getMessage() == (
             f"{what}: {stats.exit_reason} after {stats.iterations} iterations "
@@ -227,6 +239,19 @@ def test_warm_path_solves_refine_first_at_64():
     assert (warm.iterations, warm.exit_reason) == (64, "certified")
 
 
+def test_warm_start_is_checkpoint_0():
+    # the warm start's refinement ends the solve under the loop's one rule:
+    # certified, and converged only when its residual is within tol
+    model = make_cone(4)
+    q = np.random.default_rng(0).standard_normal(9)
+    warm = project_module._WarmStart()
+    project_module._project_cone_arr(model, q, CFG, warm)
+    _, stats = project_module._project_cone_arr(
+        model, q, SolverConfig(tol=1e-18), warm)
+    assert ((stats.iterations, stats.converged, stats.exit_reason)
+            == (0, False, "certified"))
+
+
 def test_hopeless_refinement_gives_up_early(monkeypatch):
     # among these inputs the refinement meets active sets it cannot
     # certify; without the progress test one such call runs all 60 Newton
@@ -386,7 +411,7 @@ def _with_off_block(rng, X):
     full = raw + raw.T
     for k in range(2 * X.n - 1):
         full[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.0
-    return SymMatrix.from_dense(full + X.to_full().to_dense())
+    return SymMatrix(full + X.to_full().to_dense())
 
 
 def test_dykstra_full_matrix_path_matches_block_path(models):
@@ -400,7 +425,7 @@ def test_dykstra_full_matrix_path_matches_block_path(models):
             fully, stats = project_slice_dykstra(models[n], X.to_full(), CFG)
             assert isinstance(fully, SymMatrix)
             assert stats == block_stats
-            assert np.array_equal(fully.packed, blocky.to_full().packed)
+            assert np.array_equal(fully.dense, blocky.to_full().dense)
 
 
 def test_dense_dykstra_stops_on_stall(models):
@@ -493,14 +518,14 @@ def test_dense_dykstra_projects_full_input(models):
             assert np.array_equal(dense, blocky.to_full().to_dense())
             assert not dense[off_block].any()
             for k in (-600, -40, 40, 400):
-                scaled = SymMatrix(full.dim, 2.0 ** k * full.packed)
+                scaled = SymMatrix(2.0 ** k * full.dense)
                 out, out_stats = project_slice_dykstra(model, scaled, CFG)
-                assert np.array_equal(out.packed, 2.0 ** k * fully.packed)
+                assert np.array_equal(out.dense, 2.0 ** k * fully.dense)
                 assert out_stats == stats
         # nothing on the diagonal blocks: the projection is 0
         zero = BlockSymMatrix(n, np.zeros((2 * n - 1, 3)))
         out, stats = project_slice_dykstra(model, _with_off_block(rng, zero), CFG)
-        assert not out.packed.any()
+        assert not out.dense.any()
         assert (stats.iterations, stats.converged) == (0, True)
 
 

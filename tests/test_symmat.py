@@ -9,8 +9,7 @@ from sliceproj import (BlockSymMatrix, InvalidInputError, NumericFailureError,
                        SymMatrix, jacobi_eig, psd_project_block,
                        read_block_matrix, write_block_matrix)
 from sliceproj import symmat
-from sliceproj.symmat import (RT2, block_diag_index, block_min_eigs,
-                              psd_clip_flat, psd_clip_rows)
+from sliceproj.symmat import RT2, block_min_eigs, psd_clip_flat, psd_clip_rows
 
 
 def _frobenius(rows):
@@ -172,13 +171,13 @@ def test_psd_clip_matches_references_across_scales():
 
 
 def test_jacobi_identity():
-    w, V = jacobi_eig(SymMatrix.from_dense(np.eye(5)))
+    w, V = jacobi_eig(SymMatrix(np.eye(5)))
     assert np.allclose(w, np.ones(5))
     assert np.allclose(V @ V.T, np.eye(5), atol=1e-12)
 
 
 def test_jacobi_diagonal_with_permutation_basis():
-    w, V = jacobi_eig(SymMatrix.from_dense(np.diag([3.0, 1.0, -2.0])))
+    w, V = jacobi_eig(SymMatrix(np.diag([3.0, 1.0, -2.0])))
     assert np.allclose(w, [3.0, 1.0, -2.0])
     assert np.allclose(np.abs(V), np.eye(3), atol=1e-12)
 
@@ -188,7 +187,7 @@ def test_jacobi_random_reconstruction():
     for _ in range(25):
         raw = rng.standard_normal((8, 8))
         dense = raw + raw.T
-        w, V = jacobi_eig(SymMatrix.from_dense(dense))
+        w, V = jacobi_eig(SymMatrix(dense))
         norm = np.linalg.norm(dense)
         assert np.linalg.norm((V * w) @ V.T - dense) <= 1e-11 * norm
         assert np.linalg.norm(V @ V.T - np.eye(8)) <= 1e-12
@@ -240,7 +239,7 @@ def test_jacobi_sweep_budget_exit(monkeypatch):
 
 def test_jacobi_guards():
     with pytest.raises(InvalidInputError):
-        jacobi_eig(SymMatrix(201, np.zeros(201 * 202 // 2)))
+        jacobi_eig(SymMatrix(np.zeros((201, 201))))
     with pytest.raises(InvalidInputError):
         jacobi_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
@@ -251,14 +250,20 @@ def test_symmatrix_storage_round_trip():
     rng = np.random.default_rng(29)
     raw = rng.standard_normal((6, 6))
     dense = raw + raw.T
-    mat = SymMatrix.from_dense(dense)
-    assert mat.packed.shape == (21,)
-    assert np.allclose(mat.to_dense(), dense)
-    with pytest.raises(InvalidInputError):
-        SymMatrix(4, np.zeros(9))
+    mat = SymMatrix(dense)
+    assert mat.dim == 6 and mat.dense.shape == (6, 6)
+    assert not mat.dense.flags.writeable
+    assert np.array_equal(mat.to_dense(), dense)
+    assert mat.to_dense().flags.writeable
+    # only the lower triangle is read, and it is mirrored
+    lower = np.tril(dense) + np.triu(rng.standard_normal((6, 6)), 1)
+    assert np.array_equal(SymMatrix(lower).dense, dense)
+    for bad_shape in (np.zeros((4, 3)), np.zeros(9), np.zeros((0, 0))):
+        with pytest.raises(InvalidInputError):
+            SymMatrix(bad_shape)
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidInputError):
-            SymMatrix(2, np.array([1.0, bad, 1.0]))
+            SymMatrix(np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
 def test_block_matrix_shape_guard():
@@ -282,7 +287,7 @@ def test_block_full_extraction_round_trip():
 
 
 def test_block_full_index_map_matches_loops():
-    # the seed's Python loops are the reference for the gather/scatter map
+    # the seed's Python loops are the reference for the block index map
     rng = np.random.default_rng(53)
     for n in (2, 3, 7):
         d = 4 * n - 2
@@ -295,12 +300,10 @@ def test_block_full_index_map_matches_loops():
         full = raw + raw.T
         rows = np.array([(full[2 * k, 2 * k], full[2 * k, 2 * k + 1],
                           full[2 * k + 1, 2 * k + 1]) for k in range(2 * n - 1)])
-        got = BlockSymMatrix.from_full(n, SymMatrix.from_dense(full)).blocks
+        got = BlockSymMatrix.from_full(n, SymMatrix(full)).blocks
         assert np.array_equal(got, rows)
-        gather, scatter = block_diag_index(n)
-        assert not gather.flags.writeable and not scatter.flags.writeable
     with pytest.raises(InvalidInputError):
-        BlockSymMatrix.from_full(3, SymMatrix.from_dense(np.eye(6)))
+        BlockSymMatrix.from_full(3, SymMatrix(np.eye(6)))
 
 
 def test_text_formats_round_trip():
