@@ -33,7 +33,7 @@ N_MIN = 2
 N_MAX = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConePoint:
     """Point of the ambient space R^(2n+1) with named coordinate groups."""
 
@@ -331,7 +331,7 @@ def step_normal_inner(model: ConeModel, t: float) -> float:
     return one_minus_pow_one_minus(t ** model.lam, 1.0 / model.kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalRay:
     """A boundary point of the polar cone together with the generator of the
     normal ray there: the normal cone is the half-line spanned by the

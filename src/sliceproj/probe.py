@@ -41,7 +41,7 @@ DEFAULT_POINTS = 20
 DEFAULT_FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeReport:
     """Grid of step sizes with the measured residual scaling.
 
@@ -92,7 +92,7 @@ def residual_exact(model: ConeModel, t: float):
     return vec, inner / math.sqrt(w_sq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NumericResidual:
     """Solver-based residual at one grid point.
 

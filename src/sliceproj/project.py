@@ -24,9 +24,9 @@ Projections whose answer sits at (or near) the cone's apex lack strict
 complementarity, and every first-order splitting method degrades to a
 sublinear crawl there. The ADMM solver therefore attempts an active-set
 Newton refinement in conically rescaled variables at iteration 32, then
-at 64, 128 and so on (from 64 on a warm path, see below), as well as on
-reaching tol, on stalling and at the budget. The refined point is
-accepted only when an exact optimality certificate holds (matched KKT
+at 64, 128 and so on, as well as on reaching tol, on stalling and at the
+budget. The refined point is accepted only when an exact optimality
+certificate holds (matched KKT
 residual, nonnegative multipliers, feasible direction), otherwise the raw
 ADMM iterate is kept. One rule holds at every checkpoint: a certified
 refinement ends the solve, which is converged when the certificate
@@ -54,14 +54,18 @@ checkpoints, the exit reason and one debug log line per exit.
 Callers that solve a path of nearby cone projections (the numeric probe's
 grid, the fixed-point projector's outer loop) pass a private warm holder,
 _WarmStart, to each solve. The solver leaves its answer and ADMM state
-(p, Z, U) there. The next solve's checkpoint 0 tries the certified
-refinement from that answer before any iteration, and ends with 0
-iterations when the certificate holds; otherwise it runs ADMM from the
-held (Z, U). The certificate, not the start, decides acceptance, so a
-stale holder costs time, never accuracy. Because its (Z, U) seeds the
-next solve, a solve on a path first runs the refinement's loop
-checkpoint at iteration 64, not 32. project_cone passes no holder:
-one-off solves start from zero.
+(p, Z, U) there, and, when a refinement certified the answer, its active
+set J and rescaled multipliers nu. The next solve's checkpoint 0 tries
+the certified refinement from that answer before any iteration, and ends
+with 0 iterations when the certificate holds; otherwise it runs ADMM
+from the held (Z, U). Each refinement of that solve tries the held J
+first, with Newton started from the held nu instead of least-squares
+multipliers, and then the usual candidate sets. This is continuation
+along the path without a predictor: nearby inputs share their active
+set, and their multipliers are close, so Newton starts near its
+quadratic region. The certificate, not the
+start, decides acceptance, so a stale holder costs time, never accuracy.
+project_cone passes no holder: one-off solves start from zero.
 
 The ConeModel is immutable, so solves may share one across threads; do
 not share a warm holder, which is mutable state owned by the one path
@@ -96,11 +100,8 @@ _STALL_FACTOR = 1e-3
 _STALL_WINDOW = 2000
 _CERT_TOL = 1e-12
 _EPS = np.finfo(float).eps
-# first ADMM iteration at which the refinement is tried; doubled after each.
-# A solve on a warm path (see _WarmStart) starts at twice this: its (Z, U)
-# seeds the path's next solve. With its first refinement at 16, 24, 32 or
-# 48 the numeric probe at n = 11 ended on a cone solve that used its whole
-# budget unconverged; at 64, 96 and 128 it passed.
+# first ADMM iteration at which the refinement is tried, one-off and warm
+# solves alike; doubled after each
 _FIRST_POLISH = 32
 # the Newton refinement's progress test (see _newton_polish): accepted
 # refinements in the numeric probes at n = 2..11 and on N(0, I) inputs at
@@ -155,16 +156,20 @@ class SolveStats:
     ``certified`` (an exact shortcut, or an active-set refinement whose
     optimality certificate held), ``stalled`` (no progress over the stall
     window) or ``budget`` (max_iter reached). For cone solves converged ==
-    (final_residual <= tol).
+    (final_residual <= tol). newton_steps is the number of accepted Newton
+    steps summed over every refinement attempt of the solve (0 for
+    Dykstra; the fixed-point projector sums it over its inner solves).
     """
 
     iterations: int
     final_residual: float
     converged: bool
     exit_reason: str
+    newton_steps: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "newton_steps", int(self.newton_steps))
         object.__setattr__(self, "final_residual", float(self.final_residual))
         object.__setattr__(self, "converged", bool(self.converged))
         if self.exit_reason not in EXIT_REASONS:
@@ -176,6 +181,7 @@ class SolveStats:
             "final_residual": self.final_residual,
             "converged": self.converged,
             "exit_reason": self.exit_reason,
+            "newton_steps": self.newton_steps,
         }
 
 
@@ -184,21 +190,21 @@ _ZERO_STATS = SolveStats(0, 0.0, True, "certified")
 
 
 def _iterate(step, cfg: SolverConfig, what: str, window: int = _STALL_WINDOW,
-             checkpoint=None, first_check: int = _FIRST_POLISH) -> SolveStats:
+             checkpoint=None) -> SolveStats:
     """The iteration loop of every solver.
 
     step() runs one iteration and returns its residual. The loop stops
     when the residual is within cfg.tol, when it has not improved by the
     fraction _STALL_FACTOR over the last `window` iterations, or after
     cfg.max_iter iterations. checkpoint(k), if given, runs at iteration
-    first_check, at each doubling of it and at every exit, before the
+    _FIRST_POLISH, at each doubling of it and at every exit, before the
     exit tests; the SolveStats it returns, if any, end the solve. Each exit
     logs one debug line naming `what`.
     """
     tol = cfg.tol
     best_res = math.inf
     best_iter = 0
-    check_at = first_check
+    check_at = _FIRST_POLISH
     reason = "budget"
     stats = None
     for k in range(1, cfg.max_iter + 1):
@@ -262,18 +268,20 @@ def _gelsd_work(m: int, n: int) -> tuple:
 
 
 def _kkt_residual(Bs: np.ndarray, q: np.ndarray, u: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  Bpi: np.ndarray | None = None) -> np.ndarray:
     """Residual of the rescaled KKT system at u = (mu, pi, nu).
 
     Rows: stationarity mu pi - q - 2 sum_k nu_k B_k pi, the active block
     determinants pi^T B_k pi, and the normalisation pi^T pi - 1. Bs stacks
-    the active forms B_k as an (nJ, d, d) array. The residual is written
-    into out when given (a float array shaped like u), else into a new
-    array.
+    the active forms B_k as an (nJ, d, d) array; Bpi is Bs @ pi when the
+    caller has it already. The residual is written into out when given (a
+    float array shaped like u), else into a new array.
     """
     d = q.shape[0]
     pi, nu = u[1:1 + d], u[1 + d:]
-    Bpi = Bs @ pi
+    if Bpi is None:
+        Bpi = Bs @ pi
     if out is None:
         out = np.empty(u.shape[0])
     stat = out[:d]
@@ -285,16 +293,24 @@ def _kkt_residual(Bs: np.ndarray, q: np.ndarray, u: np.ndarray,
     return out
 
 
-def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Jacobian of :func:`_kkt_residual` with respect to u."""
+def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray, Bpi: np.ndarray | None = None,
+                  Bs_flat: np.ndarray | None = None) -> np.ndarray:
+    """Jacobian of :func:`_kkt_residual` with respect to u.
+
+    Bpi (Bs @ pi) and Bs_flat (Bs reshaped to (nJ, d * d)) may be passed
+    precomputed.
+    """
     nJ, d = Bs.shape[:2]
     mu, pi, nu = u[0], u[1:1 + d], u[1 + d:]
-    Bpi = Bs @ pi
+    if Bpi is None:
+        Bpi = Bs @ pi
+    if Bs_flat is None:
+        Bs_flat = Bs.reshape(nJ, d * d)
     # Fortran order, which LAPACK takes without a copy
     jac = np.zeros((u.shape[0], u.shape[0]), order="F")
     jac[:d, 0] = pi
     # the S block mu I - 2 sum_k nu_k B_k, as one matrix-vector product
-    S = (-2.0 * nu) @ Bs.reshape(nJ, d * d)
+    S = (-2.0 * nu) @ Bs_flat
     S[::d + 1] += mu
     jac[:d, 1:1 + d] = S.reshape(d, d)
     jac[:d, 1 + d:] = -2.0 * Bpi.T
@@ -303,15 +319,22 @@ def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
+def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
+                   nu0: np.ndarray | None = None, steps: list | None = None):
     """Solve the rescaled KKT system on the active set J and certify it.
 
     Unknowns are (mu, pi, nu): the candidate projection is mu * pi with pi
     of unit norm, nu the conically rescaled multipliers of the active block
     determinants. Rescaling keeps the system well conditioned even as the
-    projection shrinks into the apex. Returns (p_hat, certificate_residual)
-    or None when the certificate fails. q has unit norm, so the thresholds
-    are relative to ||q||.
+    projection shrinks into the apex. Returns (p_hat, certificate_residual,
+    nu) or None when the certificate fails. q has unit norm, so the
+    thresholds are relative to ||q||, and nu belongs to the unit-norm
+    problem.
+
+    Newton starts from nu0 when given (the multipliers a warm path last
+    certified on J), else from the least-norm least-squares multipliers
+    at (mu, pi). steps, if given, is a list to which the attempt appends
+    the number of Newton steps it took.
 
     Damped Newton stops early once it stops making progress: when the
     line search needs a step shorter than 2^-_NEWTON_HALVINGS, or when the
@@ -321,9 +344,10 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
     instead of _NEWTON_MAX_STEPS full line searches.
 
     The systems have at most 2d - 1 <= 49 unknowns, so each LAPACK routine
-    is called directly: one dgelsd for the initial multipliers and one
-    dgesv per Newton step. A singular Jacobian (or an SVD that does not
-    converge) fails the certificate.
+    is called directly: one dgelsd for the least-squares multipliers and
+    one dgesv per Newton step. A singular Jacobian (or an SVD that does not
+    converge) fails the certificate. Bs @ pi is formed once per evaluated
+    point, and shared by its residual and, once accepted, its Jacobian.
     """
     d = model.dim()
     mu = _norm(p0)
@@ -332,39 +356,45 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
     pi = p0 / mu
     Bs = model.det_forms[J]
     nJ = len(J)
+    Bs_flat = Bs.reshape(nJ, d * d)
+    Bpi = Bs @ pi
     u = np.empty(1 + d + nJ)
     u[0] = mu
     u[1:1 + d] = pi
-    if nJ:
+    if nu0 is not None:
+        u[1 + d:] = nu0
+    elif nJ:
         # the least-norm least-squares nu of np.linalg.lstsq(rcond=None);
         # nJ <= 2n - 1 < d, so the system has more rows than columns
-        nu, _, _, info = dgelsd(-2.0 * (Bs @ pi).T, q - mu * pi,
+        nu, _, _, info = dgelsd(-2.0 * Bpi.T, q - mu * pi,
                                 *_gelsd_work(d, nJ), _EPS * d,
                                 overwrite_a=True, overwrite_b=True)
         if info:
             return None
         u[1 + d:] = nu[:nJ]
 
-    fu = _kkt_residual(Bs, q, u)
+    fu = _kkt_residual(Bs, q, u, None, Bpi)
     f_try = np.empty_like(fu)
     best = float(np.abs(fu).max())
     norms = [_norm(fu)]
+    info = 0
     for k in range(_NEWTON_MAX_STEPS):
         if best <= 1e-15:
             break
         if (k >= _NEWTON_WINDOW and norms[k]
                 > (1.0 - _NEWTON_MIN_GAIN) * norms[k - _NEWTON_WINDOW]):
             break
-        _, _, du, info = dgesv(_kkt_jacobian(Bs, u), -fu,
+        _, _, du, info = dgesv(_kkt_jacobian(Bs, u, Bpi, Bs_flat), -fu,
                                overwrite_a=True, overwrite_b=True)
         if info:
-            return None
+            break
         step = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
             u_try = u + step * du
-            norm_try = _norm(_kkt_residual(Bs, q, u_try, f_try))
+            Bpi_try = Bs @ u_try[1:1 + d]
+            norm_try = _norm(_kkt_residual(Bs, q, u_try, f_try, Bpi_try))
             if norm_try < (1.0 - 0.25 * step) * norms[k]:
-                u = u_try
+                u, Bpi = u_try, Bpi_try
                 fu, f_try = f_try, fu
                 best = float(np.abs(fu).max())
                 norms.append(norm_try)
@@ -372,7 +402,9 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
             step *= 0.5
         else:
             break
-    if best > _CERT_TOL:
+    if steps is not None:
+        steps.append(len(norms) - 1)
+    if info or best > _CERT_TOL:
         return None
     mu, pi, nu = float(u[0]), u[1:1 + d], u[1 + d:]
     # certificate: nonnegative multipliers, nonnegative scale, feasible
@@ -382,44 +414,65 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J):
         return None
     if _block_min_eigs(model, pi).min() < -1e-10:
         return None
-    return max(mu, 0.0) * pi, best
+    return max(mu, 0.0) * pi, best, nu
 
 
 def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
-                    dual_flat: np.ndarray):
-    """Try active-set candidates derived from the dual and primal iterates."""
-    nblocks = 2 * model.n - 1
-    dual_rows = np.abs(dual_flat.reshape(-1, 3)).max(axis=1)
-    dual_ref = max(float(dual_rows.max()), 1e-300)
-    j_dual = np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist()
-    rows = (model.lmi_weighted @ p).reshape(-1, 3)
-    dets = np.abs(rows[:, 0] * rows[:, 2] - (rows[:, 1] / RT2) ** 2)
-    det_ref = max(float(dets.max()), float(p @ p), 1e-300)
-    j_primal = np.flatnonzero(dets <= 1e-5 * det_ref).tolist()
-    seen = []
-    for J in (j_dual, j_primal, list(range(nblocks))):
-        if J in seen:
+                    dual_flat: np.ndarray, held, steps: list):
+    """Try active-set candidates for the refinement, in order.
+
+    held is None or the (J, nu) a warm path last certified: its J is
+    tried first, with Newton starting from its nu. Then come the sets
+    derived from the dual iterate, from the primal iterate and all blocks,
+    each from its least-squares multipliers; each is derived only when the
+    ones before it failed, and a set already tried from least squares is
+    skipped (the held J is tried again from least squares). Returns
+    (p_hat, certificate_residual, J, nu) of the first certified
+    refinement, or None. steps is passed to each :func:`_newton_polish`.
+    """
+    def candidates():
+        if held is not None:
+            yield held
+        dual_rows = np.abs(dual_flat.reshape(-1, 3)).max(axis=1)
+        dual_ref = max(float(dual_rows.max()), 1e-300)
+        yield np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist(), None
+        rows = (model.lmi_weighted @ p).reshape(-1, 3)
+        dets = np.abs(rows[:, 0] * rows[:, 2] - (rows[:, 1] / RT2) ** 2)
+        det_ref = max(float(dets.max()), float(p @ p), 1e-300)
+        yield np.flatnonzero(dets <= 1e-5 * det_ref).tolist(), None
+        yield list(range(2 * model.n - 1)), None
+
+    tried = []
+    for J, nu0 in candidates():
+        if (J, nu0 is None) in tried:
             continue
-        seen.append(J)
-        out = _newton_polish(model, q, p, J)
+        tried.append((J, nu0 is None))
+        out = _newton_polish(model, q, p, J, nu0, steps)
         if out is not None:
-            return out
+            p_hat, cert_res, nu = out
+            return p_hat, cert_res, J, nu
     return None
 
 
 @dataclass
 class _WarmStart:
-    """The last answer p and ADMM state (Z, U) along a path of cone solves.
+    """The last answer p and ADMM state (Z, U) along a path of cone solves,
+    and the active set J and rescaled multipliers nu that certified p.
 
     A caller that solves a sequence of nearby projections creates one and
     passes it to each :func:`_project_cone_arr` call; the solver refills it
-    on return. Arrays are replaced, never written in place, so
-    ``dataclasses.replace(warm)`` is an independent copy.
+    on return. J and nu are None unless that solve ended on a certified
+    refinement. nu belongs to the unit-norm problem, so it carries over
+    between inputs of different ||q||. Arrays and lists are replaced,
+    never written in place, so ``dataclasses.replace(warm)`` is an
+    independent copy.
     """
 
     p: np.ndarray | None = None
     Z: np.ndarray | None = None
     U: np.ndarray | None = None
+    J: list | None = None
+    nu: np.ndarray | None = None
 
 
 def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
@@ -443,15 +496,18 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     Stops on max(primal, dual) residual <= tol, on a certified refinement,
     or when the residual stalls at its attainable floor.
 
-    With a filled warm holder (absolute p, Z, U, divided by ||q|| here),
-    the refinement's checkpoint 0 tries the holder's answer and dual
-    before any iteration; a certified refinement there ends the solve
-    with 0 iterations, under the same rule as every later checkpoint.
-    Otherwise ADMM starts from the holder's (Z, U) instead of zeros.
+    With a filled warm holder (absolute p, Z, U, divided by ||q|| here,
+    and the scale-free J, nu), the refinement's checkpoint 0 tries the
+    holder's answer and dual before any iteration; a certified refinement
+    there ends the solve with 0 iterations, under the same rule as every
+    later checkpoint. Otherwise ADMM starts from the holder's (Z, U)
+    instead of zeros. Every refinement of the solve tries the held J, from
+    the held nu, first.
     """
     W = model.lmi_weighted
     m = W.shape[0]
     qn = _input_norm(q)
+    certified = None
     if qn == 0.0:
         # the ADMM fixed point at q = 0, and for q in the cone below
         p, Z, U = np.zeros(model.dim()), np.zeros(m), np.zeros(m)
@@ -464,33 +520,37 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
         else:
             start = None
             if warm is not None and warm.p is not None:
-                start = (warm.p / qn, warm.Z / qn, warm.U / qn)
-            first_polish = _FIRST_POLISH if warm is None else 2 * _FIRST_POLISH
-            p, Z, U, stats = _admm(model, u, cfg, start, first_polish)
+                held = None if warm.J is None else (warm.J, warm.nu)
+                start = (warm.p / qn, warm.Z / qn, warm.U / qn, held)
+            p, Z, U, stats, certified = _admm(model, u, cfg, start)
             p, Z, U = qn * p, qn * Z, qn * U
     if warm is not None:
         warm.p, warm.Z, warm.U = p, Z, U
+        warm.J, warm.nu = certified or (None, None)
     return p, stats
 
 
-def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
-          first_polish: int):
+def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
     """The ADMM loop of :func:`_project_cone_arr` on the unit vector u.
 
-    start is None or the warm (p, Z, U) divided by ||q||. The refinement
-    runs at checkpoint 0 on a warm start, then at iteration first_polish
-    and the loop's later checkpoints; at each, a certified refinement ends
-    the solve, converged when its certificate residual is within tol.
-    Returns (p, Z, U, stats) of the unit-norm problem.
+    start is None or the warm (p, Z, U) divided by ||q||, with the held
+    (J, nu) or None. The refinement runs at checkpoint 0 on a warm start,
+    then at iteration _FIRST_POLISH and the loop's later checkpoints, each
+    time trying the held J first; at each, a certified refinement ends the
+    solve, converged when its certificate residual is within tol. Returns
+    (p, Z, U, stats) of the unit-norm problem, and the (J, nu) of a
+    certified refinement or None.
     """
     W = model.lmi_weighted
     WT = W.T
     if start is None:
-        p, Z, U = None, np.zeros(W.shape[0]), np.zeros(W.shape[0])
+        p, Z, U, held = None, np.zeros(W.shape[0]), np.zeros(W.shape[0]), None
     else:
-        p, Z, U = start
+        p, Z, U, held = start
     gain = model.admm_gain
     p0 = model.admm_minv @ u
+    steps = []
+    certified = None
 
     def step():
         nonlocal p, Z, U
@@ -504,21 +564,23 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start,
         return max(_norm(Ap - Z_new), r_dual)
 
     def polish(k):
-        nonlocal p
-        refined = _attempt_polish(model, u, p, U)
+        nonlocal p, certified
+        refined = _attempt_polish(model, u, p, U, held, steps)
         if refined is None:
             return None
-        p, cert_res = refined
+        p, cert_res, J, nu = refined
+        certified = (J, nu)
         return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
 
+    stats = None
     if start is not None:
         # a warm start is the refinement's checkpoint 0
         stats = polish(0)
         if stats is not None:
-            return p, Z, U, _log_exit("cone projection", stats)
-    stats = _iterate(step, cfg, "cone projection", checkpoint=polish,
-                     first_check=first_polish)
-    return p, Z, U, stats
+            _log_exit("cone projection", stats)
+    if stats is None:
+        stats = _iterate(step, cfg, "cone projection", checkpoint=polish)
+    return p, Z, U, replace(stats, newton_steps=sum(steps)), certified
 
 
 def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
@@ -646,11 +708,13 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     warm = _WarmStart()
     z = np.zeros(model.dim())
     inner_ok = True
+    newton_steps = 0
 
     def step():
-        nonlocal z, inner_ok
+        nonlocal z, inner_ok, newton_steps
         point = z - gamma * (model.gram_dense @ z - target)
         z_new, inner_stats = _project_cone_arr(model, point, inner_cfg, warm)
+        newton_steps += inner_stats.newton_steps
         if inner_stats.final_residual > cfg.tol:
             inner_ok = False
         res = float(np.linalg.norm(z_new - z))
@@ -659,4 +723,5 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
 
     stats = _iterate(step, cfg, "fixed-point projector", window=50)
     return (_unweighted(model.n, xn * (model.lmi_weighted @ z)),
-            replace(stats, converged=stats.converged and inner_ok))
+            replace(stats, converged=stats.converged and inner_ok,
+                    newton_steps=newton_steps))

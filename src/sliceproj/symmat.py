@@ -31,7 +31,7 @@ JACOBI_MAX_DIM = 200
 JACOBI_MAX_SWEEPS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """General d x d symmetric matrix, held as one read-only dense array.
 
@@ -63,7 +63,7 @@ class SymMatrix:
         return float(np.linalg.norm(self.dense))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSymMatrix:
     """Block-diagonal element of S^(4n-2): an ordered list of 2n-1 symmetric
     2x2 blocks, stored as an (2n-1, 3) array of (a, b, c) rows.

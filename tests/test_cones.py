@@ -12,7 +12,8 @@ from sliceproj import (BlockSymMatrix, ConeModel, ConePoint, InvalidInputError,
                        sample_cone, step_normal_inner, tangent_project,
                        write_cone_point)
 from sliceproj.cones import _violations
-from sliceproj.symmat import block_min_eigs
+from sliceproj.probe import NumericResidual, ProbeReport
+from sliceproj.symmat import SymMatrix, block_min_eigs
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,23 @@ def test_cone_model_equality_is_identity():
     assert (m == make_cone(3)) is False
     assert m == m
     assert {m: 1}[m] == 1
+
+
+def test_array_dataclasses_compare_by_identity():
+    # the generated __eq__ over ndarray fields raised ValueError on equal
+    # values, and hash raised TypeError
+    model = make_cone(2)
+    t = np.logspace(-3, -1, 5)
+    makers = (lambda: SymMatrix(np.eye(2)),
+              lambda: BlockSymMatrix(2, np.zeros((3, 3))),
+              lambda: ConePoint(2, np.ones(5)),
+              lambda: normal_ray(model, 0.5),
+              lambda: ProbeReport(2, "exact", t, t, t, 1.0, 0.0, 1.0),
+              lambda: NumericResidual(ConePoint(2, np.ones(5)), 1.0, 1.0, 0.0))
+    for make in makers:
+        a, b = make(), make()
+        assert (a == b) is False and (a == a) is True
+        assert {a: 1}[a] == 1 and isinstance(hash(b), int)
 
 
 def test_from_lmi_guards():

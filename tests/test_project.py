@@ -84,11 +84,46 @@ def test_solve_stats_json_dict(models):
     _, stats = project_cone(models[2], q, CFG)
     d = stats.to_json_dict()
     assert set(d) == {"iterations", "final_residual", "converged",
-                      "exit_reason"}
+                      "exit_reason", "newton_steps"}
     assert isinstance(d["iterations"], int)
+    assert isinstance(d["newton_steps"], int) and d["newton_steps"] > 0
     assert isinstance(d["final_residual"], float)
     assert isinstance(d["converged"], bool)
     assert d["exit_reason"] in project_module.EXIT_REASONS
+
+
+def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
+    # a cone solve sums the steps of each refinement attempt, failed ones
+    # too; the fixed point sums its inner solves; Dykstra takes none
+    attempts, inner = [], []
+    newton, solve = project_module._newton_polish, project_module._project_cone_arr
+
+    def recording_newton(*args):
+        out = newton(*args)
+        attempts.append(args[5][-1])
+        return out
+
+    def recording_solve(*args):
+        out = solve(*args)
+        inner.append(out[1].newton_steps)
+        return out
+
+    monkeypatch.setattr(project_module, "_newton_polish", recording_newton)
+    rng = np.random.default_rng(2)
+    most = 0
+    for _ in range(20):
+        attempts.clear()
+        _, stats = project_cone(models[2], ConePoint(2, rng.standard_normal(5)),
+                                CFG)
+        assert stats.newton_steps == sum(attempts)
+        most = max(most, len(attempts))
+    assert most > 1
+    monkeypatch.setattr(project_module, "_project_cone_arr", recording_solve)
+    X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
+    _, stats = project_slice_fixedpoint(models[2], X, CFG)
+    assert stats.newton_steps == sum(inner) > 0
+    _, stats = project_slice_dykstra(models[2], X, CFG)
+    assert stats.newton_steps == 0
 
 
 def test_project_cone_fixes_members(models):
@@ -227,29 +262,37 @@ def test_iterate_checkpoints_at_doublings_and_every_exit():
     assert run(falling, 20) == ([20], ("budget", 20))
 
 
-def test_warm_path_solves_refine_first_at_64():
-    # a solve that refills a warm holder runs one doubling longer before
-    # its first refinement; a one-off solve refines first at 32
+def test_one_off_and_warm_solves_refine_first_at_32():
+    # a solve that fills a warm holder refines first at iteration 32, as a
+    # one-off solve does, and the holder keeps the certified J and nu
     model = make_cone(4)
     q = np.random.default_rng(0).standard_normal(9)
-    _, cold = project_module._project_cone_arr(model, q, CFG)
-    _, warm = project_module._project_cone_arr(model, q, CFG,
-                                               project_module._WarmStart())
+    p_cold, cold = project_module._project_cone_arr(model, q, CFG)
+    warm = project_module._WarmStart()
+    p_warm, stats = project_module._project_cone_arr(model, q, CFG, warm)
     assert (cold.iterations, cold.exit_reason) == (32, "certified")
-    assert (warm.iterations, warm.exit_reason) == (64, "certified")
+    assert stats == cold and np.array_equal(p_warm, p_cold)
+    assert warm.J and len(warm.nu) == len(warm.J)
+    # a solve that does not end on a refinement leaves no held set
+    project_module._project_cone_arr(model, np.eye(9)[2], CFG, warm)
+    assert warm.J is None and warm.nu is None
 
 
-def test_warm_start_is_checkpoint_0():
+def test_warm_start_is_checkpoint_0(monkeypatch):
     # the warm start's refinement ends the solve under the loop's one rule:
     # certified, and converged only when its residual is within tol
     model = make_cone(4)
     q = np.random.default_rng(0).standard_normal(9)
     warm = project_module._WarmStart()
     project_module._project_cone_arr(model, q, CFG, warm)
+    held = warm.J
+    # Newton starts on the held J from the held nu: no least-squares solve
+    monkeypatch.setattr(project_module, "dgelsd", None)
     _, stats = project_module._project_cone_arr(
         model, q, SolverConfig(tol=1e-18), warm)
     assert ((stats.iterations, stats.converged, stats.exit_reason)
             == (0, False, "certified"))
+    assert warm.J == held
 
 
 def test_hopeless_refinement_gives_up_early(monkeypatch):
@@ -596,8 +639,8 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
     model, qs = _apex_case()
     calls = []
 
-    def recording(model_, q, p, dual):
-        out = _attempt_polish(model_, q, p, dual)
+    def recording(model_, q, p, dual, *rest):
+        out = _attempt_polish(model_, q, p, dual, *rest)
         calls.append((q, p, out))
         return out
 
@@ -609,7 +652,7 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
             model, q, SolverConfig(tol=1e-13))
         assert stats.converged
         assert calls and calls[-1][2] is not None
-        p_hat, cert = calls[-1][2]
+        p_hat, cert = calls[-1][2][:2]
         # the refinement runs on q / ||q||; the solver scales its answer back
         assert np.array_equal(p, math.hypot(*q) * p_hat) and cert <= 1e-13
         inside, _ = membership_cone(model, ConePoint(4, p), tol=1e-13)
@@ -633,10 +676,10 @@ def test_newton_polish_initial_multipliers_are_least_norm(monkeypatch):
     newton, kkt = project_module._newton_polish, project_module._kkt_residual
     pending, starts = [], []
 
-    def recording_newton(model_, q, p0, J):
+    def recording_newton(model_, q, p0, J, *rest):
         pending[:] = [(q, p0, J)]
         try:
-            return newton(model_, q, p0, J)
+            return newton(model_, q, p0, J, *rest)
         finally:
             pending.clear()
 
