@@ -14,12 +14,12 @@ this transfer is recorded here as a documented claim, while measurements
 are made on the polar side only.
 
 Numeric mode walks the grid as a path, from t_max down to t_min, with one
-warm holder: each finite-difference solve starts from the previous grid
-point's certified answer, where the certified Newton refinement usually
-accepts at once, and falls back to ADMM from the previous dual when it
-does not. Each base fixed-point check starts from a copy of the holder, so
-its answer (the apex) never becomes the next start. The walk is serial
-and deterministic.
+warm holder: each finite-difference solve first tries the previous grid
+point's certified refinement (its answer, active set and multipliers),
+which usually certifies at once, and falls back to ADMM from zeros, whose
+refinements try the held active set first, when it does not. Each base
+fixed-point check starts from a copy of the holder, so its answer (the
+apex) never becomes the next start. The walk is serial and deterministic.
 """
 
 from __future__ import annotations

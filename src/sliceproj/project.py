@@ -53,19 +53,19 @@ checkpoints, the exit reason and one debug log line per exit.
 
 Callers that solve a path of nearby cone projections (the numeric probe's
 grid, the fixed-point projector's outer loop) pass a private warm holder,
-_WarmStart, to each solve. The solver leaves its answer and ADMM state
-(p, Z, U) there, and, when a refinement certified the answer, its active
-set J and rescaled multipliers nu. The next solve's checkpoint 0 tries
-the certified refinement from that answer before any iteration, and ends
-with 0 iterations when the certificate holds; otherwise it runs ADMM
-from the held (Z, U). Each refinement of that solve tries the held J
-first, with Newton started from the held nu instead of least-squares
-multipliers, and then the usual candidate sets. This is continuation
-along the path without a predictor: nearby inputs share their active
-set, and their multipliers are close, so Newton starts near its
-quadratic region. The certificate, not the
-start, decides acceptance, so a stale holder costs time, never accuracy.
-project_cone passes no holder: one-off solves start from zero.
+_WarmStart, to each solve. It holds the last certified refinement only:
+its answer p, active set J and rescaled multipliers nu, or nothing when
+the last solve did not end on one. The next solve's checkpoint 0 tries
+the held J, with Newton started from the held nu at the held answer,
+before any iteration, and ends with 0 iterations when the certificate
+holds. Otherwise ADMM runs from zeros, as in a one-off solve, and each of
+its refinements tries the held J first, from the held nu, then the usual
+candidate sets. This is continuation along the path without a
+predictor: nearby inputs share their active set, and their multipliers
+are close, so Newton starts near its quadratic region. The certificate,
+not the start, decides acceptance, and ADMM never starts from held
+state, so a stale holder costs a few refinement attempts, never
+accuracy. project_cone passes no holder.
 
 The ConeModel is immutable, so solves may share one across threads; do
 not share a warm holder, which is mutable state owned by the one path
@@ -268,22 +268,16 @@ def _gelsd_work(m: int, n: int) -> tuple:
 
 
 def _kkt_residual(Bs: np.ndarray, q: np.ndarray, u: np.ndarray,
-                  out: np.ndarray | None = None,
-                  Bpi: np.ndarray | None = None) -> np.ndarray:
-    """Residual of the rescaled KKT system at u = (mu, pi, nu).
+                  out: np.ndarray, Bpi: np.ndarray) -> np.ndarray:
+    """Residual of the rescaled KKT system at u = (mu, pi, nu), written
+    into out (a float array shaped like u) and returned.
 
     Rows: stationarity mu pi - q - 2 sum_k nu_k B_k pi, the active block
     determinants pi^T B_k pi, and the normalisation pi^T pi - 1. Bs stacks
-    the active forms B_k as an (nJ, d, d) array; Bpi is Bs @ pi when the
-    caller has it already. The residual is written into out when given (a
-    float array shaped like u), else into a new array.
+    the active forms B_k as an (nJ, d, d) array, and Bpi is Bs @ pi.
     """
     d = q.shape[0]
     pi, nu = u[1:1 + d], u[1 + d:]
-    if Bpi is None:
-        Bpi = Bs @ pi
-    if out is None:
-        out = np.empty(u.shape[0])
     stat = out[:d]
     np.multiply(u[0], pi, out=stat)
     stat -= q
@@ -293,19 +287,12 @@ def _kkt_residual(Bs: np.ndarray, q: np.ndarray, u: np.ndarray,
     return out
 
 
-def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray, Bpi: np.ndarray | None = None,
-                  Bs_flat: np.ndarray | None = None) -> np.ndarray:
-    """Jacobian of :func:`_kkt_residual` with respect to u.
-
-    Bpi (Bs @ pi) and Bs_flat (Bs reshaped to (nJ, d * d)) may be passed
-    precomputed.
-    """
-    nJ, d = Bs.shape[:2]
+def _kkt_jacobian(Bs: np.ndarray, u: np.ndarray, Bpi: np.ndarray,
+                  Bs_flat: np.ndarray) -> np.ndarray:
+    """Jacobian of :func:`_kkt_residual` with respect to u, given Bpi
+    (Bs @ pi) and Bs_flat (Bs reshaped to (nJ, d * d))."""
+    d = Bs.shape[1]
     mu, pi, nu = u[0], u[1:1 + d], u[1 + d:]
-    if Bpi is None:
-        Bpi = Bs @ pi
-    if Bs_flat is None:
-        Bs_flat = Bs.reshape(nJ, d * d)
     # Fortran order, which LAPACK takes without a copy
     jac = np.zeros((u.shape[0], u.shape[0]), order="F")
     jac[:d, 0] = pi
@@ -331,10 +318,13 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     thresholds are relative to ||q||, and nu belongs to the unit-norm
     problem.
 
-    Newton starts from nu0 when given (the multipliers a warm path last
-    certified on J), else from the least-norm least-squares multipliers
-    at (mu, pi). steps, if given, is a list to which the attempt appends
-    the number of Newton steps it took.
+    Newton starts at mu = ||p0||, pi = p0 / mu, however small mu is: a
+    warm path's held answer near the apex has norm far below ||q||, but
+    its direction is exact. Only p0 = 0, which has no direction, is
+    refused. nu starts from nu0 when given (the multipliers a warm path
+    last certified on J), else from the least-norm least-squares
+    multipliers at (mu, pi). steps, if given, is a list to which the
+    attempt appends the number of Newton steps it took.
 
     Damped Newton stops early once it stops making progress: when the
     line search needs a step shorter than 2^-_NEWTON_HALVINGS, or when the
@@ -351,7 +341,7 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     """
     d = model.dim()
     mu = _norm(p0)
-    if not mu > 1e-13:
+    if mu == 0.0:
         return None
     pi = p0 / mu
     Bs = model.det_forms[J]
@@ -373,7 +363,7 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
             return None
         u[1 + d:] = nu[:nJ]
 
-    fu = _kkt_residual(Bs, q, u, None, Bpi)
+    fu = _kkt_residual(Bs, q, u, np.empty_like(u), Bpi)
     f_try = np.empty_like(fu)
     best = float(np.abs(fu).max())
     norms = [_norm(fu)]
@@ -418,7 +408,7 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
 
 
 def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
-                    dual_flat: np.ndarray, held, steps: list):
+                    dual_flat: np.ndarray | None, held, steps: list):
     """Try active-set candidates for the refinement, in order.
 
     held is None or the (J, nu) a warm path last certified: its J is
@@ -426,13 +416,17 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
     derived from the dual iterate, from the primal iterate and all blocks,
     each from its least-squares multipliers; each is derived only when the
     ones before it failed, and a set already tried from least squares is
-    skipped (the held J is tried again from least squares). Returns
-    (p_hat, certificate_residual, J, nu) of the first certified
-    refinement, or None. steps is passed to each :func:`_newton_polish`.
+    skipped (the held J is tried again from least squares). With no dual
+    iterate (dual_flat None, a warm solve's checkpoint 0) only the held J
+    is tried. Returns (p_hat, certificate_residual, J, nu) of the first
+    certified refinement, or None. steps is passed to each
+    :func:`_newton_polish`.
     """
     def candidates():
         if held is not None:
             yield held
+        if dual_flat is None:
+            return
         dual_rows = np.abs(dual_flat.reshape(-1, 3)).max(axis=1)
         dual_ref = max(float(dual_rows.max()), 1e-300)
         yield np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist(), None
@@ -456,12 +450,12 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
 
 @dataclass
 class _WarmStart:
-    """The last answer p and ADMM state (Z, U) along a path of cone solves,
-    and the active set J and rescaled multipliers nu that certified p.
+    """The last certified refinement along a path of cone solves: its
+    answer p, active set J and rescaled multipliers nu.
 
     A caller that solves a sequence of nearby projections creates one and
     passes it to each :func:`_project_cone_arr` call; the solver refills it
-    on return. J and nu are None unless that solve ended on a certified
+    on return. All three are None unless that solve ended on a certified
     refinement. nu belongs to the unit-norm problem, so it carries over
     between inputs of different ||q||. Arrays and lists are replaced,
     never written in place, so ``dataclasses.replace(warm)`` is an
@@ -469,8 +463,6 @@ class _WarmStart:
     """
 
     p: np.ndarray | None = None
-    Z: np.ndarray | None = None
-    U: np.ndarray | None = None
     J: list | None = None
     nu: np.ndarray | None = None
 
@@ -480,12 +472,13 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     """ADMM projection onto the cone, on raw coordinate arrays.
 
     Projection onto a cone is positively homogeneous, so the solve runs on
-    the unit vector u = q / ||q|| and its answer and ADMM state are scaled
-    back by ||q||: tol, the stall test and the refinement's thresholds are
-    relative to ||q|| by construction. ||q|| is computed without overflow
-    or underflow in intermediate steps (math.hypot), so a power-of-two
-    rescaling of q rescales the answer bitwise and leaves the iteration
-    count unchanged; a q with ||q|| above the largest double is rejected.
+    the unit vector u = q / ||q|| and its answer is scaled back by ||q||:
+    tol, the stall test and the refinement's thresholds are relative to
+    ||q|| by construction. ||q|| is computed without overflow or underflow
+    in intermediate steps (math.hypot), so a power-of-two rescaling of q
+    rescales the answer bitwise and leaves the iteration count unchanged;
+    a q with ||q|| above the largest double is rejected. q = 0 and q in
+    the cone are their own projections.
 
     Splitting: p-update solves (I + A*A) p = u + A*(Z - U), Z-update is
     the blockwise PSD projection of A p + U, U is the scaled dual. The
@@ -493,64 +486,33 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     admm_minv and admm_gain. A p is formed from p, not as a product of
     (Z - U) with A K: at the apex the d entries of p can cancel to exactly
     0, while A K (Z - U) keeps a rounding floor in every block entry.
-    Stops on max(primal, dual) residual <= tol, on a certified refinement,
-    or when the residual stalls at its attainable floor.
+    ADMM always starts from Z = U = 0. It stops on max(primal, dual)
+    residual <= tol, on a certified refinement, or when the residual
+    stalls at its attainable floor. Each refinement runs at one of the
+    loop's checkpoints; a certified one ends the solve, converged when its
+    certificate residual is within tol.
 
-    With a filled warm holder (absolute p, Z, U, divided by ||q|| here,
-    and the scale-free J, nu), the refinement's checkpoint 0 tries the
-    holder's answer and dual before any iteration; a certified refinement
-    there ends the solve with 0 iterations, under the same rule as every
-    later checkpoint. Otherwise ADMM starts from the holder's (Z, U)
-    instead of zeros. Every refinement of the solve tries the held J, from
-    the held nu, first.
+    With a filled warm holder, checkpoint 0 tries the held J alone, from
+    the held nu, at the held answer divided by ||q||, before any
+    iteration; a certified refinement there ends the solve with 0
+    iterations. Every later refinement of the solve tries the held J
+    first. The holder is left with this solve's certified refinement, or
+    emptied.
     """
-    W = model.lmi_weighted
-    m = W.shape[0]
     qn = _input_norm(q)
-    certified = None
-    if qn == 0.0:
-        # the ADMM fixed point at q = 0, and for q in the cone below
-        p, Z, U = np.zeros(model.dim()), np.zeros(m), np.zeros(m)
-        stats = _ZERO_STATS
-    else:
-        u = q / qn
-        if _block_min_eigs(model, u).min() >= -1e-13:
-            p, Z, U = q.copy(), W @ q, np.zeros(m)
-            stats = _ZERO_STATS
-        else:
-            start = None
-            if warm is not None and warm.p is not None:
-                held = None if warm.J is None else (warm.J, warm.nu)
-                start = (warm.p / qn, warm.Z / qn, warm.U / qn, held)
-            p, Z, U, stats, certified = _admm(model, u, cfg, start)
-            p, Z, U = qn * p, qn * Z, qn * U
-    if warm is not None:
-        warm.p, warm.Z, warm.U = p, Z, U
-        warm.J, warm.nu = certified or (None, None)
-    return p, stats
-
-
-def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
-    """The ADMM loop of :func:`_project_cone_arr` on the unit vector u.
-
-    start is None or the warm (p, Z, U) divided by ||q||, with the held
-    (J, nu) or None. The refinement runs at checkpoint 0 on a warm start,
-    then at iteration _FIRST_POLISH and the loop's later checkpoints, each
-    time trying the held J first; at each, a certified refinement ends the
-    solve, converged when its certificate residual is within tol. Returns
-    (p, Z, U, stats) of the unit-norm problem, and the (J, nu) of a
-    certified refinement or None.
-    """
+    if qn == 0.0 or _block_min_eigs(model, q / qn).min() >= -1e-13:
+        if warm is not None:
+            warm.p = warm.J = warm.nu = None
+        return q.copy(), _ZERO_STATS
+    u = q / qn
+    held = None if warm is None or warm.p is None else (warm.J, warm.nu)
     W = model.lmi_weighted
     WT = W.T
-    if start is None:
-        p, Z, U, held = None, np.zeros(W.shape[0]), np.zeros(W.shape[0]), None
-    else:
-        p, Z, U, held = start
     gain = model.admm_gain
     p0 = model.admm_minv @ u
+    p, Z, U = None, np.zeros(W.shape[0]), np.zeros(W.shape[0])
     steps = []
-    certified = None
+    certified = (None, None)
 
     def step():
         nonlocal p, Z, U
@@ -565,7 +527,7 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
 
     def polish(k):
         nonlocal p, certified
-        refined = _attempt_polish(model, u, p, U, held, steps)
+        refined = _attempt_polish(model, u, p, U if k else None, held, steps)
         if refined is None:
             return None
         p, cert_res, J, nu = refined
@@ -573,14 +535,18 @@ def _admm(model: ConeModel, u: np.ndarray, cfg: SolverConfig, start):
         return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
 
     stats = None
-    if start is not None:
-        # a warm start is the refinement's checkpoint 0
+    if held is not None:
+        p = warm.p / qn
         stats = polish(0)
         if stats is not None:
             _log_exit("cone projection", stats)
     if stats is None:
         stats = _iterate(step, cfg, "cone projection", checkpoint=polish)
-    return p, Z, U, replace(stats, newton_steps=sum(steps)), certified
+    p = qn * p
+    if warm is not None:
+        warm.J, warm.nu = certified
+        warm.p = None if warm.J is None else p
+    return p, replace(stats, newton_steps=sum(steps))
 
 
 def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):

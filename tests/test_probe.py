@@ -96,23 +96,37 @@ def test_fd_step_below_solver_accuracy_is_a_numeric_failure(models):
                 probe_semismoothness(models[n], "numeric", fd_step=fd_step)
     with pytest.raises(NumericFailureError, match="vanishes or overflows"):
         residual_numeric(models[2], 0.1, CFG, fd_step=1e-300)
-    # 1e-10 still resolves the residual at n = 2, at the solve's rounding
-    # floor, so the slope is pinned to its measured value
-    report = probe_semismoothness(models[2], "numeric", fd_step=1e-10)
-    assert report.fitted_slope == pytest.approx(1.286, abs=1e-3)
-    assert abs(report.fitted_slope - models[2].lam) <= 0.1
+    # at 1e-10 the cone part at n = 2 and t <= 6e-4 is 6e-17 to 6e-16 of
+    # ||q||, below the solve's accuracy: residuals fitted there were
+    # rounding noise, 12 % to 224 % off the closed form
+    with pytest.raises(NumericFailureError, match="fd_step=1e-10 is below"):
+        probe_semismoothness(models[2], "numeric", fd_step=1e-10)
 
 
-def test_probe_numeric_coarse_step_passes_n2_to_12():
+def test_probe_numeric_coarse_step_passes_n2_to_12(monkeypatch):
     # at n = 10 a warm refinement certified just above the probe's tight
     # tol (1e-13) used to be rejected, and at n = 11 and 12 Newton from
     # least-squares multipliers ran out of steps; each time ADMM then ran
-    # its whole budget until the probe raised. Every residual matches the
-    # closed form within the step's bias.
+    # its whole budget until the probe raised. At the default step the
+    # last grid points at n >= 8 then ran 4160-12544 ADMM iterations,
+    # because a held answer below 1e-13 of ||q|| was not refined. At the
+    # coarse step every residual matches the closed form within the
+    # step's bias.
+    iterations = []
+
+    def counting(*args):
+        out = _project_cone_arr(*args)
+        iterations.append(out[1].iterations)
+        return out
+
+    monkeypatch.setattr(probe_module, "_project_cone_arr", counting)
     for n in range(2, 13):
         model = make_cone(n)
-        report = probe_semismoothness(model, "numeric", fd_step=1e-4)
-        assert abs(report.fitted_slope - model.lam) <= 0.1, n
+        for fd_step in (probe_module.DEFAULT_FD_STEP, 1e-4):
+            iterations.clear()
+            report = probe_semismoothness(model, "numeric", fd_step=fd_step)
+            assert abs(report.fitted_slope - model.lam) <= 0.1, (n, fd_step)
+            assert sum(iterations) <= 64, (n, fd_step, sum(iterations))
         exact = [residual_exact(model, float(t))[1] for t in report.t_grid]
         assert report.residual_norms == pytest.approx(exact, rel=1e-4), n
 
@@ -274,14 +288,18 @@ def test_stale_warm_start_falls_back_to_cold_answer(models):
                     + 1e-6 * curve_step(model, t).coords)
 
         q = fd_point(1e-3)
-        cold, _ = _project_cone_arr(model, q, tight)
+        cold, cold_stats = _project_cone_arr(model, q, tight)
         # a far grid point's answer, and a random point's answer, whose
-        # active set the refinement cannot certify at q: ADMM must run
+        # active set the refinement cannot certify at q: ADMM must run, and
+        # from zeros, so no longer than the cold solve (ADMM from the
+        # random holder's state once ran 131072 iterations at n = 12,
+        # against 32)
         for stale in (fd_point(0.5), 5.0 * rng.standard_normal(model.dim())):
             warm = _WarmStart()
             _project_cone_arr(model, stale, tight, warm)
             p, stats = _project_cone_arr(model, q, tight, warm)
             assert stats.converged
+            assert stats.iterations <= cold_stats.iterations, n
             assert np.linalg.norm(p - cold) <= 1e-9 * np.linalg.norm(q)
             assert warm.p is p
         assert stats.iterations > 0

@@ -273,9 +273,9 @@ def test_one_off_and_warm_solves_refine_first_at_32():
     assert (cold.iterations, cold.exit_reason) == (32, "certified")
     assert stats == cold and np.array_equal(p_warm, p_cold)
     assert warm.J and len(warm.nu) == len(warm.J)
-    # a solve that does not end on a refinement leaves no held set
+    # a solve that does not end on a refinement empties the holder
     project_module._project_cone_arr(model, np.eye(9)[2], CFG, warm)
-    assert warm.J is None and warm.nu is None
+    assert warm == project_module._WarmStart()
 
 
 def test_warm_start_is_checkpoint_0(monkeypatch):
@@ -659,13 +659,17 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
         assert inside
         # the stacked residual and Jacobian match the per-block loops
         Bs = model.det_forms
+        nJ, d = Bs.shape[:2]
         for q_, p_, _ in calls:
             u = np.concatenate([[np.linalg.norm(p_) + 0.5], p_ + 0.1,
-                                rng.standard_normal(len(Bs))])
-            assert np.allclose(_kkt_residual(Bs, q_, u),
+                                rng.standard_normal(nJ)])
+            Bpi = Bs @ u[1:1 + d]
+            assert np.allclose(_kkt_residual(Bs, q_, u, np.empty_like(u), Bpi),
                                _loop_kkt_residual(Bs, q_, u),
                                rtol=0.0, atol=1e-13)
-            assert np.allclose(_kkt_jacobian(Bs, u), _loop_kkt_jacobian(Bs, u),
+            assert np.allclose(_kkt_jacobian(Bs, u, Bpi,
+                                             Bs.reshape(nJ, d * d)),
+                               _loop_kkt_jacobian(Bs, u),
                                rtol=0.0, atol=1e-13)
 
 
@@ -715,6 +719,7 @@ def test_newton_polish_returns_none_on_singular_jacobian():
     Bs = model.det_forms[[0]]
     assert not Bs[:, :, :2].any()
     u = np.concatenate([[1.0], p0, [0.0]])
-    assert not _kkt_jacobian(Bs, u)[:, 1 + d:].any()
-    assert np.abs(_kkt_residual(Bs, q, u)).max() > 1e-3
+    Bpi = Bs @ p0
+    assert not _kkt_jacobian(Bs, u, Bpi, Bs.reshape(1, d * d))[:, 1 + d:].any()
+    assert np.abs(_kkt_residual(Bs, q, u, np.empty_like(u), Bpi)).max() > 1e-3
     assert project_module._newton_polish(model, q, p0, [0]) is None
