@@ -117,16 +117,6 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
-def _residual_norm_any(model, t: float) -> float:
-    """Exact residual norm, extended by continuity to the endpoints."""
-    if 0.0 < t < 1.0:
-        return residual_exact(model, t)[1]
-    if t == 0.0:
-        return 0.0
-    w = normal_curve(model, t)
-    return 1.0 / w.norm()
-
-
 def cmd_probe(args) -> int:
     model = make_cone(args.n)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
@@ -204,7 +194,7 @@ def cmd_curves(args) -> int:
         w = normal_curve(model, t)
         row = ([t] + list(v.coords) + list(w.coords)
                + [float(v.coords @ w.coords), curve_step(model, t).norm(),
-                  _residual_norm_any(model, t)])
+                  residual_exact(model, t)[1]])
         lines.append(",".join(format(val, ".17g") for val in row))
         if not membership_polar_shadow((v.x1, v.x2, v.x3), model, tol=1e-9):
             raise NumericFailureError(f"curve point at t={t:g} left the "

@@ -21,6 +21,7 @@ concurrent workers; every operation here is a pure function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,9 +178,15 @@ class ConeModel:
         return 2 * self.n + 1
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is an int too, but True would
+    silently mean 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def make_cone(n: int) -> ConeModel:
     """Build the ConeModel for index n (2 <= n <= 12)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not _is_int(n):
         raise InvalidInputError("n must be an integer")
     if n < N_MIN or n > N_MAX:
         raise InvalidInputError(f"n must be >= {N_MIN} and <= {N_MAX}")
@@ -329,38 +336,6 @@ def step_normal_inner(model: ConeModel, t: float) -> float:
     """
     t = _check_t(t)
     return one_minus_pow_one_minus(t ** model.lam, 1.0 / model.kappa)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalRay:
-    """A boundary point of the polar cone together with the generator of the
-    normal ray there: the normal cone is the half-line spanned by the
-    generator, which lies in the cone and is orthogonal to the base."""
-
-    base: ConePoint
-    generator: ConePoint
-
-
-def normal_ray(model: ConeModel, t: float) -> NormalRay:
-    """Normal-ray data of the polar cone along the counterexample curve."""
-    return NormalRay(base=polar_curve(model, t), generator=normal_curve(model, t))
-
-
-def tangent_project(ray: NormalRay, d: ConePoint) -> ConePoint:
-    """Project d onto the tangent cone at the ray's base point.
-
-    The normal cone there is a single ray, so the tangent cone is the
-    half-space {d : <d, w> <= 0} and the projection strips the positive
-    multiple of the generator: d - max(0, <d, w>) / ||w||^2 * w.
-    """
-    if d.n != ray.generator.n:
-        raise InvalidInputError("dimension mismatch between ray and direction")
-    w = ray.generator.coords
-    w_sq = float(w @ w)
-    if w_sq == 0.0:
-        raise InvalidInputError("invalid ray: zero generator")
-    coef = max(0.0, float(d.coords @ w)) / w_sq
-    return ConePoint(d.n, d.coords - coef * w)
 
 
 def holder_gap(x, y, p: float) -> float:

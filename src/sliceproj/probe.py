@@ -5,9 +5,10 @@ projection at the curve's base point: with h(t) the curve step, the
 residual r(t) = h - Pi'(base; h) scales like t^lam while ||h|| scales like
 t, so the fitted slope of log r against log t recovers lam and the implied
 semismoothness order is slope - 1, to be compared against lam - 1. Exact
-mode evaluates the closed form of the residual; numeric mode reproduces it
-from projection solves and a one-sided finite difference, with no use of
-the closed form.
+mode evaluates the residual's closed form, :func:`residual_exact`, the
+package's one copy of it; numeric mode reproduces the residual from
+projection solves and a one-sided finite difference, with no use of the
+closed form.
 
 The projection onto the cone itself shares the polar projection's order;
 this transfer is recorded here as a documented claim, while measurements
@@ -30,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import (ConeModel, ConePoint, curve_step, normal_curve, normal_ray,
-                    polar_curve, step_normal_inner, tangent_project)
+from .cones import (ConeModel, ConePoint, _is_int, curve_step, normal_curve,
+                    polar_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
 from .project import SolverConfig, _project_cone_arr, _WarmStart
 
@@ -77,14 +78,15 @@ class ProbeReport:
 
 
 def residual_exact(model: ConeModel, t: float):
-    """Closed-form residual vector and norm at curve parameter t in (0, 1).
+    """Closed-form residual vector and norm at curve parameter t in [0, 1].
 
-    The residual is the normal-ray component of the curve step: the inner
-    product 1 - (1 - t^lam)^(1/kappa) (evaluated cancellation-safely) times
-    the unit-normalized generator.
+    The residual is the normal-ray component of the curve step h: the normal
+    cone at the base point is the ray spanned by the generator w, so
+    h - Pi'(base; h) = max(0, <h, w>) / ||w||^2 * w, and <h, w> is the
+    nonnegative 1 - (1 - t^lam)^(1/kappa) (evaluated cancellation-safely).
+    The formula is continuous on the closed interval: 0 at t = 0 and
+    1 / ||w(1)|| at t = 1. Raises InvalidInputError for t outside [0, 1].
     """
-    if not (0.0 < t < 1.0):
-        raise InvalidInputError("residual_exact requires t strictly inside (0, 1)")
     w = normal_curve(model, t)
     inner = step_normal_inner(model, t)
     w_sq = float(w.coords @ w.coords)
@@ -92,31 +94,15 @@ def residual_exact(model: ConeModel, t: float):
     return vec, inner / math.sqrt(w_sq)
 
 
-@dataclass(frozen=True, eq=False)
-class NumericResidual:
-    """Solver-based residual at one grid point.
-
-    vector and norm come from the finite-difference variant; norm_analytic
-    is the tangent-projection variant, and discrepancy is the distance
-    between the two residual vectors.
-    """
-
-    vector: ConePoint
-    norm: float
-    norm_analytic: float
-    discrepancy: float
-
-
 def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None,
-                     fd_step: float = DEFAULT_FD_STEP) -> NumericResidual:
-    """Measure the residual at t from projections alone.
+                     fd_step: float = DEFAULT_FD_STEP):
+    """Measure the residual vector and norm at t in (0, 1) from projections
+    alone, in the shape :func:`residual_exact` returns.
 
     Asserts that both curve endpoints are fixed points of the polar
-    projection, then evaluates the directional derivative two ways: the
-    analytic tangent projection along the lemma-backed normal ray, and a
-    one-sided finite difference of the polar projection (the directional
-    derivative of a projection is a one-sided object, so no central
-    differencing). Returns the finite-difference residual with both norms.
+    projection, then takes a one-sided finite difference of the polar
+    projection (the directional derivative of a projection is a one-sided
+    object, so no central differencing).
     """
     cfg = cfg or SolverConfig()
     if not (0.0 < t < 1.0):
@@ -125,15 +111,7 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
         raise InvalidInputError("fd_step must be finite and positive")
     _check_polar_fixed_point(model, 0.0, cfg)
     r_fd, norm = _residual_at(model, t, cfg, fd_step)
-    # analytic variant: strip the normal component
-    h = curve_step(model, t)
-    r_analytic = h.coords - tangent_project(normal_ray(model, t), h).coords
-    return NumericResidual(
-        vector=ConePoint(model.n, r_fd),
-        norm=norm,
-        norm_analytic=float(np.linalg.norm(r_analytic)),
-        discrepancy=float(np.linalg.norm(r_fd - r_analytic)),
-    )
+    return ConePoint(model.n, r_fd), norm
 
 
 def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
@@ -197,6 +175,8 @@ def fit_exponent(t_grid, residual_norms):
         raise InvalidInputError("fit_exponent requires matching 1-d grids")
     if len(t_grid) < 5:
         raise InvalidInputError("fit_exponent requires at least 5 points")
+    if not (np.all(np.isfinite(t_grid)) and np.all(np.isfinite(residual_norms))):
+        raise InvalidInputError("fit_exponent requires finite values")
     if np.any(residual_norms <= 0.0):
         raise InvalidInputError("fit_exponent requires positive residuals")
     if np.any(t_grid <= 0.0):
@@ -218,7 +198,7 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     """Run the scaling probe on a log-spaced grid and fit the exponent.
 
     Exact mode uses the closed-form residual; numeric mode uses the
-    finite-difference variant of :func:`residual_numeric`, checking the
+    finite difference of :func:`residual_numeric`, checking the
     shared t = 0 endpoint once for the whole grid and warm-starting each
     grid point's solves from the next larger t's answer. The implied
     order is the fitted slope minus one, reported against lam - 1 (since
@@ -229,6 +209,8 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
         raise InvalidInputError(f"unknown probe mode {mode!r}")
     if not (0.0 < t_min < t_max < 1.0):
         raise InvalidInputError("grid endpoints must satisfy 0 < t_min < t_max < 1")
+    if not _is_int(points):
+        raise InvalidInputError(f"points must be an integer, got {points!r}")
     if points < 5:
         raise InvalidInputError("grid needs at least 5 points")
     cfg = cfg or SolverConfig()
@@ -273,20 +255,6 @@ def report_to_json(report: ProbeReport) -> str:
         "target_lambda": report.target_lambda,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> ProbeReport:
-    raw = json.loads(text)
-    return ProbeReport(
-        n=raw["n"],
-        mode=raw["mode"],
-        t_grid=np.array(raw["t_grid"]),
-        h_norms=np.array(raw["h_norms"]),
-        residual_norms=np.array(raw["residual_norms"]),
-        fitted_slope=raw["fitted_slope"],
-        implied_order=raw["implied_order"],
-        target_lambda=raw["target_lambda"],
-    )
 
 
 def report_to_csv(report: ProbeReport) -> str:

@@ -80,12 +80,12 @@ import functools
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgesv
 
-from .cones import ConeModel, ConePoint, _unweighted, _weighted
+from .cones import ConeModel, ConePoint, _is_int, _unweighted, _weighted
 from .errors import InvalidInputError
 from .symmat import RT2, BlockSymMatrix, SymMatrix, block_min_eigs, psd_clip_flat
 # unused here: perfbench installs its symmat.jacobi, project.factor and
@@ -133,8 +133,7 @@ class SolverConfig:
         if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
                 or not (0.0 < self.tol < math.inf)):
             raise InvalidInputError("tol must be positive and finite")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, numbers.Integral)):
+        if not _is_int(self.max_iter):
             raise InvalidInputError("max_iter must be an integer")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
@@ -176,13 +175,7 @@ class SolveStats:
             raise ValueError(f"unknown exit reason {self.exit_reason!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-            "exit_reason": self.exit_reason,
-            "newton_steps": self.newton_steps,
-        }
+        return asdict(self)
 
 
 # the exact answer at a zero input, and for a cone solve of a cone member

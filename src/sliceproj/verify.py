@@ -14,7 +14,6 @@ full strength as its criteria.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,22 +294,17 @@ def _groups(n_max):
     )
 
 
-def _is_int(value):
-    # a bool is an int too, but True would silently mean 1
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def run_verify(n_max: int = 4, seed: int = 12345):
     """Run every invariant group; returns the ordered list of GroupResult.
 
     Raises InvalidInputError unless n_max is an integer in [2, 12] and seed
     a non-negative integer (Python or numpy ints, not bools).
     """
-    if not _is_int(n_max):
+    if not cones._is_int(n_max):
         raise InvalidInputError(f"n_max must be an integer, got {n_max!r}")
     if not 2 <= n_max <= 12:
         raise InvalidInputError(f"n_max must lie in [2, 12], got {n_max}")
-    if not _is_int(seed) or seed < 0:
+    if not cones._is_int(seed) or seed < 0:
         raise InvalidInputError(
             f"seed must be a non-negative integer, got {seed!r}")
     results = []

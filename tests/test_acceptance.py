@@ -56,9 +56,9 @@ def test_criterion_3_numeric_mode_agreement():
         model = MODELS[n]
         for t in (1e-3, 1e-2, 1e-1):
             _, exact_norm = residual_exact(model, t)
-            numeric = residual_numeric(model, t, CFG, fd_step=1e-6)
+            _, numeric_norm = residual_numeric(model, t, CFG, fd_step=1e-6)
             worst_rel = max(worst_rel,
-                            abs(numeric.norm - exact_norm) / exact_norm)
+                            abs(numeric_norm - exact_norm) / exact_norm)
         report = probe_semismoothness(model, "numeric", cfg=CFG, fd_step=1e-6)
         worst_slope_gap = max(worst_slope_gap,
                               abs(report.fitted_slope - model.lam))

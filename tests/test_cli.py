@@ -252,19 +252,23 @@ def test_curves_csv_contract(tmp_path):
 
 def test_curves_endpoints_rows(tmp_path):
     out = tmp_path / "curves.csv"
-    run_cli("curves", "--n", "2", "--t-min", "0", "--t-max", "1",
-            "--points", "3", "--out", str(out), check=True)
-    lines = out.read_text().strip().splitlines()
-    first = [float(tok) for tok in lines[1].split(",")]
-    last = [float(tok) for tok in lines[-1].split(",")]
-    # v(0) = (0, 1, -1, 0, 0) and w(0) = (0, 1, 1, 0, 1)
-    assert first[0] == 0.0
-    assert first[1:6] == [0.0, 1.0, -1.0, 0.0, 0.0]
-    assert first[6:11] == [0.0, 1.0, 1.0, 0.0, 1.0]
-    # v(1) = (1, 0, -1, 0, 0) and w(1) = (1, 0, 1, 1, 0)
-    assert last[0] == 1.0
-    assert last[1:6] == [1.0, 0.0, -1.0, 0.0, 0.0]
-    assert last[6:11] == [1.0, 0.0, 1.0, 1.0, 0.0]
+    for n in (2, 12):
+        run_cli("curves", "--n", str(n), "--t-min", "0", "--t-max", "1",
+                "--points", "3", "--out", str(out), check=True)
+        lines = out.read_text().strip().splitlines()
+        first = [float(tok) for tok in lines[1].split(",")]
+        last = [float(tok) for tok in lines[-1].split(",")]
+        assert first[0] == 0.0 and last[0] == 1.0
+        # the residual is 0 at t = 0 and 1 / ||w(1)|| = 1 / sqrt(n + 1) at 1
+        assert lines[1].split(",")[-1] == "0"
+        assert last[-1] == 1.0 / np.sqrt(n + 1)
+        if n == 2:
+            # v(0) = (0, 1, -1, 0, 0) and w(0) = (0, 1, 1, 0, 1) ...
+            assert first[1:6] == [0.0, 1.0, -1.0, 0.0, 0.0]
+            assert first[6:11] == [0.0, 1.0, 1.0, 0.0, 1.0]
+            # ... and v(1) = (1, 0, -1, 0, 0) and w(1) = (1, 0, 1, 1, 0)
+            assert last[1:6] == [1.0, 0.0, -1.0, 0.0, 0.0]
+            assert last[6:11] == [1.0, 0.0, 1.0, 1.0, 0.0]
 
 
 def test_curves_residuals_match_probe(tmp_path):

@@ -8,11 +8,10 @@ import pytest
 from sliceproj import (BlockSymMatrix, ConeModel, ConePoint, InvalidInputError,
                        curve_step, holder_gap, lmi_adjoint, lmi_apply,
                        make_cone, membership_cone, membership_polar_shadow,
-                       normal_curve, normal_ray, polar_curve, read_cone_point,
-                       sample_cone, step_normal_inner, tangent_project,
-                       write_cone_point)
+                       normal_curve, polar_curve, read_cone_point, sample_cone,
+                       step_normal_inner, write_cone_point)
 from sliceproj.cones import _violations
-from sliceproj.probe import NumericResidual, ProbeReport
+from sliceproj.probe import ProbeReport
 from sliceproj.symmat import SymMatrix, block_min_eigs
 
 
@@ -147,14 +146,11 @@ def test_cone_model_equality_is_identity():
 def test_array_dataclasses_compare_by_identity():
     # the generated __eq__ over ndarray fields raised ValueError on equal
     # values, and hash raised TypeError
-    model = make_cone(2)
     t = np.logspace(-3, -1, 5)
     makers = (lambda: SymMatrix(np.eye(2)),
               lambda: BlockSymMatrix(2, np.zeros((3, 3))),
               lambda: ConePoint(2, np.ones(5)),
-              lambda: normal_ray(model, 0.5),
-              lambda: ProbeReport(2, "exact", t, t, t, 1.0, 0.0, 1.0),
-              lambda: NumericResidual(ConePoint(2, np.ones(5)), 1.0, 1.0, 0.0))
+              lambda: ProbeReport(2, "exact", t, t, t, 1.0, 0.0, 1.0))
     for make in makers:
         a, b = make(), make()
         assert (a == b) is False and (a == a) is True
@@ -262,47 +258,6 @@ def test_curves_orthogonal(models):
             v = polar_curve(model, t)
             w = normal_curve(model, t)
             assert abs(float(v.coords @ w.coords)) <= 1e-12
-
-
-def test_normal_ray_invariants(models):
-    for n, model in models.items():
-        ray = normal_ray(model, 0.5)
-        assert abs(float(ray.base.coords @ ray.generator.coords)) <= 1e-12
-        inside, _ = membership_cone(model, ray.generator, tol=1e-10)
-        assert inside
-
-
-def test_tangent_project_cases(models):
-    model = models[2]
-    ray = normal_ray(model, 0.5)
-    w = ray.generator
-    # direction already in the tangent half-space is untouched
-    d = ConePoint(2, np.array([0.0, 0.0, -1.0, 0.0, 0.0]))
-    assert float(d.coords @ w.coords) <= 0.0
-    assert np.array_equal(tangent_project(ray, d).coords, d.coords)
-    # the generator itself is fully removed
-    out = tangent_project(ray, w)
-    assert np.linalg.norm(out.coords) <= 1e-12 * w.norm()
-
-
-def test_tangent_project_curve_step_closed_form(models):
-    for n, model in models.items():
-        for t in (0.1, 0.5, 0.9):
-            ray = normal_ray(model, t)
-            h = curve_step(model, t)
-            out = tangent_project(ray, h)
-            w = ray.generator.coords
-            inner = step_normal_inner(model, t)
-            expected = h.coords - (inner / float(w @ w)) * w
-            assert np.allclose(out.coords, expected, atol=1e-14)
-
-
-def test_tangent_project_zero_generator():
-    from sliceproj import NormalRay
-    ray = NormalRay(base=ConePoint(2, np.zeros(5)),
-                    generator=ConePoint(2, np.zeros(5)))
-    with pytest.raises(InvalidInputError):
-        tangent_project(ray, ConePoint(2, np.ones(5)))
 
 
 def test_step_normal_inner_matches_direct_dot(models):

@@ -1,5 +1,6 @@
 """Probe checks: residual formulas, exponent fitting, report invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,8 @@ import pytest
 import sliceproj.probe as probe_module
 from sliceproj import (InvalidInputError, NumericFailureError, SolverConfig,
                        curve_step, fit_exponent, make_cone, normal_curve,
-                       polar_curve, probe_semismoothness, report_from_json,
-                       report_to_csv, report_to_json, residual_exact,
-                       residual_numeric)
+                       polar_curve, probe_semismoothness, report_to_csv,
+                       report_to_json, residual_exact, residual_numeric)
 from sliceproj.project import _project_cone_arr, _WarmStart
 
 CFG = SolverConfig()
@@ -59,22 +59,27 @@ def test_residual_exact_small_t_limit(models):
 
 
 def test_residual_exact_endpoint_guard(models):
-    for t in (0.0, 1.0, -0.1):
+    for t in (-0.1, 1.1, math.nan):
         with pytest.raises(InvalidInputError):
             residual_exact(models[2], t)
+    # the closed form extends continuously to both endpoints
+    for model in models.values():
+        vec, norm = residual_exact(model, 0.0)
+        assert np.array_equal(vec.coords, np.zeros(model.dim())) and norm == 0.0
+        _, norm = residual_exact(model, 1.0)
+        assert norm == 1.0 / normal_curve(model, 1.0).norm()
 
 
 def test_residual_numeric_variants_agree(models):
     model = models[2]
     t, fd_step = 0.3, 1e-6
-    res = residual_numeric(model, t, CFG, fd_step)
-    _, exact_norm = residual_exact(model, t)
-    # variant (i) is the analytic tangent projection: same formula
-    assert res.norm_analytic == pytest.approx(exact_norm, rel=1e-12)
-    # variant (ii) is the finite-difference oracle
-    assert res.discrepancy <= max(1e-4, 5.0 * fd_step)
+    vec, norm = residual_numeric(model, t, CFG, fd_step)
+    exact_vec, _ = residual_exact(model, t)
+    # the finite-difference oracle against the closed form
+    assert np.linalg.norm(vec.coords - exact_vec.coords) <= max(1e-4, 5.0 * fd_step)
+    assert norm == np.linalg.norm(vec.coords)
     h = curve_step(model, t)
-    assert 0.0 < res.norm < h.norm()
+    assert 0.0 < norm < h.norm()
 
 
 def test_residual_numeric_guards(models):
@@ -151,6 +156,18 @@ def test_fit_exponent_guards():
         fit_exponent(t, -t)
 
 
+def test_fit_exponent_rejects_non_finite(capfd):
+    # a NaN residual used to fit to (nan, nan, nan), and an infinite t to
+    # raise LinAlgError after LAPACK wrote to stderr
+    t = np.logspace(-3, -1, 6)
+    for bad_t, bad_r in ((t, np.where(t == t[2], math.nan, t)),
+                         (np.where(t == t[2], math.inf, t), t),
+                         (t, np.where(t == t[2], math.inf, t))):
+        with pytest.raises(InvalidInputError, match="finite"):
+            fit_exponent(bad_t, bad_r)
+    assert capfd.readouterr().err == ""
+
+
 def test_fit_recovers_exponent_from_exact_residuals(models):
     model = models[2]
     t = np.logspace(-4, -1, 20)
@@ -185,8 +202,8 @@ def test_probe_exact_numeric_consistency_spot(models):
     model = models[2]
     t = 1e-2
     _, exact_norm = residual_exact(model, t)
-    numeric = residual_numeric(model, t, CFG, 1e-6)
-    assert numeric.norm == pytest.approx(exact_norm, rel=0.05)
+    _, numeric_norm = residual_numeric(model, t, CFG, 1e-6)
+    assert numeric_norm == pytest.approx(exact_norm, rel=0.05)
 
 
 def test_probe_grid_validation(models):
@@ -200,12 +217,24 @@ def test_probe_grid_validation(models):
         probe_semismoothness(models[2], "spectral")
 
 
+def test_probe_points_must_be_an_integer(models):
+    # 20.0 and np.float64(20) used to raise TypeError from np.logspace, and
+    # '20' TypeError from the comparison with 5
+    for points in (20.0, np.float64(20), "20", True):
+        with pytest.raises(InvalidInputError, match="points must be an integer"):
+            probe_semismoothness(models[2], "exact", points=points)
+    report = probe_semismoothness(models[2], "exact", points=np.int64(6))
+    assert len(report.t_grid) == 6
+
+
 def test_report_serialization_round_trip(models):
     report = probe_semismoothness(models[3], "exact")
-    again = report_from_json(report_to_json(report))
-    assert np.array_equal(again.t_grid, report.t_grid)
-    assert np.array_equal(again.residual_norms, report.residual_norms)
-    assert again.fitted_slope == report.fitted_slope
+    again = json.loads(report_to_json(report))
+    assert np.array_equal(again["t_grid"], report.t_grid)
+    assert np.array_equal(again["h_norms"], report.h_norms)
+    assert np.array_equal(again["residual_norms"], report.residual_norms)
+    assert again["fitted_slope"] == report.fitted_slope
+    assert again["n"] == 3 and again["mode"] == "exact"
 
     csv_text = report_to_csv(report)
     lines = csv_text.strip().splitlines()
@@ -272,7 +301,7 @@ def test_warm_probe_matches_cold_residuals(models):
     # the chained grid walk reproduces each grid point's cold measurement
     for n in (2, 3, 4):
         report = probe_semismoothness(models[n], "numeric", points=8, cfg=CFG)
-        cold = [residual_numeric(models[n], float(t), CFG).norm
+        cold = [residual_numeric(models[n], float(t), CFG)[1]
                 for t in report.t_grid]
         assert report.residual_norms == pytest.approx(cold, rel=1e-3)
 
