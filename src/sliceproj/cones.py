@@ -15,17 +15,19 @@ governed by the conjugate exponent lambda = 2^n / (2^n - 1).
 
 A ConeModel is immutable, the cone projector's ADMM operators included
 (built per model, with no penalty parameter), so it may be shared across
-concurrent workers; every operation here is a pure function.
+concurrent workers (two racing on its lazy slice_model at worst build it
+twice); every operation here is a pure function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import InvalidInputError
 from .symmat import RT2, BlockSymMatrix
@@ -110,14 +112,13 @@ def _weighted_matrix(n: int) -> np.ndarray:
 class ConeModel:
     """Everything precomputed for the cone {p : A p blockwise PSD}, each
     array derived by :meth:`from_lmi` from A's weighted matrix
-    lmi_weighted = W: the Gram operator gram_dense = A*A = W^T W, its
-    Cholesky factorization gram_factor (used by solve_gram), its largest
-    eigenvalue lam_max and the fixed-point step gamma = 0.9 / lam_max; the
-    forms det_forms, p^T B_k p being the determinant of block k;
-    range_proj, the orthogonal projector onto the range of A in weighted
-    block coordinates; and the cone projector's ADMM operators
-    admm_minv = (I + W^T W)^-1 and admm_gain = admm_minv W^T. kappa and lam
-    are 2^n and 2^n/(2^n - 1).
+    lmi_weighted = W: the Cholesky factorization gram_factor of the Gram
+    operator A*A = W^T W (used by solve_gram); the forms det_forms,
+    p^T B_k p being the determinant of block k; range_proj, the orthogonal
+    projector onto the range of A in weighted block coordinates; and the
+    cone projector's ADMM operators admm_minv = (I + W^T W)^-1 and
+    admm_gain = admm_minv W^T; slice_model, built on first use. kappa and
+    lam are 2^n and 2^n/(2^n - 1).
 
     A model is immutable, its arrays read-only. Equality is identity (the
     generated __eq__ over ndarray fields would raise), so a model is
@@ -127,10 +128,7 @@ class ConeModel:
     n: int
     kappa: float
     lam: float
-    gram_dense: np.ndarray = field(repr=False)
     gram_factor: tuple = field(repr=False)
-    gamma: float
-    lam_max: float
     lmi_weighted: np.ndarray = field(repr=False)
     det_forms: np.ndarray = field(repr=False)
     range_proj: np.ndarray = field(repr=False)
@@ -147,28 +145,37 @@ class ConeModel:
         n = (W.shape[-1] - 1) // 2
         if W.shape != (6 * n - 3, 2 * n + 1) or not np.isfinite(W).all():
             raise InvalidInputError("W must be a finite (6n-3, 2n+1) matrix")
-        gram_dense = W.T @ W
-        eigs = np.linalg.eigvalsh(gram_dense)
-        if eigs[0] <= 0.0:
-            raise InvalidInputError("Gram operator is not positive definite")
-        gram_factor = cho_factor(gram_dense)
+        gram = W.T @ W
+        try:
+            gram_factor = cho_factor(gram)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInputError("Gram matrix not positive definite") from exc
         range_proj = W @ cho_solve(gram_factor, W.T)
         # det [[a.p, b.p], [b.p, c.p]] = p^T (sym(a c^T) - b b^T) p
         a, b, c = W[0::3, :, None], W[1::3, :, None] / RT2, W[2::3, :, None]
         ac, bb = a * c.transpose(0, 2, 1), b * b.transpose(0, 2, 1)
         det_forms = 0.5 * (ac + ac.transpose(0, 2, 1)) - bb
         eye = np.eye(W.shape[1])
-        admm_minv = cho_solve(cho_factor(eye + gram_dense), eye)
+        admm_minv = cho_solve(cho_factor(eye + gram), eye)
         admm_gain = admm_minv @ W.T
-        for arr in (W, gram_dense, gram_factor[0], range_proj, det_forms,
-                    admm_minv, admm_gain):
+        for arr in (W, gram_factor[0], range_proj, det_forms, admm_minv,
+                    admm_gain):
             arr.setflags(write=False)
-        kappa, lam_max = 2.0 ** n, float(eigs[-1])
+        kappa = 2.0 ** n
         return cls(n=n, kappa=kappa, lam=kappa / (kappa - 1.0),
-                   gram_dense=gram_dense, gram_factor=gram_factor,
-                   gamma=0.9 / lam_max, lam_max=lam_max, lmi_weighted=W,
+                   gram_factor=gram_factor, lmi_weighted=W,
                    det_forms=det_forms, range_proj=range_proj,
                    admm_minv=admm_minv, admm_gain=admm_gain)
+
+    @functools.cached_property
+    def slice_model(self) -> "ConeModel":
+        """The cone K' = {w : Q w blockwise PSD}, Q = W U^-1 for the Gram
+        factor W^T W = U^T U. Q has orthonormal columns and W's range, so
+        the slice projection of x is Q Pi_K'(Q^T x). Kept on this model, not
+        in a module-level cache, so it lives as long as the model."""
+        U, lower = self.gram_factor
+        Q = solve_triangular(U, self.lmi_weighted.T, trans="T", lower=lower)
+        return ConeModel.from_lmi(Q.T)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """Solve gram @ x = rhs using the cached factorization."""

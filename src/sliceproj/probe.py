@@ -40,6 +40,7 @@ DEFAULT_T_MIN = 1e-4
 DEFAULT_T_MAX = 1e-1
 DEFAULT_POINTS = 20
 DEFAULT_FD_STEP = 1e-6
+PROBE_MODES = ("exact", "numeric")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +48,8 @@ class ProbeReport:
     """Grid of step sizes with the measured residual scaling.
 
     implied_order is exactly fitted_slope - 1; target_lambda is the
-    conjugate exponent the slope should recover.
+    conjugate exponent the slope should recover. mode is in PROBE_MODES,
+    and every number is finite, so the JSON report is valid JSON.
     """
 
     n: int
@@ -69,6 +71,12 @@ class ProbeReport:
             raise InvalidInputError("report needs at least 5 grid points")
         if np.any(np.diff(self.t_grid) <= 0.0):
             raise InvalidInputError("t_grid must be strictly increasing")
+        if self.mode not in PROBE_MODES:
+            raise InvalidInputError(f"unknown probe mode {self.mode!r}")
+        for name in ("t_grid", "h_norms", "residual_norms", "fitted_slope",
+                     "implied_order", "target_lambda"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInputError(f"{name} must be finite")
 
     def summary_line(self) -> str:
         gap = abs(self.fitted_slope - self.target_lambda)
@@ -205,7 +213,7 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     the step norm is of order t, which the report's h_norms let callers
     verify).
     """
-    if mode not in ("exact", "numeric"):
+    if mode not in PROBE_MODES:
         raise InvalidInputError(f"unknown probe mode {mode!r}")
     if not (0.0 < t_min < t_max < 1.0):
         raise InvalidInputError("grid endpoints must satisfy 0 < t_min < t_max < 1")

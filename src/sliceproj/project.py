@@ -1,16 +1,16 @@
 """Metric-projection solvers for the cone family and the PSD-cone slice.
 
-Four routes are provided and kept deliberately independent so they can
-cross-validate each other:
+One certified cone projector, the projections derived from it, and one
+independent oracle for the slice:
 
 * ADMM splitting for the projection onto the cone itself, through its LMI
   form, with an active-set refinement step (see below);
 * the Moreau decomposition for the projection onto the polar cone;
-* Dykstra's alternating projections for the slice (PSD cone intersected
-  with the range of the LMI map), on the 2x2 diagonal blocks: the range is
-  block-diagonal, so a full-matrix input reduces exactly to its blocks;
-* a fixed-point iteration for the same slice, driven by repeated projected
-  gradient steps onto the cone.
+* the projection onto the slice (PSD cone intersected with the range of
+  the LMI map), as the cone projection in the Gram metric;
+* Dykstra's alternating projections for the same slice, sharing no logic
+  with the cone projector, on the 2x2 diagonal blocks: the range is
+  block-diagonal, so a full-matrix input reduces exactly to its blocks.
 
 The projection onto a cone is positively homogeneous, so the cone solver
 works on q / ||q|| and scales its answer back by ||q||. Its tolerance,
@@ -46,15 +46,15 @@ A p, one PSD clip of the flat block vector and one product with A* for
 the dual residual. Dykstra's range step uses the model's precomputed
 orthogonal projector onto the range of A.
 
-ADMM, Dykstra and the fixed-point projector share one iteration loop,
-_iterate: each passes a step that returns its residual, and the loop owns
-the tolerance, stall and budget tests, the refinement schedule's
-checkpoints, the exit reason and one debug log line per exit.
+ADMM and Dykstra share one iteration loop, _iterate: each passes a step
+that returns its residual, and the loop owns the tolerance, stall and
+budget tests, the refinement schedule's checkpoints, the exit reason and
+one debug log line per exit.
 
-Callers that solve a path of nearby cone projections (the numeric probe's
-grid, the fixed-point projector's outer loop) pass a private warm holder,
-_WarmStart, to each solve. It holds the last certified refinement only:
-its answer p, active set J and rescaled multipliers nu, or nothing when
+A caller that solves a path of nearby cone projections (the numeric
+probe's grid) passes a private warm holder, _WarmStart, to each solve.
+It holds the last certified refinement only: its answer p, active set J
+and rescaled multipliers nu, or nothing when
 the last solve did not end on one. The next solve's checkpoint 0 tries
 the held J, with Newton started from the held nu at the held answer,
 before any iteration, and ends with 0 iterations when the certificate
@@ -157,7 +157,7 @@ class SolveStats:
     window) or ``budget`` (max_iter reached). For cone solves converged ==
     (final_residual <= tol). newton_steps is the number of accepted Newton
     steps summed over every refinement attempt of the solve (0 for
-    Dykstra; the fixed-point projector sums it over its inner solves).
+    Dykstra; the derived slice projection reports its one cone solve's).
     """
 
     iterations: int
@@ -182,13 +182,12 @@ class SolveStats:
 _ZERO_STATS = SolveStats(0, 0.0, True, "certified")
 
 
-def _iterate(step, cfg: SolverConfig, what: str, window: int = _STALL_WINDOW,
-             checkpoint=None) -> SolveStats:
+def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
     """The iteration loop of every solver.
 
     step() runs one iteration and returns its residual. The loop stops
     when the residual is within cfg.tol, when it has not improved by the
-    fraction _STALL_FACTOR over the last `window` iterations, or after
+    fraction _STALL_FACTOR over the last _STALL_WINDOW iterations, or after
     cfg.max_iter iterations. checkpoint(k), if given, runs at iteration
     _FIRST_POLISH, at each doubling of it and at every exit, before the
     exit tests; the SolveStats it returns, if any, end the solve. Each exit
@@ -205,7 +204,7 @@ def _iterate(step, cfg: SolverConfig, what: str, window: int = _STALL_WINDOW,
         if res < best_res * (1.0 - _STALL_FACTOR):
             best_res = res
             best_iter = k
-        stalled = k - best_iter > window
+        stalled = k - best_iter > _STALL_WINDOW
         if checkpoint is not None and (res <= tol or k == check_at or stalled
                                        or k == cfg.max_iter):
             if k == check_at:
@@ -231,11 +230,18 @@ def _log_exit(what: str, stats: SolveStats) -> SolveStats:
     return stats
 
 
-def _block_min_eigs(model: ConeModel, p: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each block of the LMI image of p."""
+def _lmi_rows(model: ConeModel, p: np.ndarray) -> np.ndarray:
+    """The (a_k.p, b_k.p, c_k.p) rows of the LMI image of p, one per block."""
     rows = (model.lmi_weighted @ p).reshape(-1, 3)
     rows[:, 1] /= RT2
-    return block_min_eigs(rows)
+    return rows
+
+
+def _duals_nonnegative(rows: np.ndarray, J, nu: np.ndarray) -> bool:
+    """Sign test of the active blocks' multipliers nu, each on its block's
+    own scale nu_k tr M_k (the gradient of det M_k is adj M_k, of trace
+    tr M_k), given the LMI rows of the unit direction pi."""
+    return bool(np.all(nu * (rows[J, 0] + rows[J, 2]) >= -1e-9))
 
 
 def _norm(x: np.ndarray) -> float:
@@ -392,10 +398,10 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     mu, pi, nu = float(u[0]), u[1:1 + d], u[1 + d:]
     # certificate: nonnegative multipliers, nonnegative scale, feasible
     # direction; together with the matched residual these prove optimality
-    nu_scale = 1.0 + (np.abs(nu).max() if nJ else 0.0)
-    if mu < -1e-11 or np.any(nu < -1e-9 * nu_scale):
+    rows = _lmi_rows(model, pi)
+    if mu < -1e-11 or not _duals_nonnegative(rows, J, nu):
         return None
-    if _block_min_eigs(model, pi).min() < -1e-10:
+    if block_min_eigs(rows).min() < -1e-10:
         return None
     return max(mu, 0.0) * pi, best, nu
 
@@ -423,8 +429,8 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
         dual_rows = np.abs(dual_flat.reshape(-1, 3)).max(axis=1)
         dual_ref = max(float(dual_rows.max()), 1e-300)
         yield np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist(), None
-        rows = (model.lmi_weighted @ p).reshape(-1, 3)
-        dets = np.abs(rows[:, 0] * rows[:, 2] - (rows[:, 1] / RT2) ** 2)
+        rows = _lmi_rows(model, p)
+        dets = np.abs(rows[:, 0] * rows[:, 2] - rows[:, 1] ** 2)
         det_ref = max(float(dets.max()), float(p @ p), 1e-300)
         yield np.flatnonzero(dets <= 1e-5 * det_ref).tolist(), None
         yield list(range(2 * model.n - 1)), None
@@ -493,7 +499,7 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     emptied.
     """
     qn = _input_norm(q)
-    if qn == 0.0 or _block_min_eigs(model, q / qn).min() >= -1e-13:
+    if qn == 0.0 or block_min_eigs(_lmi_rows(model, q / qn)).min() >= -1e-13:
         if warm is not None:
             warm.p = warm.J = warm.nu = None
         return q.copy(), _ZERO_STATS
@@ -638,49 +644,27 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
 
 
 def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
-                             cfg: SolverConfig | None = None,
-                             gamma: float | None = None):
-    """Project onto the slice through the fixed-point map of projected
-    gradient steps: z <- Pi_cone(z - gamma (A*A z - A*X)), answer A z.
+                             cfg: SolverConfig | None = None):
+    """Project onto the slice: the cone projection in the Gram metric.
 
-    Any step 0 < gamma < 1/lam_max(A*A) yields the same fixed point; the
-    default is the model's precomputed 0.9 / lam_max. Inner cone projections
-    run at tol/100 so inexact inner solves do not stall the outer loop; each
-    starts from the previous outer iterate's answer (a warm holder).
+    The answer is A z for the fixed point z of the projected gradient map
+    z <- Pi_K(z - gamma (A*A z - A*X)), 0 < gamma < 1/lam_max(A*A): the z
+    in K that minimises ||A z - X||. With A*A = U^T U (gram_factor) and
+    w = U z, ||A z - X||^2 is ||w - Q^T X||^2 plus a constant, Q = W U^-1,
+    so the fixed point is reached in one cone solve: A z = Q Pi_K'(Q^T X)
+    on K' = U K, model.slice_model, whose SolveStats are returned as is.
 
-    Like :func:`project_slice_dykstra` the loop runs on X / ||X|| and scales
-    its answer back, so tol is relative to ||X||; X = 0 returns exact
-    zeros.
+    Like :func:`project_slice_dykstra` the solve runs on X / ||X||; its tol
+    is relative to ||Q^T X|| <= ||X||. X = 0 returns exact zeros.
     """
     cfg = cfg or SolverConfig()
     if X.n != model.n:
         raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
-    gamma = model.gamma if gamma is None else float(gamma)
-    if not (0.0 < gamma < 1.0 / model.lam_max):
-        raise InvalidInputError("gamma must lie in (0, 1/lam_max)")
     flat = _weighted(X)
     xn = _input_norm(flat)
     if xn == 0.0:
         return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
-    target = model.lmi_weighted.T @ (flat / xn)
-    inner_cfg = replace(cfg, tol=cfg.tol / 100.0)
-    warm = _WarmStart()
-    z = np.zeros(model.dim())
-    inner_ok = True
-    newton_steps = 0
-
-    def step():
-        nonlocal z, inner_ok, newton_steps
-        point = z - gamma * (model.gram_dense @ z - target)
-        z_new, inner_stats = _project_cone_arr(model, point, inner_cfg, warm)
-        newton_steps += inner_stats.newton_steps
-        if inner_stats.final_residual > cfg.tol:
-            inner_ok = False
-        res = float(np.linalg.norm(z_new - z))
-        z = z_new
-        return res
-
-    stats = _iterate(step, cfg, "fixed-point projector", window=50)
-    return (_unweighted(model.n, xn * (model.lmi_weighted @ z)),
-            replace(stats, converged=stats.converged and inner_ok,
-                    newton_steps=newton_steps))
+    gram = model.slice_model
+    Q = gram.lmi_weighted
+    w, stats = _project_cone_arr(gram, Q.T @ (flat / xn), cfg)
+    return _unweighted(model.n, xn * (Q @ w)), stats

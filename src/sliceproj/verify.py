@@ -218,12 +218,13 @@ def check_normal_ray(ns):
 
 
 def check_slice(rng, ns, pairs, sweeps):
-    """Slice projection of random block matrices: Dykstra and the fixed
-    point agree within 1e-5, and the fixed point moves by at most 1e-6
-    over step sizes gamma in {0.3, 0.6, 0.9} / lam_max."""
+    """Slice projection of random block matrices: Dykstra and the slice
+    projection derived from the cone projector agree within 1e-5 on
+    `pairs` draws per n, and on `sweeps` more draws per n the derived
+    projection of its own answer moves it by at most 1e-6."""
     cfg = project.SolverConfig()
     worst_pair = 0.0
-    worst_gamma = 0.0
+    worst_again = 0.0
     for n in ns:
         model = cones.make_cone(n)
         for _ in range(pairs):
@@ -234,15 +235,13 @@ def check_slice(rng, ns, pairs, sweeps):
                 via_dyk.blocks - via_fp.blocks)))
         for _ in range(sweeps):
             X = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            sweep = [project.project_slice_fixedpoint(
-                model, X, cfg, gamma=frac / model.lam_max)[0]
-                for frac in (0.3, 0.6, 0.9)]
-            for other in sweep[1:]:
-                worst_gamma = max(worst_gamma, float(np.linalg.norm(
-                    sweep[0].blocks - other.blocks)))
-    ok = worst_pair <= 1e-5 and worst_gamma <= 1e-6
-    return ok, (f"Dykstra vs fixed point {worst_pair:.2e} (tol 1e-5), gamma "
-                f"sweep spread {worst_gamma:.2e} (tol 1e-6)")
+            once, _ = project.project_slice_fixedpoint(model, X, cfg)
+            twice, _ = project.project_slice_fixedpoint(model, once, cfg)
+            worst_again = max(worst_again, float(np.linalg.norm(
+                once.blocks - twice.blocks)))
+    ok = worst_pair <= 1e-5 and worst_again <= 1e-6
+    return ok, (f"Dykstra vs derived projection {worst_pair:.2e} (tol 1e-5), "
+                f"idempotence {worst_again:.2e} (tol 1e-6)")
 
 
 def check_probe_fit(ns):

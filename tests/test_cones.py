@@ -38,14 +38,19 @@ def test_make_cone_guards():
         make_cone(2.5)
 
 
+def _gram(model):
+    """A*A rebuilt from the model's Cholesky factor U^T U."""
+    U = np.triu(model.gram_factor[0])
+    return U.T @ U
+
+
 def test_gram_matches_hand_computation(models):
     # diagonal Gram derived by expanding the block functionals by hand
-    assert np.allclose(models[2].gram_dense, np.diag([2.0, 2.0, 4.0, 3.0, 3.0]))
-    assert np.allclose(models[3].gram_dense,
+    assert np.allclose(_gram(models[2]), np.diag([2.0, 2.0, 4.0, 3.0, 3.0]))
+    assert np.allclose(_gram(models[3]),
                        np.diag([2.0, 2.0, 6.0, 3.0, 3.0, 3.0, 3.0]))
     for n, model in models.items():
-        assert np.linalg.eigvalsh(model.gram_dense)[0] > 0.0
-        assert model.gamma == pytest.approx(0.9 / model.lam_max, rel=1e-15)
+        assert np.all(np.diag(model.gram_factor[0]) > 0.0)
 
 
 def test_lmi_apply_unit_x3(models):
@@ -99,7 +104,9 @@ def test_gram_assembles_both_ways(models):
         for k in range(d):
             basis = ConePoint(n, np.eye(d)[k])
             col = lmi_adjoint(model, lmi_apply(model, basis)).coords
-            assert np.allclose(col, model.gram_dense[:, k], atol=1e-12)
+            assert np.allclose(col, _gram(model)[:, k], atol=1e-12)
+            assert np.allclose(model.solve_gram(col), basis.coords,
+                               atol=1e-12)
 
 
 def test_det_forms_are_block_determinants():
@@ -125,13 +132,13 @@ def test_from_lmi_rebuilds_make_cone_read_only():
         model = make_cone(n)
         again = ConeModel.from_lmi(model.lmi_weighted.tolist())
         assert again.n == n
-        for name in ("gram_dense", "det_forms", "range_proj", "lmi_weighted",
-                     "admm_minv", "admm_gain"):
+        for name in ("det_forms", "range_proj", "lmi_weighted", "admm_minv",
+                     "admm_gain"):
             assert np.array_equal(getattr(again, name), getattr(model, name))
             assert not getattr(again, name).flags.writeable
         assert not again.gram_factor[0].flags.writeable
-        assert (again.kappa, again.lam, again.gamma, again.lam_max) == (
-            model.kappa, model.lam, model.gamma, model.lam_max)
+        assert np.array_equal(again.gram_factor[0], model.gram_factor[0])
+        assert (again.kappa, again.lam) == (model.kappa, model.lam)
 
 
 def test_cone_model_equality_is_identity():
@@ -155,6 +162,20 @@ def test_array_dataclasses_compare_by_identity():
         a, b = make(), make()
         assert (a == b) is False and (a == a) is True
         assert {a: 1}[a] == 1 and isinstance(hash(b), int)
+
+
+def test_slice_model_is_the_cone_in_the_gram_metric():
+    # Q = W U^-1 has orthonormal columns and W's range, so it maps the
+    # slice model's cone onto the slice; the model is built once
+    for n in (2, 7, 12):
+        model = make_cone(n)
+        gram = model.slice_model
+        assert gram is model.slice_model
+        W, Q = model.lmi_weighted, gram.lmi_weighted
+        assert np.allclose(Q.T @ Q, np.eye(2 * n + 1), atol=1e-13)
+        assert np.allclose(model.range_proj, Q @ Q.T, atol=1e-13)
+        U = np.triu(model.gram_factor[0])
+        assert np.allclose(Q @ U, W, atol=1e-13)
 
 
 def test_from_lmi_guards():

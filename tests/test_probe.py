@@ -247,6 +247,28 @@ def test_report_serialization_round_trip(models):
         assert r == report.residual_norms[i]
 
 
+def test_probe_report_rejects_invalid_values(models):
+    # a NaN field used to reach report_to_json, which wrote the bare token
+    # NaN, and any mode was accepted
+    report = probe_semismoothness(models[2], "exact")
+    fields = dict(n=2, mode="exact", t_grid=report.t_grid,
+                  h_norms=report.h_norms, residual_norms=report.residual_norms,
+                  fitted_slope=report.fitted_slope,
+                  implied_order=report.implied_order,
+                  target_lambda=report.target_lambda)
+    json.loads(report_to_json(probe_module.ProbeReport(**fields)))
+    bad_vector = report.residual_norms.copy()
+    bad_vector[3] = math.nan
+    cases = [("residual_norms", bad_vector), ("h_norms", bad_vector),
+             ("residual_norms", np.full(20, math.inf)),
+             ("fitted_slope", math.nan), ("fitted_slope", -math.inf),
+             ("implied_order", math.nan), ("implied_order", math.inf),
+             ("mode", "spectral"), ("mode", "Exact")]
+    for name, value in cases:
+        with pytest.raises(InvalidInputError):
+            probe_module.ProbeReport(**{**fields, name: value})
+
+
 def test_probe_numeric_mode_matches_exact_slope(models):
     model = models[2]
     report = probe_semismoothness(model, "numeric", points=6,

@@ -13,8 +13,9 @@ from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError,
                        project_slice_dykstra, project_slice_fixedpoint,
                        psd_project_block, sample_cone)
 from sliceproj import project as project_module
-from sliceproj.project import (SolveStats, _attempt_polish, _kkt_jacobian,
-                               _kkt_residual)
+from sliceproj.project import (SolveStats, _attempt_polish,
+                               _duals_nonnegative, _kkt_jacobian,
+                               _kkt_residual, _lmi_rows)
 from sliceproj.symmat import SymMatrix
 
 CFG = SolverConfig()
@@ -94,7 +95,8 @@ def test_solve_stats_json_dict(models):
 
 def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
     # a cone solve sums the steps of each refinement attempt, failed ones
-    # too; the fixed point sums its inner solves; Dykstra takes none
+    # too; the derived slice projection reports its one cone solve's;
+    # Dykstra takes none
     attempts, inner = [], []
     newton, solve = project_module._newton_polish, project_module._project_cone_arr
 
@@ -121,7 +123,7 @@ def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
     monkeypatch.setattr(project_module, "_project_cone_arr", recording_solve)
     X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
     _, stats = project_slice_fixedpoint(models[2], X, CFG)
-    assert stats.newton_steps == sum(inner) > 0
+    assert len(inner) == 1 and stats.newton_steps == inner[0] > 0
     _, stats = project_slice_dykstra(models[2], X, CFG)
     assert stats.newton_steps == 0
 
@@ -227,17 +229,20 @@ def test_exit_reasons(models):
     q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
     _, stats = project_cone(model, q, SolverConfig(max_iter=3))
     assert (stats.exit_reason, stats.converged) == ("budget", False)
+    # a slice member maps into the Gram-metric cone: the derived slice
+    # projection certifies it without iterating
     X = lmi_apply(model, w)
     _, stats = project_slice_fixedpoint(model, X, CFG)
-    assert stats.exit_reason == "tol"
+    assert (stats.exit_reason, stats.iterations) == ("certified", 0)
     Y = BlockSymMatrix(2, np.random.default_rng(5).standard_normal((3, 3)))
     _, stats = project_slice_dykstra(model, Y, SolverConfig(max_iter=2))
     assert (stats.exit_reason, stats.converged) == ("budget", False)
 
 
-def test_iterate_checkpoints_at_doublings_and_every_exit():
+def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
     # the refinement runs at iteration 32, each doubling, and the exit
     def run(residuals, max_iter, window=2000, stop_at=None):
+        monkeypatch.setattr(project_module, "_STALL_WINDOW", window)
         seen = []
         res = iter(residuals)
 
@@ -249,7 +254,7 @@ def test_iterate_checkpoints_at_doublings_and_every_exit():
 
         stats = project_module._iterate(lambda: next(res),
                                         SolverConfig(max_iter=max_iter),
-                                        "test", window, checkpoint)
+                                        "test", checkpoint)
         return seen, (stats.exit_reason, stats.iterations)
 
     falling = [1.0 / k for k in range(1, 301)]
@@ -444,6 +449,20 @@ def test_dykstra_agrees_with_fixedpoint_on_infeasible_curve_image(models):
         via_dyk, _ = project_slice_dykstra(model, X, CFG)
         via_fp, _ = project_slice_fixedpoint(model, X, CFG)
         assert np.linalg.norm(via_dyk.blocks - via_fp.blocks) <= 1e-5
+    # so are N(0, 1) blocks, at every n; the derived answer is also its
+    # own projection
+    rng = np.random.default_rng(173)
+    for n in range(2, 13):
+        model = make_cone(n)
+        for _ in range(3):
+            X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+            via_dyk, s_dyk = project_slice_dykstra(model, X, CFG)
+            via_fp, s_fp = project_slice_fixedpoint(model, X, CFG)
+            assert s_dyk.converged and s_fp.converged
+            assert (np.linalg.norm(via_dyk.blocks - via_fp.blocks)
+                    <= 1e-5 * np.linalg.norm(X.blocks))
+            again, _ = project_slice_fixedpoint(model, via_fp, CFG)
+            assert np.linalg.norm(again.blocks - via_fp.blocks) <= 1e-6
 
 
 def _with_off_block(rng, X):
@@ -583,20 +602,14 @@ def test_fixedpoint_fixes_cone_images(models):
         assert np.linalg.norm(out.blocks - X.blocks) <= 1e-6
 
 
-def test_fixedpoint_gamma_guard(models):
-    X = BlockSymMatrix(2, np.zeros((3, 3)))
-    with pytest.raises(InvalidInputError):
-        project_slice_fixedpoint(models[2], X, CFG, gamma=1.0)
-
-
 def test_admm_operator_inverts_the_unit_penalty_system():
     for n in range(2, 13):
         model = make_cone(n)
         eye = np.eye(model.dim())
-        assert np.allclose((eye + model.gram_dense) @ model.admm_minv, eye,
+        W = model.lmi_weighted
+        assert np.allclose((eye + W.T @ W) @ model.admm_minv, eye,
                            atol=1e-12)
-        assert np.array_equal(model.admm_gain,
-                              model.admm_minv @ model.lmi_weighted.T)
+        assert np.array_equal(model.admm_gain, model.admm_minv @ W.T)
 
 
 def _loop_kkt_residual(Bs, q, u):
@@ -671,6 +684,20 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
                                              Bs.reshape(nJ, d * d)),
                                _loop_kkt_jacobian(Bs, u),
                                rtol=0.0, atol=1e-13)
+
+
+def test_dual_sign_test_is_per_block():
+    # one large multiplier used to widen the threshold of every block:
+    # nu >= -1e-9 (1 + max|nu|) accepted a slightly negative one beside it
+    model = make_cone(2)
+    rows = _lmi_rows(model, np.eye(5)[2])  # unit x3: traces 2, 1, 1
+    J, nu = [0, 1], np.array([1e4, -1e-7])
+    assert np.all(nu >= -1e-9 * (1.0 + np.abs(nu).max()))
+    assert not _duals_nonnegative(rows, J, nu)
+    assert _duals_nonnegative(rows, J, np.array([1e4, 0.0]))
+    # each block on its own scale: nu_k tr M_k, here -1e-7 * 1e-3
+    assert _duals_nonnegative(rows * 1e-3, J, nu)
+    assert _duals_nonnegative(rows, [], np.empty(0))
 
 
 def test_newton_polish_initial_multipliers_are_least_norm(monkeypatch):
