@@ -200,10 +200,16 @@ def make_cone(n: int) -> ConeModel:
     return ConeModel.from_lmi(_weighted_matrix(int(n)))
 
 
-def _check_point(model: ConeModel, p: ConePoint) -> np.ndarray:
-    if p.n != model.n:
-        raise InvalidInputError(f"point has n={p.n}, model has n={model.n}")
-    return p.coords
+def _check_input(model: ConeModel, x, kind: type):
+    """x, after checking that it is a kind (ConePoint or BlockSymMatrix)
+    with the model's n; raises InvalidInputError otherwise."""
+    if not isinstance(x, kind):
+        raise InvalidInputError(
+            f"input must be a {kind.__name__}, got {type(x).__name__}")
+    if x.n != model.n:
+        what = "point" if kind is ConePoint else "matrix"
+        raise InvalidInputError(f"{what} has n={x.n}, model has n={model.n}")
+    return x
 
 
 def _weighted(X: BlockSymMatrix) -> np.ndarray:
@@ -224,13 +230,12 @@ def _unweighted(n: int, flat: np.ndarray) -> BlockSymMatrix:
 def lmi_apply(model: ConeModel, p: ConePoint) -> BlockSymMatrix:
     """Apply the LMI map: the block-diagonal matrix whose PSD-ness defines
     membership of p in the cone."""
-    return _unweighted(model.n, model.lmi_weighted @ _check_point(model, p))
+    return _unweighted(model.n, model.lmi_weighted @ _check_input(model, p, ConePoint).coords)
 
 
 def lmi_adjoint(model: ConeModel, mat: BlockSymMatrix) -> ConePoint:
     """Adjoint of the LMI map under the trace inner product on blocks."""
-    if mat.n != model.n:
-        raise InvalidInputError(f"matrix has n={mat.n}, model has n={model.n}")
+    _check_input(model, mat, BlockSymMatrix)
     return ConePoint(model.n, model.lmi_weighted.T @ _weighted(mat))
 
 
@@ -249,7 +254,7 @@ def membership_cone(model: ConeModel, p: ConePoint, tol: float = 1e-9):
 def _violations(model: ConeModel, p: ConePoint) -> list:
     """membership_cone's constraints as lhs - rhs: -x3, the coupling
     inequality, then the links of the y- and z-chains, interleaved."""
-    c = _check_point(model, p)
+    c = _check_input(model, p, ConePoint).coords
     x3, y, z = c[2], c[3:model.n + 2], c[model.n + 2:]
     viol = [-x3, y[0] ** 2 + z[0] ** 2 - x3 ** 2]
     for i in range(model.n - 2):

@@ -14,13 +14,14 @@ The projection onto the cone itself shares the polar projection's order;
 this transfer is recorded here as a documented claim, while measurements
 are made on the polar side only.
 
-Numeric mode walks the grid as a path, from t_max down to t_min, with one
-warm holder: each finite-difference solve first tries the previous grid
-point's certified refinement (its answer, active set and multipliers),
-which usually certifies at once, and falls back to ADMM from zeros, whose
-refinements try the held active set first, when it does not. Each base
-fixed-point check starts from a copy of the holder, so its answer (the
-apex) never becomes the next start. The walk is serial and deterministic.
+Numeric mode walks the grid as a path, from t_max down to t_min, passing
+each cone solve's certificate (its answer, active set and multipliers) on:
+each finite-difference solve first tries the previous grid point's
+certificate, which usually certifies at once, and falls back to ADMM from
+zeros, whose refinements try the held active set first, when it does not.
+Each base fixed-point check starts from its grid point's finite-difference
+certificate, and its own certificate (the apex) is dropped, so it never
+becomes the next start. The walk is serial and deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .cones import (ConeModel, ConePoint, _is_int, curve_step, normal_curve,
                     polar_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
-from .project import SolverConfig, _project_cone_arr, _WarmStart
+from .project import SolverConfig, _project_cone_arr
 
 DEFAULT_T_MIN = 1e-4
 DEFAULT_T_MAX = 1e-1
@@ -118,16 +119,17 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     if not 0.0 < fd_step < math.inf:
         raise InvalidInputError("fd_step must be finite and positive")
     _check_polar_fixed_point(model, 0.0, cfg)
-    r_fd, norm = _residual_at(model, t, cfg, fd_step)
+    r_fd, norm, _ = _residual_at(model, t, cfg, fd_step)
     return ConePoint(model.n, r_fd), norm
 
 
 def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
-                             warm: _WarmStart | None = None):
+                             held: tuple | None = None):
     """Raise unless polar_curve(t) is a fixed point of the polar projection,
-    i.e. its cone part (the drift, by Moreau) vanishes."""
-    cone_part, stats = _project_cone_arr(model, polar_curve(model, t).coords,
-                                         cfg, warm)
+    i.e. its cone part (the drift, by Moreau) vanishes. held is passed to
+    the cone solve."""
+    cone_part, stats, _ = _project_cone_arr(
+        model, polar_curve(model, t).coords, cfg, held)
     drift = float(np.linalg.norm(cone_part))
     if drift > 10.0 * cfg.tol:
         raise NumericFailureError(
@@ -136,14 +138,13 @@ def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
 
 
 def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
-                 fd_step: float, warm: _WarmStart | None = None):
-    """The finite-difference residual vector and its norm at t, on checked
-    arguments, without the t = 0 fixed-point check, which does not depend
-    on t.
+                 fd_step: float, held: tuple | None = None):
+    """The finite-difference residual vector, its norm and the
+    finite-difference solve's certificate at t, on checked arguments,
+    without the t = 0 fixed-point check, which does not depend on t.
 
-    The finite-difference solve starts from warm and refills it; the base
-    check starts from a copy, so warm ends holding the finite-difference
-    answer.
+    The finite-difference solve starts from held, and the base check from
+    its certificate.
     """
     # via the Moreau complement: the polar projection of base + s h equals
     # the input minus its cone projection, so the residual reduces to
@@ -151,13 +152,12 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
     probe_point = (polar_curve(model, t).coords
                    + fd_step * curve_step(model, t).coords)
     tight = replace(cfg, tol=min(cfg.tol, 1e-13))
-    cone_part, stats = _project_cone_arr(model, probe_point, tight, warm)
+    cone_part, stats, cert = _project_cone_arr(model, probe_point, tight, held)
     if stats.final_residual > cfg.tol:
         raise NumericFailureError(
             f"cone projection at t={t:g} reached residual "
             f"{stats.final_residual:.3e} > tol {cfg.tol:.1e}", stats=stats)
-    _check_polar_fixed_point(model, t, cfg,
-                             None if warm is None else replace(warm))
+    _check_polar_fixed_point(model, t, cfg, cert)
     # a step below the solve's certified floor leaves a cone part of exactly
     # 0, or one whose scaled norm overflows; either would be fitted as data
     with np.errstate(over="ignore"):
@@ -168,7 +168,7 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
             f"fd_step={fd_step:g} is below the cone solve's accuracy at "
             f"t={t:g}: the finite-difference residual vanishes or overflows",
             stats=stats)
-    return r_fd, norm
+    return r_fd, norm, cert
 
 
 def fit_exponent(t_grid, residual_norms):
@@ -207,8 +207,8 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
 
     Exact mode uses the closed-form residual; numeric mode uses the
     finite difference of :func:`residual_numeric`, checking the
-    shared t = 0 endpoint once for the whole grid and warm-starting each
-    grid point's solves from the next larger t's answer. The implied
+    shared t = 0 endpoint once for the whole grid and starting each grid
+    point's solves from the next larger t's certificate. The implied
     order is the fitted slope minus one, reported against lam - 1 (since
     the step norm is of order t, which the report's h_norms let callers
     verify).
@@ -232,11 +232,11 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
             raise InvalidInputError("fd_step must be finite and positive")
         # the t = 0 endpoint is the same for every grid point: check it once
         _check_polar_fixed_point(model, 0.0, cfg)
-        warm = _WarmStart()
+        held = None
         residuals = np.empty(points)
         for i in reversed(range(points)):
-            _, residuals[i] = _residual_at(model, float(t_grid[i]), cfg,
-                                           fd_step, warm)
+            _, residuals[i], held = _residual_at(model, float(t_grid[i]), cfg,
+                                                 fd_step, held)
 
     slope, _, _ = fit_exponent(t_grid, residuals)
     return ProbeReport(

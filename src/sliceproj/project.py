@@ -51,27 +51,25 @@ that returns its residual, and the loop owns the tolerance, stall and
 budget tests, the refinement schedule's checkpoints, the exit reason and
 one debug log line per exit.
 
-A caller that solves a path of nearby cone projections (the numeric
-probe's grid) passes a private warm holder, _WarmStart, to each solve.
-It holds the last certified refinement only: its answer p, active set J
-and rescaled multipliers nu, or nothing when
-the last solve did not end on one. The next solve's checkpoint 0 tries
-the held J, with Newton started from the held nu at the held answer,
-before any iteration, and ends with 0 iterations when the certificate
-holds. Otherwise ADMM runs from zeros, as in a one-off solve, and each of
-its refinements tries the held J first, from the held nu, then the usual
-candidate sets. This is continuation along the path without a
-predictor: nearby inputs share their active set, and their multipliers
-are close, so Newton starts near its quadratic region. The certificate,
-not the start, decides acceptance, and ADMM never starts from held
-state, so a stale holder costs a few refinement attempts, never
-accuracy. project_cone passes no holder.
+Each cone solve returns its certificate: the answer p, active set J and
+rescaled multipliers nu of the refinement that ended it, or None. A
+caller that solves a path of nearby cone projections (the numeric probe's
+grid) passes the last certificate to the next solve as held. The loop's
+checkpoint 0, before any iteration, tries the held J, with Newton started
+from the held nu at the held answer, and ends the solve with 0
+iterations when the certificate holds. Otherwise ADMM runs from zeros, as
+in a one-off solve, and each of its refinements tries the held J first.
+This is continuation along the path without a predictor: nearby inputs
+share their active set, and their multipliers are close, so Newton
+starts near its quadratic region. The certificate, not the start, decides
+acceptance, and ADMM never starts from held state, so a stale
+certificate costs a few refinement attempts, never accuracy.
 
-The ConeModel is immutable, so solves may share one across threads; do
-not share a warm holder, which is mutable state owned by the one path
-that created it. The refinement's cache of LAPACK workspace sizes holds
-plain integers computed from the system's shape alone, so a race there at
-worst queries the same size twice. The library itself starts no threads.
+The ConeModel and the certificates are never written after they are
+built, so solves may share them across threads. The refinement's cache
+of LAPACK workspace sizes holds plain integers computed from the system's
+shape alone, so a race there at worst queries the same size twice. The
+library itself starts no threads.
 """
 
 from __future__ import annotations
@@ -85,7 +83,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgesv
 
-from .cones import ConeModel, ConePoint, _is_int, _unweighted, _weighted
+from .cones import (ConeModel, ConePoint, _check_input, _is_int, _unweighted,
+                    _weighted)
 from .errors import InvalidInputError
 from .symmat import RT2, BlockSymMatrix, SymMatrix, block_min_eigs, psd_clip_flat
 # unused here: perfbench installs its symmat.jacobi, project.factor and
@@ -188,43 +187,31 @@ def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
     step() runs one iteration and returns its residual. The loop stops
     when the residual is within cfg.tol, when it has not improved by the
     fraction _STALL_FACTOR over the last _STALL_WINDOW iterations, or after
-    cfg.max_iter iterations. checkpoint(k), if given, runs at iteration
-    _FIRST_POLISH, at each doubling of it and at every exit, before the
-    exit tests; the SolveStats it returns, if any, end the solve. Each exit
-    logs one debug line naming `what`.
+    cfg.max_iter iterations. checkpoint(k), if given, runs before the first
+    iteration (k = 0), at iteration _FIRST_POLISH, at each doubling of it
+    and at every exit, before the exit tests; the SolveStats it returns,
+    if any, end the solve. Each exit logs one debug line naming `what`.
     """
     tol = cfg.tol
     best_res = math.inf
-    best_iter = 0
+    best_iter = k = 0
     check_at = _FIRST_POLISH
-    reason = "budget"
-    stats = None
-    for k in range(1, cfg.max_iter + 1):
+    stats = None if checkpoint is None else checkpoint(0)
+    while stats is None:
+        k += 1
         res = step()
         if res < best_res * (1.0 - _STALL_FACTOR):
             best_res = res
             best_iter = k
-        stalled = k - best_iter > _STALL_WINDOW
-        if checkpoint is not None and (res <= tol or k == check_at or stalled
-                                       or k == cfg.max_iter):
+        reason = ("tol" if res <= tol
+                  else "stalled" if k - best_iter > _STALL_WINDOW
+                  else "budget" if k == cfg.max_iter else None)
+        if checkpoint is not None and (reason or k == check_at):
             if k == check_at:
                 check_at *= 2
             stats = checkpoint(k)
-            if stats is not None:
-                break
-        if res <= tol:
-            reason = "tol"
-            break
-        if stalled:
-            reason = "stalled"
-            break
-    if stats is None:
-        stats = SolveStats(k, res, res <= tol, reason)
-    return _log_exit(what, stats)
-
-
-def _log_exit(what: str, stats: SolveStats) -> SolveStats:
-    """Log the one debug line of a solve's exit and return its stats."""
+        if stats is None and reason:
+            stats = SolveStats(k, res, res <= tol, reason)
     log.debug("%s: %s after %d iterations at residual %.3e", what,
               stats.exit_reason, stats.iterations, stats.final_residual)
     return stats
@@ -408,38 +395,25 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
 
 def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
                     dual_flat: np.ndarray | None, held, steps: list):
-    """Try active-set candidates for the refinement, in order.
+    """Try the refinement's active sets in order, from p.
 
-    held is None or the (J, nu) a warm path last certified: its J is
-    tried first, with Newton starting from its nu. Then come the sets
-    derived from the dual iterate, from the primal iterate and all blocks,
-    each from its least-squares multipliers; each is derived only when the
-    ones before it failed, and a set already tried from least squares is
-    skipped (the held J is tried again from least squares). With no dual
-    iterate (dual_flat None, a warm solve's checkpoint 0) only the held J
-    is tried. Returns (p_hat, certificate_residual, J, nu) of the first
-    certified refinement, or None. steps is passed to each
-    :func:`_newton_polish`.
+    held is None or the (J, nu) of a warm path's last certificate: its J
+    is tried first, with Newton starting from its nu. With a dual iterate
+    (dual_flat; None at checkpoint 0) come the blocks whose dual entries
+    exceed 1e-6 of the largest, then all blocks when that set is smaller,
+    each from least-squares multipliers. Returns (p_hat,
+    certificate_residual, J, nu) of the first certified refinement, or
+    None. steps is passed to each :func:`_newton_polish`.
     """
-    def candidates():
-        if held is not None:
-            yield held
-        if dual_flat is None:
-            return
+    candidates = [] if held is None else [held]
+    if dual_flat is not None:
         dual_rows = np.abs(dual_flat.reshape(-1, 3)).max(axis=1)
         dual_ref = max(float(dual_rows.max()), 1e-300)
-        yield np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist(), None
-        rows = _lmi_rows(model, p)
-        dets = np.abs(rows[:, 0] * rows[:, 2] - rows[:, 1] ** 2)
-        det_ref = max(float(dets.max()), float(p @ p), 1e-300)
-        yield np.flatnonzero(dets <= 1e-5 * det_ref).tolist(), None
-        yield list(range(2 * model.n - 1)), None
-
-    tried = []
-    for J, nu0 in candidates():
-        if (J, nu0 is None) in tried:
-            continue
-        tried.append((J, nu0 is None))
+        J = np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist()
+        candidates.append((J, None))
+        if len(J) < len(dual_rows):
+            candidates.append((list(range(len(dual_rows))), None))
+    for J, nu0 in candidates:
         out = _newton_polish(model, q, p, J, nu0, steps)
         if out is not None:
             p_hat, cert_res, nu = out
@@ -447,27 +421,8 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
     return None
 
 
-@dataclass
-class _WarmStart:
-    """The last certified refinement along a path of cone solves: its
-    answer p, active set J and rescaled multipliers nu.
-
-    A caller that solves a sequence of nearby projections creates one and
-    passes it to each :func:`_project_cone_arr` call; the solver refills it
-    on return. All three are None unless that solve ended on a certified
-    refinement. nu belongs to the unit-norm problem, so it carries over
-    between inputs of different ||q||. Arrays and lists are replaced,
-    never written in place, so ``dataclasses.replace(warm)`` is an
-    independent copy.
-    """
-
-    p: np.ndarray | None = None
-    J: list | None = None
-    nu: np.ndarray | None = None
-
-
 def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
-                      warm: _WarmStart | None = None):
+                      held: tuple | None = None):
     """ADMM projection onto the cone, on raw coordinate arrays.
 
     Projection onto a cone is positively homogeneous, so the solve runs on
@@ -491,27 +446,26 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     loop's checkpoints; a certified one ends the solve, converged when its
     certificate residual is within tol.
 
-    With a filled warm holder, checkpoint 0 tries the held J alone, from
-    the held nu, at the held answer divided by ||q||, before any
-    iteration; a certified refinement there ends the solve with 0
-    iterations. Every later refinement of the solve tries the held J
-    first. The holder is left with this solve's certified refinement, or
-    emptied.
+    Returns (p, stats, cert): cert is the (p, J, nu) of the certified
+    refinement that ended the solve, or None. held is None or an earlier
+    solve's cert: checkpoint 0 tries the held J alone, from the held nu,
+    at the held answer divided by ||q||, before any iteration, and every
+    later refinement tries the held J first. nu belongs to the unit-norm
+    problem, so it carries over between inputs of different ||q||.
     """
     qn = _input_norm(q)
     if qn == 0.0 or block_min_eigs(_lmi_rows(model, q / qn)).min() >= -1e-13:
-        if warm is not None:
-            warm.p = warm.J = warm.nu = None
-        return q.copy(), _ZERO_STATS
+        return q.copy(), _ZERO_STATS, None
     u = q / qn
-    held = None if warm is None or warm.p is None else (warm.J, warm.nu)
     W = model.lmi_weighted
     WT = W.T
     gain = model.admm_gain
     p0 = model.admm_minv @ u
-    p, Z, U = None, np.zeros(W.shape[0]), np.zeros(W.shape[0])
+    p = None if held is None else held[0] / qn
+    held_set = None if held is None else held[1:]
+    Z, U = np.zeros(W.shape[0]), np.zeros(W.shape[0])
     steps = []
-    certified = (None, None)
+    cert = None
 
     def step():
         nonlocal p, Z, U
@@ -525,27 +479,22 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
         return max(_norm(Ap - Z_new), r_dual)
 
     def polish(k):
-        nonlocal p, certified
-        refined = _attempt_polish(model, u, p, U if k else None, held, steps)
+        nonlocal p, cert
+        if p is None:
+            # a cold solve's checkpoint 0: no held answer to refine
+            return None
+        refined = _attempt_polish(model, u, p, U if k else None, held_set,
+                                  steps)
         if refined is None:
             return None
         p, cert_res, J, nu = refined
-        certified = (J, nu)
+        cert = (J, nu)
         return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
 
-    stats = None
-    if held is not None:
-        p = warm.p / qn
-        stats = polish(0)
-        if stats is not None:
-            _log_exit("cone projection", stats)
-    if stats is None:
-        stats = _iterate(step, cfg, "cone projection", checkpoint=polish)
+    stats = _iterate(step, cfg, "cone projection", checkpoint=polish)
     p = qn * p
-    if warm is not None:
-        warm.J, warm.nu = certified
-        warm.p = None if warm.J is None else p
-    return p, replace(stats, newton_steps=sum(steps))
+    return (p, replace(stats, newton_steps=sum(steps)),
+            None if cert is None else (p, *cert))
 
 
 def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
@@ -555,10 +504,8 @@ def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None
     optimizer is ADMM over the LMI splitting plus the certified active-set
     refinement described in the module docstring.
     """
-    cfg = cfg or SolverConfig()
-    if q.n != model.n:
-        raise InvalidInputError(f"point has n={q.n}, model has n={model.n}")
-    p, stats = _project_cone_arr(model, q.coords, cfg)
+    _check_input(model, q, ConePoint)
+    p, stats, _ = _project_cone_arr(model, q.coords, cfg or SolverConfig())
     return ConePoint(model.n, p), stats
 
 
@@ -576,8 +523,7 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     annihilated by the adjoint, which is the defining property of the
     orthogonal projection onto a range space.
     """
-    if X.n != model.n:
-        raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
+    _check_input(model, X, BlockSymMatrix)
     return _unweighted(model.n, model.range_proj @ _weighted(X))
 
 
@@ -605,46 +551,54 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
     return x, stats
 
 
-def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
-    """Project onto the slice (PSD cone intersected with the LMI range).
+def _slice_projection(model: ConeModel, X, solve):
+    """The slice projectors' shared input handling around solve, which maps
+    a unit flat vector of weighted block coordinates to its projection and
+    SolveStats.
 
     The range of the LMI map is block-diagonal, so the slice lies in the
     subspace B of block-diagonal matrices, and by Pythagoras the projection
     of a full symmetric X is the projection of its 2x2 diagonal blocks,
-    Pi_B X. A SymMatrix input is therefore reduced to those blocks, which
-    run the same loop as a BlockSymMatrix input; the answer comes back as a
-    SymMatrix whose off-block entries are exactly 0. Returns an object of
-    the same kind as the input plus solve statistics.
-
-    The projection is positively homogeneous, so the loop runs on
+    Pi_B X. A SymMatrix input is therefore reduced to those blocks, and the
+    answer comes back as a SymMatrix whose off-block entries are exactly 0;
+    a BlockSymMatrix input gets a BlockSymMatrix. Anything else is
+    rejected. The projection is positively homogeneous, so solve runs on
     Pi_B X / ||Pi_B X|| (Frobenius norm, by math.hypot) and the answer is
-    scaled back: tol is relative to ||Pi_B X|| <= ||X||, and a
-    power-of-two rescaling of X rescales the answer bitwise with equal
-    iterations. An input whose diagonal blocks are all zero returns exact
+    scaled back. An input whose diagonal blocks are all zero returns exact
     zeros.
     """
-    cfg = cfg or SolverConfig()
     if isinstance(X, SymMatrix):
         d = 4 * model.n - 2
         if X.dim != d:
             raise InvalidInputError(f"matrix dimension {X.dim} does not match {d}")
-        out, stats = project_slice_dykstra(
-            model, BlockSymMatrix.from_full(model.n, X), cfg)
+        out, stats = _slice_projection(
+            model, BlockSymMatrix.from_full(model.n, X), solve)
         return out.to_full(), stats
     if not isinstance(X, BlockSymMatrix):
         raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
-    if X.n != model.n:
-        raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
+    _check_input(model, X, BlockSymMatrix)
     flat = _weighted(X)
     xn = _input_norm(flat)
     if xn == 0.0:
         return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
-    out, stats = _dykstra_flat(model, flat / xn, cfg)
+    out, stats = solve(flat / xn)
     return _unweighted(model.n, xn * out), stats
 
 
-def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
-                             cfg: SolverConfig | None = None):
+def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
+    """Project onto the slice (PSD cone intersected with the LMI range) by
+    Dykstra's alternation, an oracle independent of the cone projector.
+
+    X is a BlockSymMatrix or a SymMatrix (see :func:`_slice_projection`), and
+    the answer is of the same kind, plus solve statistics. tol is relative
+    to ||Pi_B X|| <= ||X||, and a power-of-two rescaling of X rescales the
+    answer bitwise with equal iterations.
+    """
+    cfg = cfg or SolverConfig()
+    return _slice_projection(model, X, lambda x: _dykstra_flat(model, x, cfg))
+
+
+def project_slice_fixedpoint(model: ConeModel, X, cfg: SolverConfig | None = None):
     """Project onto the slice: the cone projection in the Gram metric.
 
     The answer is A z for the fixed point z of the projected gradient map
@@ -654,17 +608,16 @@ def project_slice_fixedpoint(model: ConeModel, X: BlockSymMatrix,
     so the fixed point is reached in one cone solve: A z = Q Pi_K'(Q^T X)
     on K' = U K, model.slice_model, whose SolveStats are returned as is.
 
-    Like :func:`project_slice_dykstra` the solve runs on X / ||X||; its tol
-    is relative to ||Q^T X|| <= ||X||. X = 0 returns exact zeros.
+    X is a BlockSymMatrix or a SymMatrix, and the answer is of the same
+    kind, as for :func:`project_slice_dykstra`. tol is relative to
+    ||Q^T X|| <= ||X||.
     """
     cfg = cfg or SolverConfig()
-    if X.n != model.n:
-        raise InvalidInputError(f"matrix has n={X.n}, model has n={model.n}")
-    flat = _weighted(X)
-    xn = _input_norm(flat)
-    if xn == 0.0:
-        return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
-    gram = model.slice_model
-    Q = gram.lmi_weighted
-    w, stats = _project_cone_arr(gram, Q.T @ (flat / xn), cfg)
-    return _unweighted(model.n, xn * (Q @ w)), stats
+
+    def solve(x):
+        gram = model.slice_model
+        Q = gram.lmi_weighted
+        w, stats, _ = _project_cone_arr(gram, Q.T @ x, cfg)
+        return Q @ w, stats
+
+    return _slice_projection(model, X, solve)

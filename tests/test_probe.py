@@ -11,7 +11,7 @@ from sliceproj import (InvalidInputError, NumericFailureError, SolverConfig,
                        curve_step, fit_exponent, make_cone, normal_curve,
                        polar_curve, probe_semismoothness, report_to_csv,
                        report_to_json, residual_exact, residual_numeric)
-from sliceproj.project import _project_cone_arr, _WarmStart
+from sliceproj.project import _project_cone_arr
 
 CFG = SolverConfig()
 
@@ -293,9 +293,9 @@ def test_numeric_probe_checks_origin_once(models, monkeypatch):
     bases = [polar_curve(model, t).coords for t in t_grid]
     solved = []
 
-    def counting(model_, q, cfg, warm=None):
+    def counting(model_, q, cfg, held=None):
         solved.append(q.copy())
-        return _project_cone_arr(model_, q, cfg, warm)
+        return _project_cone_arr(model_, q, cfg, held)
 
     def times_solved(point):
         return sum(np.array_equal(q, point) for q in solved)
@@ -339,20 +339,19 @@ def test_stale_warm_start_falls_back_to_cold_answer(models):
                     + 1e-6 * curve_step(model, t).coords)
 
         q = fd_point(1e-3)
-        cold, cold_stats = _project_cone_arr(model, q, tight)
-        # a far grid point's answer, and a random point's answer, whose
+        cold, cold_stats, _ = _project_cone_arr(model, q, tight)
+        # a far grid point's certificate, and a random point's, whose
         # active set the refinement cannot certify at q: ADMM must run, and
         # from zeros, so no longer than the cold solve (ADMM from the
-        # random holder's state once ran 131072 iterations at n = 12,
+        # random point's state once ran 131072 iterations at n = 12,
         # against 32)
         for stale in (fd_point(0.5), 5.0 * rng.standard_normal(model.dim())):
-            warm = _WarmStart()
-            _project_cone_arr(model, stale, tight, warm)
-            p, stats = _project_cone_arr(model, q, tight, warm)
+            _, _, held = _project_cone_arr(model, stale, tight)
+            p, stats, cert = _project_cone_arr(model, q, tight, held)
             assert stats.converged
             assert stats.iterations <= cold_stats.iterations, n
             assert np.linalg.norm(p - cold) <= 1e-9 * np.linalg.norm(q)
-            assert warm.p is p
+            assert cert[0] is p
         assert stats.iterations > 0
     for fd_step in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError, match="fd_step"):

@@ -59,11 +59,10 @@ def test_each_solve_logs_one_exit_line(models, caplog):
     X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
     # an input whose ADMM answer the refinement certifies
     q4 = np.random.default_rng(0).standard_normal(9)
-    warm = project_module._WarmStart()
-    project_module._project_cone_arr(models[4], q4, CFG, warm)
+    _, _, held = project_module._project_cone_arr(models[4], q4, CFG)
 
     def warm_solve():
-        return project_module._project_cone_arr(models[4], q4, CFG, warm)
+        return project_module._project_cone_arr(models[4], q4, CFG, held)[:2]
 
     for what, solve in (("cone projection", lambda: project_cone(model, q, CFG)),
                         ("cone projection", warm_solve),
@@ -96,13 +95,21 @@ def test_solve_stats_json_dict(models):
 def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
     # a cone solve sums the steps of each refinement attempt, failed ones
     # too; the derived slice projection reports its one cone solve's;
-    # Dykstra takes none
-    attempts, inner = [], []
+    # Dykstra takes none. A cold checkpoint tries at most two active sets:
+    # the dual-derived one and all blocks
+    attempts, inner, per_checkpoint = [], [], []
     newton, solve = project_module._newton_polish, project_module._project_cone_arr
+    polish = project_module._attempt_polish
 
     def recording_newton(*args):
         out = newton(*args)
         attempts.append(args[5][-1])
+        return out
+
+    def recording_polish(*args):
+        before = len(attempts)
+        out = polish(*args)
+        per_checkpoint.append(len(attempts) - before)
         return out
 
     def recording_solve(*args):
@@ -111,15 +118,18 @@ def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
         return out
 
     monkeypatch.setattr(project_module, "_newton_polish", recording_newton)
+    monkeypatch.setattr(project_module, "_attempt_polish", recording_polish)
+    model = make_cone(12)
     rng = np.random.default_rng(2)
     most = 0
     for _ in range(20):
         attempts.clear()
-        _, stats = project_cone(models[2], ConePoint(2, rng.standard_normal(5)),
+        _, stats = project_cone(model, ConePoint(12, rng.standard_normal(25)),
                                 CFG)
         assert stats.newton_steps == sum(attempts)
         most = max(most, len(attempts))
     assert most > 1
+    assert max(per_checkpoint) <= 2
     monkeypatch.setattr(project_module, "_project_cone_arr", recording_solve)
     X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
     _, stats = project_slice_fixedpoint(models[2], X, CFG)
@@ -240,7 +250,8 @@ def test_exit_reasons(models):
 
 
 def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
-    # the refinement runs at iteration 32, each doubling, and the exit
+    # the refinement runs before the first iteration, at iteration 32,
+    # each doubling, and the exit
     def run(residuals, max_iter, window=2000, stop_at=None):
         monkeypatch.setattr(project_module, "_STALL_WINDOW", window)
         seen = []
@@ -258,29 +269,31 @@ def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
         return seen, (stats.exit_reason, stats.iterations)
 
     falling = [1.0 / k for k in range(1, 301)]
-    assert run(falling, 300) == ([32, 64, 128, 256, 300], ("budget", 300))
-    assert run(falling[:49] + [0.0], 300) == ([32, 50], ("tol", 50))
-    assert run(falling[:63] + [0.0], 300) == ([32, 64], ("tol", 64))
-    assert run([1.0] * 300, 300, window=40) == ([32, 42], ("stalled", 42))
-    assert run(falling, 300, stop_at=64) == ([32, 64], ("certified", 64))
-    # a solve that ends before the first checkpoint runs it once, at its exit
-    assert run(falling, 20) == ([20], ("budget", 20))
+    assert run(falling, 300) == ([0, 32, 64, 128, 256, 300], ("budget", 300))
+    assert run(falling[:49] + [0.0], 300) == ([0, 32, 50], ("tol", 50))
+    assert run(falling[:63] + [0.0], 300) == ([0, 32, 64], ("tol", 64))
+    assert run([1.0] * 300, 300, window=40) == ([0, 32, 42], ("stalled", 42))
+    assert run(falling, 300, stop_at=64) == ([0, 32, 64], ("certified", 64))
+    # a solve that ends before iteration 32 runs the checkpoint at 0 and
+    # at its exit; one that certifies at 0 takes no iteration
+    assert run(falling, 20) == ([0, 20], ("budget", 20))
+    assert run(falling, 300, stop_at=0) == ([0], ("certified", 0))
 
 
 def test_one_off_and_warm_solves_refine_first_at_32():
-    # a solve that fills a warm holder refines first at iteration 32, as a
-    # one-off solve does, and the holder keeps the certified J and nu
+    # a solve that returns its certificate refines first at iteration 32,
+    # as a one-off solve does, and the certificate keeps its answer, J and nu
     model = make_cone(4)
     q = np.random.default_rng(0).standard_normal(9)
-    p_cold, cold = project_module._project_cone_arr(model, q, CFG)
-    warm = project_module._WarmStart()
-    p_warm, stats = project_module._project_cone_arr(model, q, CFG, warm)
+    p_cold, cold = project_cone(model, ConePoint(4, q), CFG)
+    p_warm, stats, cert = project_module._project_cone_arr(model, q, CFG)
     assert (cold.iterations, cold.exit_reason) == (32, "certified")
-    assert stats == cold and np.array_equal(p_warm, p_cold)
-    assert warm.J and len(warm.nu) == len(warm.J)
-    # a solve that does not end on a refinement empties the holder
-    project_module._project_cone_arr(model, np.eye(9)[2], CFG, warm)
-    assert warm == project_module._WarmStart()
+    assert stats == cold and np.array_equal(p_warm, p_cold.coords)
+    p, J, nu = cert
+    assert p is p_warm and J and len(nu) == len(J)
+    # a solve that does not end on a refinement returns no certificate
+    assert project_module._project_cone_arr(model, np.eye(9)[2], CFG,
+                                            cert)[2] is None
 
 
 def test_warm_start_is_checkpoint_0(monkeypatch):
@@ -288,16 +301,14 @@ def test_warm_start_is_checkpoint_0(monkeypatch):
     # certified, and converged only when its residual is within tol
     model = make_cone(4)
     q = np.random.default_rng(0).standard_normal(9)
-    warm = project_module._WarmStart()
-    project_module._project_cone_arr(model, q, CFG, warm)
-    held = warm.J
+    _, _, held = project_module._project_cone_arr(model, q, CFG)
     # Newton starts on the held J from the held nu: no least-squares solve
     monkeypatch.setattr(project_module, "dgelsd", None)
-    _, stats = project_module._project_cone_arr(
-        model, q, SolverConfig(tol=1e-18), warm)
+    _, stats, cert = project_module._project_cone_arr(
+        model, q, SolverConfig(tol=1e-18), held)
     assert ((stats.iterations, stats.converged, stats.exit_reason)
             == (0, False, "certified"))
-    assert warm.J == held
+    assert cert[1] == held[1]
 
 
 def test_hopeless_refinement_gives_up_early(monkeypatch):
@@ -490,6 +501,33 @@ def test_dykstra_full_matrix_path_matches_block_path(models):
             assert np.array_equal(fully.dense, blocky.to_full().dense)
 
 
+_Q2 = ConePoint(2, np.random.default_rng(7).standard_normal(5))
+_X2 = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
+
+
+@pytest.mark.parametrize("project, good, bad", [
+    (project_cone, [_Q2], [_X2, _X2.to_full()]),
+    (project_polar, [_Q2], [_X2, _X2.to_full()]),
+    (project_range, [_X2], [_Q2, _X2.to_full()]),
+    (project_slice_dykstra, [_X2, _X2.to_full()], [_Q2]),
+    (project_slice_fixedpoint, [_X2, _X2.to_full()], [_Q2]),
+], ids=["cone", "polar", "range", "dykstra", "fixedpoint"])
+def test_projectors_check_the_kind_of_input(models, project, good, bad):
+    # a wrong kind of input used to raise AttributeError;
+    # both slice projectors take a SymMatrix and return one
+    model = models[2]
+    answers = []
+    for x in good:
+        out = project(model, x)
+        answers.append(out[0] if isinstance(out, tuple) else out)
+        assert type(answers[-1]) is type(x)
+    if len(answers) == 2:
+        assert np.array_equal(answers[0].to_full().dense, answers[1].dense)
+    for x in bad + [_Q2.coords, _X2.blocks, _X2.to_full().dense]:
+        with pytest.raises(InvalidInputError):
+            project(model, x)
+
+
 def test_dense_dykstra_stops_on_stall(models):
     # an unreachable tol: Dykstra must stop at its floor, on either input
     rng = np.random.default_rng(5)
@@ -661,7 +699,7 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
     rng = np.random.default_rng(157)
     for q in qs:
         calls.clear()
-        p, stats = project_module._project_cone_arr(
+        p, stats, _ = project_module._project_cone_arr(
             model, q, SolverConfig(tol=1e-13))
         assert stats.converged
         assert calls and calls[-1][2] is not None
