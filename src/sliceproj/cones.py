@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import InvalidInputError
-from .symmat import RT2, BlockSymMatrix
+from .symmat import RT2, WEIGHTS, BlockSymMatrix, to_lorentz
 
 N_MIN = 2
 N_MAX = 12
@@ -114,11 +114,18 @@ class ConeModel:
     array derived by :meth:`from_lmi` from A's weighted matrix
     lmi_weighted = W: the Cholesky factorization gram_factor of the Gram
     operator A*A = W^T W (used by solve_gram); the forms det_forms,
-    p^T B_k p being the determinant of block k; range_proj, the orthogonal
-    projector onto the range of A in weighted block coordinates; and the
-    cone projector's ADMM operators admm_minv = (I + W^T W)^-1 and
-    admm_gain = admm_minv W^T; slice_model, built on first use. kappa and
-    lam are 2^n and 2^n/(2^n - 1).
+    p^T B_k p being the determinant of block k; and slice_model, built on
+    first use. kappa and lam are 2^n and 2^n/(2^n - 1).
+
+    The solvers hold blocks in Lorentz coordinates (symmat.to_lorentz), in
+    which each 2x2 PSD block is a 3-d second-order cone, and their
+    operators live in that basis: lmi_lorentz = L = blockdiag(R) W for the
+    rotation R of each block; range_proj, the orthogonal projector onto
+    the range of A; and the cone projector's ADMM operators
+    admm_minv = (I + L^T L)^-1 and admm_gain = admm_minv L^T. R is
+    orthogonal, so L^T L = W^T W and admm_minv is the same in either basis.
+    The certificate's arrays (lmi_weighted, det_forms) stay in weighted
+    coordinates.
 
     A model is immutable, its arrays read-only. Equality is identity (the
     generated __eq__ over ndarray fields would raise), so a model is
@@ -130,6 +137,7 @@ class ConeModel:
     lam: float
     gram_factor: tuple = field(repr=False)
     lmi_weighted: np.ndarray = field(repr=False)
+    lmi_lorentz: np.ndarray = field(repr=False)
     det_forms: np.ndarray = field(repr=False)
     range_proj: np.ndarray = field(repr=False)
     admm_minv: np.ndarray = field(repr=False)
@@ -150,20 +158,21 @@ class ConeModel:
             gram_factor = cho_factor(gram)
         except np.linalg.LinAlgError as exc:
             raise InvalidInputError("Gram matrix not positive definite") from exc
-        range_proj = W @ cho_solve(gram_factor, W.T)
+        L = to_lorentz(W.reshape(-1, 3, W.shape[1])).reshape(W.shape)
+        range_proj = L @ cho_solve(gram_factor, L.T)
         # det [[a.p, b.p], [b.p, c.p]] = p^T (sym(a c^T) - b b^T) p
         a, b, c = W[0::3, :, None], W[1::3, :, None] / RT2, W[2::3, :, None]
         ac, bb = a * c.transpose(0, 2, 1), b * b.transpose(0, 2, 1)
         det_forms = 0.5 * (ac + ac.transpose(0, 2, 1)) - bb
         eye = np.eye(W.shape[1])
         admm_minv = cho_solve(cho_factor(eye + gram), eye)
-        admm_gain = admm_minv @ W.T
-        for arr in (W, gram_factor[0], range_proj, det_forms, admm_minv,
+        admm_gain = admm_minv @ L.T
+        for arr in (W, L, gram_factor[0], range_proj, det_forms, admm_minv,
                     admm_gain):
             arr.setflags(write=False)
         kappa = 2.0 ** n
         return cls(n=n, kappa=kappa, lam=kappa / (kappa - 1.0),
-                   gram_factor=gram_factor, lmi_weighted=W,
+                   gram_factor=gram_factor, lmi_weighted=W, lmi_lorentz=L,
                    det_forms=det_forms, range_proj=range_proj,
                    admm_minv=admm_minv, admm_gain=admm_gain)
 
@@ -212,31 +221,18 @@ def _check_input(model: ConeModel, x, kind: type):
     return x
 
 
-def _weighted(X: BlockSymMatrix) -> np.ndarray:
-    """X's (a, sqrt(2) b, c) rows, flat: in these coordinates the Euclidean
-    inner product is the trace inner product."""
-    flat = X.blocks.copy()
-    flat[:, 1] *= RT2
-    return flat.ravel()
-
-
-def _unweighted(n: int, flat: np.ndarray) -> BlockSymMatrix:
-    """Inverse of :func:`_weighted`."""
-    rows = flat.reshape(-1, 3)
-    rows[:, 1] /= RT2
-    return BlockSymMatrix(n, rows)
-
-
 def lmi_apply(model: ConeModel, p: ConePoint) -> BlockSymMatrix:
     """Apply the LMI map: the block-diagonal matrix whose PSD-ness defines
     membership of p in the cone."""
-    return _unweighted(model.n, model.lmi_weighted @ _check_input(model, p, ConePoint).coords)
+    rows = model.lmi_weighted @ _check_input(model, p, ConePoint).coords
+    return BlockSymMatrix(model.n, rows.reshape(-1, 3) / WEIGHTS)
 
 
 def lmi_adjoint(model: ConeModel, mat: BlockSymMatrix) -> ConePoint:
     """Adjoint of the LMI map under the trace inner product on blocks."""
     _check_input(model, mat, BlockSymMatrix)
-    return ConePoint(model.n, model.lmi_weighted.T @ _weighted(mat))
+    weighted = (mat.blocks * WEIGHTS).ravel()
+    return ConePoint(model.n, model.lmi_weighted.T @ weighted)
 
 
 def membership_cone(model: ConeModel, p: ConePoint, tol: float = 1e-9):

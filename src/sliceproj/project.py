@@ -37,14 +37,22 @@ progress gives up after a few Newton steps, so an early checkpoint with
 a wrong active set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
-number of numpy calls per iteration, not flops. The splitting has no
-penalty parameter (its penalty is 1), so its p-update operators depend on
-the model alone, and ConeModel.from_lmi builds them: Minv = (I + A*A)^-1
-and the gain K = Minv A*. A solve computes Minv u once, for
-u = q / ||q||; each iteration is then p = Minv u + K (Z - U), the product
-A p, one PSD clip of the flat block vector and one product with A* for
-the dual residual. Dykstra's range step uses the model's precomputed
-orthogonal projector onto the range of A.
+number of numpy calls per iteration, not flops. Both iterative solvers
+hold the blocks in Lorentz coordinates (symmat.to_lorentz), an
+orthogonal change of basis under which each 2x2 PSD block is the 3-d
+second-order cone, so their blockwise PSD clip is that cone's closed-form
+projection, symmat.lorentz_clip, and A is the model's lmi_lorentz = L.
+The splitting has no penalty parameter (its penalty is 1), so its
+p-update operators depend on the model alone, and ConeModel.from_lmi
+builds them: Minv = (I + L^T L)^-1 and the gain K = Minv L^T. A solve
+computes Minv u once, for u = q / ||q||; each iteration is then
+p = Minv u + K (Z - U), the product L p, one Lorentz clip of the flat
+block vector and one product with L^T for the dual residual.
+
+Dykstra alternates the Lorentz clip with the model's precomputed
+orthogonal projector P onto the range of A, in the same basis. It
+carries the point z that the clip acts on: y = clip(z), x = P y, and z
+moves by -(y - x). That is one matrix-vector product per iteration.
 
 ADMM and Dykstra share one iteration loop, _iterate: each passes a step
 that returns its residual, and the loop owns the tolerance, stall and
@@ -83,10 +91,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgesv
 
-from .cones import (ConeModel, ConePoint, _check_input, _is_int, _unweighted,
-                    _weighted)
+from .cones import ConeModel, ConePoint, _check_input, _is_int
 from .errors import InvalidInputError
-from .symmat import RT2, BlockSymMatrix, SymMatrix, block_min_eigs, psd_clip_flat
+from .symmat import (WEIGHTS, BlockSymMatrix, SymMatrix, block_min_eigs,
+                     from_lorentz, lorentz_clip, to_lorentz)
 # unused here: perfbench installs its symmat.jacobi, project.factor and
 # project.linsolve spans on these bindings
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
@@ -154,9 +162,11 @@ class SolveStats:
     ``certified`` (an exact shortcut, or an active-set refinement whose
     optimality certificate held), ``stalled`` (no progress over the stall
     window) or ``budget`` (max_iter reached). For cone solves converged ==
-    (final_residual <= tol). newton_steps is the number of accepted Newton
-    steps summed over every refinement attempt of the solve (0 for
-    Dykstra; the derived slice projection reports its one cone solve's).
+    (final_residual <= tol). polish_attempts is the number of refinement
+    attempts (Newton solves on one active set) of the solve, and
+    newton_steps the number of accepted Newton steps summed over them. Both
+    are 0 for Dykstra; the derived slice projection reports its one cone
+    solve's.
     """
 
     iterations: int
@@ -164,10 +174,11 @@ class SolveStats:
     converged: bool
     exit_reason: str
     newton_steps: int = 0
+    polish_attempts: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "iterations", int(self.iterations))
-        object.__setattr__(self, "newton_steps", int(self.newton_steps))
+        for name in ("iterations", "newton_steps", "polish_attempts"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "final_residual", float(self.final_residual))
         object.__setattr__(self, "converged", bool(self.converged))
         if self.exit_reason not in EXIT_REASONS:
@@ -219,9 +230,7 @@ def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
 
 def _lmi_rows(model: ConeModel, p: np.ndarray) -> np.ndarray:
     """The (a_k.p, b_k.p, c_k.p) rows of the LMI image of p, one per block."""
-    rows = (model.lmi_weighted @ p).reshape(-1, 3)
-    rows[:, 1] /= RT2
-    return rows
+    return (model.lmi_weighted @ p).reshape(-1, 3) / WEIGHTS
 
 
 def _duals_nonnegative(rows: np.ndarray, J, nu: np.ndarray) -> bool:
@@ -399,15 +408,16 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
 
     held is None or the (J, nu) of a warm path's last certificate: its J
     is tried first, with Newton starting from its nu. With a dual iterate
-    (dual_flat; None at checkpoint 0) come the blocks whose dual entries
-    exceed 1e-6 of the largest, then all blocks when that set is smaller,
+    (dual_flat; None at checkpoint 0) come the blocks whose dual blocks
+    exceed 1e-6 of the largest in Euclidean norm (the same in weighted and
+    in Lorentz coordinates), then all blocks when that set is smaller,
     each from least-squares multipliers. Returns (p_hat,
     certificate_residual, J, nu) of the first certified refinement, or
     None. steps is passed to each :func:`_newton_polish`.
     """
     candidates = [] if held is None else [held]
     if dual_flat is not None:
-        dual_rows = np.abs(dual_flat.reshape(-1, 3)).max(axis=1)
+        dual_rows = np.linalg.norm(dual_flat.reshape(-1, 3), axis=1)
         dual_ref = max(float(dual_rows.max()), 1e-300)
         J = np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist()
         candidates.append((J, None))
@@ -457,24 +467,24 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     if qn == 0.0 or block_min_eigs(_lmi_rows(model, q / qn)).min() >= -1e-13:
         return q.copy(), _ZERO_STATS, None
     u = q / qn
-    W = model.lmi_weighted
-    WT = W.T
+    L = model.lmi_lorentz
+    LT = L.T
     gain = model.admm_gain
     p0 = model.admm_minv @ u
     p = None if held is None else held[0] / qn
     held_set = None if held is None else held[1:]
-    Z, U = np.zeros(W.shape[0]), np.zeros(W.shape[0])
+    Z, U = np.zeros(L.shape[0]), np.zeros(L.shape[0])
     steps = []
     cert = None
 
     def step():
         nonlocal p, Z, U
         p = p0 + gain @ (Z - U)
-        Ap = W @ p
+        Ap = L @ p
         X = Ap + U
-        Z_new = psd_clip_flat(X)
+        Z_new = lorentz_clip(X)
         U = X - Z_new
-        r_dual = _norm(WT @ (Z_new - Z))
+        r_dual = _norm(LT @ (Z_new - Z))
         Z = Z_new
         return max(_norm(Ap - Z_new), r_dual)
 
@@ -493,7 +503,8 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
 
     stats = _iterate(step, cfg, "cone projection", checkpoint=polish)
     p = qn * p
-    return (p, replace(stats, newton_steps=sum(steps)),
+    return (p, replace(stats, newton_steps=sum(steps),
+                       polish_attempts=len(steps)),
             None if cert is None else (p, *cert))
 
 
@@ -524,26 +535,39 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     orthogonal projection onto a range space.
     """
     _check_input(model, X, BlockSymMatrix)
-    return _unweighted(model.n, model.range_proj @ _weighted(X))
+    flat = to_lorentz(X.blocks * WEIGHTS).ravel()
+    return _from_lorentz(model.n, model.range_proj @ flat)
+
+
+def _from_lorentz(n: int, flat: np.ndarray,
+                  scale: float = 1.0) -> BlockSymMatrix:
+    """scale times the block matrix whose flat Lorentz coordinates (the
+    to_lorentz rotation of its weighted rows) are flat, rotated back before
+    it is scaled."""
+    rows = from_lorentz(flat.reshape(-1, 3)) / WEIGHTS
+    return BlockSymMatrix(n, scale * rows)
 
 
 def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
     """Dykstra alternation between the blockwise PSD cone and the range
-    subspace, on a flat vector of weighted block coordinates.
+    subspace, on a flat vector of Lorentz block coordinates.
 
     The correction term is carried on the PSD step only; the subspace is
-    affine, so its step needs no correction.
+    linear, so its step needs no correction. Then z = x + corr, the point
+    the PSD step clips, obeys a recurrence of its own: with y the clip of z
+    and x_new = P y its projection onto the range, z moves by
+    -(y - x_new), so the loop carries z and x and no correction term. Its
+    residual is max(||y - x_new||, ||x_new - x||).
     """
-    x = x0
-    corr = np.zeros_like(x0)
+    x = z = x0
 
     def step():
-        nonlocal x, corr
-        shifted = x + corr
-        y = psd_clip_flat(shifted)
-        corr = shifted - y
+        nonlocal x, z
+        y = lorentz_clip(z)
         x_new = model.range_proj @ y
-        res = max(_norm(y - x_new), _norm(x_new - x))
+        gap = y - x_new
+        z = z - gap
+        res = max(_norm(gap), _norm(x_new - x))
         x = x_new
         return res
 
@@ -553,7 +577,7 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
 
 def _slice_projection(model: ConeModel, X, solve):
     """The slice projectors' shared input handling around solve, which maps
-    a unit flat vector of weighted block coordinates to its projection and
+    a unit flat vector of Lorentz block coordinates to its projection and
     SolveStats.
 
     The range of the LMI map is block-diagonal, so the slice lies in the
@@ -577,12 +601,17 @@ def _slice_projection(model: ConeModel, X, solve):
     if not isinstance(X, BlockSymMatrix):
         raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
     _check_input(model, X, BlockSymMatrix)
-    flat = _weighted(X)
-    xn = _input_norm(flat)
+    # the norm of the weighted rows comes first: rotating them before they
+    # are normalised could overflow at a finite norm. A sqrt(2) b that
+    # overflows to inf is a norm above the largest double, which
+    # _input_norm rejects.
+    with np.errstate(over="ignore"):
+        weighted = X.blocks * WEIGHTS
+    xn = _input_norm(weighted.ravel())
     if xn == 0.0:
         return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
-    out, stats = solve(flat / xn)
-    return _unweighted(model.n, xn * out), stats
+    out, stats = solve(to_lorentz(weighted / xn).ravel())
+    return _from_lorentz(model.n, out, xn), stats
 
 
 def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
@@ -616,7 +645,7 @@ def project_slice_fixedpoint(model: ConeModel, X, cfg: SolverConfig | None = Non
 
     def solve(x):
         gram = model.slice_model
-        Q = gram.lmi_weighted
+        Q = gram.lmi_lorentz
         w, stats, _ = _project_cone_arr(gram, Q.T @ x, cfg)
         return Q @ w, stats
 

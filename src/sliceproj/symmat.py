@@ -1,13 +1,19 @@
 """Minimal dense symmetric-matrix kernel.
 
 Provides the closed forms for block-diagonal matrices built from 2x2
-blocks (the blockwise PSD projection, psd_clip_flat, and the blocks'
-smallest eigenvalues, block_min_eigs) and a cyclic threshold Jacobi
-eigensolver for full symmetric matrices. Every Jacobi rotation of a matrix
-of 2x2 diagonal blocks stays inside one block, so each eigenvector is
-supported on one block. The Jacobi solver is deliberately independent of
-the closed-form 2x2 clip (psd_clip_flat) so the two can cross-check each
-other.
+blocks and a cyclic threshold Jacobi eigensolver for full symmetric
+matrices. A 2x2 block in weighted coordinates (a, sqrt(2) b, c) is, after
+the orthogonal change of basis to_lorentz, a point (t, v, w) of R^3 that is
+PSD exactly when t >= ||(v, w)||: the PSD cone of 2x2 matrices is the 3-d
+second-order (Lorentz) cone. The solvers hold their blocks in that basis
+and clip them with lorentz_clip, the cone's closed-form projection.
+psd_clip_rows is the same projection on plain (a, b, c) rows, and
+block_min_eigs gives the blocks' smallest eigenvalues.
+
+Every Jacobi rotation of a matrix of 2x2 diagonal blocks stays inside one
+block, so each eigenvector is supported on one block. The Jacobi solver is
+deliberately independent of the closed-form 2x2 clips so they can
+cross-check each other.
 
 All operations are pure functions of their inputs and safe for unrestricted
 concurrent use.
@@ -23,6 +29,9 @@ import numpy as np
 from .errors import InvalidInputError, NumericFailureError
 
 RT2 = math.sqrt(2.0)
+# the weights of the (a, sqrt(2) b, c) rows of 2x2 blocks, in which the
+# Euclidean inner product is the trace inner product
+WEIGHTS = np.array([1.0, RT2, 1.0])
 _TINY = 5e-324
 _DIAG = np.array([1.0, 0.0, 1.0])
 
@@ -117,31 +126,44 @@ class BlockSymMatrix:
                             + s[:, 2] * o[:, 2]))
 
 
-def psd_clip_flat(flat: np.ndarray, off_scale: float = RT2) -> np.ndarray:
-    """Blockwise PSD projection of a flat vector of (a, k b, c) triples.
+def to_lorentz(rows: np.ndarray) -> np.ndarray:
+    """Lorentz coordinates (t, v, w) = ((a + c)/sqrt(2), (a - c)/sqrt(2), s)
+    of weighted block rows (a, s, c), s = sqrt(2) b, along axis 1.
 
-    This is the one copy of the closed-form 2x2 PSD projection.
-    ``off_scale`` is 2 / k for the weight k carried by the off-diagonal
-    entries: sqrt(2) (the default) for the weighted coordinates of the
-    solvers, whose Euclidean inner product is the trace inner product, and
-    2 for plain (a, b, c) rows.
+    The map is orthogonal, and t^2 - v^2 - w^2 = 2 (a c - b^2), so a block
+    is PSD exactly when t >= ||(v, w)||: each 2x2 PSD block is a 3-d
+    second-order cone. Trailing axes ride along, so the same map turns an
+    LMI matrix's (K, 3, d) block rows into its Lorentz-basis rows.
+    """
+    a, c = rows[:, 0], rows[:, 2]
+    return np.stack([(a + c) / RT2, (a - c) / RT2, rows[:, 1]], axis=1)
 
-    With e1 >= e2 the eigenvalues and 2r = e1 - e2 their gap, the
-    projection is s X + t I, with s = min(max(e1, 0), 2r) / 2r and
-    t = max(tr/2, max(e1, 0)/2) - s tr/2. A PSD block gets s = 1, t = 0 and
-    a negative semidefinite one s = t = 0, so both come back exactly
-    (unchanged, and zero) without a masked write.
+
+def from_lorentz(rows: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_lorentz`: the weighted rows (a, s, c)."""
+    t, v = rows[:, 0], rows[:, 1]
+    return np.stack([(t + v) / RT2, rows[:, 2], (t - v) / RT2], axis=1)
+
+
+def lorentz_clip(flat: np.ndarray) -> np.ndarray:
+    """Blockwise PSD projection of a flat vector of Lorentz triples
+    (t, v, w) (see :func:`to_lorentz`): the projection onto the 3-d
+    second-order cone t >= r = ||(v, w)|| (Chen, Chen & Tseng, 2003).
+
+    With h = max(t + r, 0) / 2 the projection is (max(t, h), s (v, w)),
+    s = min(h, r) / r. A block inside the cone (t >= r) gets s = 1 and t,
+    and one inside the polar (t <= -r) gets h = s = 0, so both come back
+    exactly (unchanged, and zero) without a masked write.
     """
     X = flat.reshape(-1, 3)
-    a = X[:, 0]
-    c = X[:, 2]
-    half_tr = 0.5 * (a + c)
-    two_r = np.hypot(a - c, off_scale * X[:, 1])
-    e1 = np.maximum(half_tr + 0.5 * two_r, 0.0)
+    t = X[:, 0]
+    r = np.hypot(X[:, 1], X[:, 2])
+    h = np.maximum(t + r, 0.0)
+    h *= 0.5
     # the smallest subnormal only turns 0/0 into 0 when r = 0
-    s = np.minimum(e1, two_r) / np.maximum(two_r, _TINY)
-    t = np.maximum(half_tr, 0.5 * e1) - s * half_tr
-    return (X * s[:, None] + t[:, None] * _DIAG).reshape(flat.shape)
+    out = X * (np.minimum(h, r) / np.maximum(r, _TINY))[:, None]
+    np.maximum(t, h, out=out[:, 0])
+    return out.reshape(flat.shape)
 
 
 def block_min_eigs(rows: np.ndarray) -> np.ndarray:
@@ -152,11 +174,24 @@ def block_min_eigs(rows: np.ndarray) -> np.ndarray:
 
 
 def psd_clip_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized blockwise PSD projection on an (K, 3) array of (a, b, c) rows.
+    """Vectorized blockwise PSD projection on an (K, 3) array of (a, b, c)
+    rows.
 
-    Row view of :func:`psd_clip_flat`.
+    With e1 >= e2 the eigenvalues and 2r = e1 - e2 their gap, the
+    projection is s X + t I, with s = min(max(e1, 0), 2r) / 2r and
+    t = max(tr/2, max(e1, 0)/2) - s tr/2. A PSD block gets s = 1, t = 0 and
+    a negative semidefinite one s = t = 0, so both come back exactly
+    (unchanged, and zero) without a masked write.
     """
-    return psd_clip_flat(rows, 2.0)
+    a = rows[:, 0]
+    c = rows[:, 2]
+    half_tr = 0.5 * (a + c)
+    two_r = np.hypot(a - c, 2.0 * rows[:, 1])
+    e1 = np.maximum(half_tr + 0.5 * two_r, 0.0)
+    # the smallest subnormal only turns 0/0 into 0 when r = 0
+    s = np.minimum(e1, two_r) / np.maximum(two_r, _TINY)
+    t = np.maximum(half_tr, 0.5 * e1) - s * half_tr
+    return rows * s[:, None] + t[:, None] * _DIAG
 
 
 def psd_project_block(mat: BlockSymMatrix) -> BlockSymMatrix:
@@ -180,8 +215,8 @@ def jacobi_eig(mat):
     JACOBI_MAX_SWEEPS sweeps is a NumericFailureError. Every rotation of a
     matrix of 2x2 diagonal blocks stays inside one block, so each
     eigenvector is supported on one block. Jacobi stays independent of the
-    closed-form 2x2 clip (:func:`psd_clip_flat`), so the two can
-    cross-check each other.
+    closed-form 2x2 clips (:func:`psd_clip_rows`, :func:`lorentz_clip`), so
+    they can cross-check each other.
 
     Parameters
     ----------

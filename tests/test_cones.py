@@ -132,8 +132,8 @@ def test_from_lmi_rebuilds_make_cone_read_only():
         model = make_cone(n)
         again = ConeModel.from_lmi(model.lmi_weighted.tolist())
         assert again.n == n
-        for name in ("det_forms", "range_proj", "lmi_weighted", "admm_minv",
-                     "admm_gain"):
+        for name in ("det_forms", "range_proj", "lmi_weighted", "lmi_lorentz",
+                     "admm_minv", "admm_gain"):
             assert np.array_equal(getattr(again, name), getattr(model, name))
             assert not getattr(again, name).flags.writeable
         assert not again.gram_factor[0].flags.writeable
@@ -173,7 +173,9 @@ def test_slice_model_is_the_cone_in_the_gram_metric():
         assert gram is model.slice_model
         W, Q = model.lmi_weighted, gram.lmi_weighted
         assert np.allclose(Q.T @ Q, np.eye(2 * n + 1), atol=1e-13)
-        assert np.allclose(model.range_proj, Q @ Q.T, atol=1e-13)
+        # range_proj lives in Lorentz coordinates, as Q's rows there do
+        QL = gram.lmi_lorentz
+        assert np.allclose(model.range_proj, QL @ QL.T, atol=1e-13)
         U = np.triu(model.gram_factor[0])
         assert np.allclose(Q @ U, W, atol=1e-13)
 

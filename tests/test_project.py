@@ -16,7 +16,7 @@ from sliceproj import project as project_module
 from sliceproj.project import (SolveStats, _attempt_polish,
                                _duals_nonnegative, _kkt_jacobian,
                                _kkt_residual, _lmi_rows)
-from sliceproj.symmat import SymMatrix
+from sliceproj.symmat import SymMatrix, to_lorentz
 
 CFG = SolverConfig()
 
@@ -84,9 +84,10 @@ def test_solve_stats_json_dict(models):
     _, stats = project_cone(models[2], q, CFG)
     d = stats.to_json_dict()
     assert set(d) == {"iterations", "final_residual", "converged",
-                      "exit_reason", "newton_steps"}
+                      "exit_reason", "newton_steps", "polish_attempts"}
     assert isinstance(d["iterations"], int)
     assert isinstance(d["newton_steps"], int) and d["newton_steps"] > 0
+    assert isinstance(d["polish_attempts"], int) and d["polish_attempts"] > 0
     assert isinstance(d["final_residual"], float)
     assert isinstance(d["converged"], bool)
     assert d["exit_reason"] in project_module.EXIT_REASONS
@@ -94,9 +95,9 @@ def test_solve_stats_json_dict(models):
 
 def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
     # a cone solve sums the steps of each refinement attempt, failed ones
-    # too; the derived slice projection reports its one cone solve's;
-    # Dykstra takes none. A cold checkpoint tries at most two active sets:
-    # the dual-derived one and all blocks
+    # too, and counts the attempts; the derived slice projection reports
+    # its one cone solve's; Dykstra takes none. A cold checkpoint tries at
+    # most two active sets: the dual-derived one and all blocks
     attempts, inner, per_checkpoint = [], [], []
     newton, solve = project_module._newton_polish, project_module._project_cone_arr
     polish = project_module._attempt_polish
@@ -114,7 +115,7 @@ def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
 
     def recording_solve(*args):
         out = solve(*args)
-        inner.append(out[1].newton_steps)
+        inner.append((out[1].newton_steps, out[1].polish_attempts))
         return out
 
     monkeypatch.setattr(project_module, "_newton_polish", recording_newton)
@@ -127,15 +128,18 @@ def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
         _, stats = project_cone(model, ConePoint(12, rng.standard_normal(25)),
                                 CFG)
         assert stats.newton_steps == sum(attempts)
+        assert stats.polish_attempts == len(attempts)
         most = max(most, len(attempts))
     assert most > 1
     assert max(per_checkpoint) <= 2
     monkeypatch.setattr(project_module, "_project_cone_arr", recording_solve)
     X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
     _, stats = project_slice_fixedpoint(models[2], X, CFG)
-    assert len(inner) == 1 and stats.newton_steps == inner[0] > 0
+    assert len(inner) == 1
+    assert (stats.newton_steps, stats.polish_attempts) == inner[0]
+    assert min(inner[0]) > 0
     _, stats = project_slice_dykstra(models[2], X, CFG)
-    assert stats.newton_steps == 0
+    assert stats.newton_steps == stats.polish_attempts == 0
 
 
 def test_project_cone_fixes_members(models):
@@ -598,6 +602,29 @@ def test_overflowing_input_norm_is_rejected(models):
             _project_slice(kind, models[2], X)
 
 
+def test_overflowing_off_diagonal_weight_is_rejected_without_warning(models):
+    # sqrt(2) b overflows: the norm exceeds the largest double, and numpy's
+    # overflow warning used to come before the rejection
+    X = BlockSymMatrix(2, np.tile([0.0, 1.5e308, 0.0], (3, 1)))
+    for kind in SLICE_PROJECTORS:
+        with pytest.raises(InvalidInputError, match="largest double"):
+            _project_slice(kind, models[2], X)
+
+
+def test_input_norm_just_below_the_largest_double_is_projected(models):
+    # the norm is taken before the blocks are rotated: (a + c) / sqrt(2)
+    # of this block overflows, its norm sqrt(2) 1.27e308 does not
+    blocks = np.zeros((3, 3))
+    blocks[0] = 1.27e308, 0.0, 1.27e308
+    for kind in SLICE_PROJECTORS:
+        out, stats = _project_slice(kind, models[2],
+                                    BlockSymMatrix(2, blocks))
+        ref, ref_stats = _project_slice(
+            kind, models[2], BlockSymMatrix(2, 2.0 ** -1000 * blocks))
+        assert np.array_equal(out, 2.0 ** 1000 * ref), kind
+        assert stats == ref_stats
+
+
 def test_dense_dykstra_projects_full_input(models):
     # the range of the LMI map is block-diagonal, so the projection of a
     # full matrix is the projection of its 2x2 diagonal blocks
@@ -641,13 +668,16 @@ def test_fixedpoint_fixes_cone_images(models):
 
 
 def test_admm_operator_inverts_the_unit_penalty_system():
+    # the ADMM step runs on L, the LMI matrix in Lorentz block coordinates
     for n in range(2, 13):
         model = make_cone(n)
-        eye = np.eye(model.dim())
-        W = model.lmi_weighted
-        assert np.allclose((eye + W.T @ W) @ model.admm_minv, eye,
+        d = model.dim()
+        eye = np.eye(d)
+        W, L = model.lmi_weighted, model.lmi_lorentz
+        assert np.array_equal(L, to_lorentz(W.reshape(-1, 3, d)).reshape(W.shape))
+        assert np.allclose((eye + L.T @ L) @ model.admm_minv, eye,
                            atol=1e-12)
-        assert np.array_equal(model.admm_gain, model.admm_minv @ W.T)
+        assert np.array_equal(model.admm_gain, model.admm_minv @ L.T)
 
 
 def _loop_kkt_residual(Bs, q, u):

@@ -9,7 +9,8 @@ from sliceproj import (BlockSymMatrix, InvalidInputError, NumericFailureError,
                        SymMatrix, jacobi_eig, psd_project_block,
                        read_block_matrix, write_block_matrix)
 from sliceproj import symmat
-from sliceproj.symmat import RT2, block_min_eigs, psd_clip_flat, psd_clip_rows
+from sliceproj.symmat import (WEIGHTS, block_min_eigs, from_lorentz,
+                              lorentz_clip, psd_clip_rows, to_lorentz)
 
 
 def _frobenius(rows):
@@ -162,12 +163,50 @@ def test_psd_clip_matches_references_across_scales():
             full = (V * np.maximum(w, 0.0)) @ V.T
             want = (full[0, 0], full[0, 1], full[1, 1])
             assert np.all(np.abs(got - want) <= 1e-13 * sz), (exponent, row)
-        # the weighted-coordinate form is the same projection
-        flat = rows.copy()
-        flat[:, 1] *= RT2
-        weighted = psd_clip_flat(flat.ravel()).reshape(-1, 3)
-        weighted[:, 1] /= RT2
-        assert np.all(np.abs(weighted - out) <= 1e-15 * size)
+        # the Lorentz form, rotated back, is the same projection
+        flat = to_lorentz(rows * WEIGHTS).ravel()
+        back = from_lorentz(lorentz_clip(flat).reshape(-1, 3)) / WEIGHTS
+        assert np.all(np.abs(back - out) <= 1e-15 * size)
+
+
+def test_lorentz_coordinates_are_an_isometry_onto_the_second_order_cone():
+    rows = np.random.default_rng(43).standard_normal((200, 3))
+    weighted = rows * WEIGHTS
+    lor = to_lorentz(weighted)
+    assert np.allclose(np.linalg.norm(lor, axis=1),
+                       np.linalg.norm(weighted, axis=1), rtol=1e-15, atol=0.0)
+    assert np.allclose(from_lorentz(lor), weighted, rtol=0.0, atol=1e-15)
+    # t^2 - v^2 - w^2 = 2 det, and t >= 0 with it is a + c >= 0
+    t, v, w = lor.T
+    det = rows[:, 0] * rows[:, 2] - rows[:, 1] ** 2
+    assert np.allclose(t * t - v * v - w * w, 2.0 * det, atol=1e-14)
+    inside = t >= np.hypot(v, w)
+    assert np.array_equal(inside, block_min_eigs(rows) >= 0.0)
+
+
+def test_lorentz_clip_exact_cases():
+    rng = np.random.default_rng(47)
+    vw = rng.standard_normal((50, 2))
+    r = np.hypot(vw[:, 0], vw[:, 1])
+    stretch = rng.uniform(1.0, 3.0, 50)
+    # t >= r: inside the cone, bitwise unchanged, the boundary t = r too
+    inside = np.column_stack([np.concatenate([r * stretch, r]),
+                              np.vstack([vw, vw])])
+    assert np.array_equal(lorentz_clip(inside.ravel()), inside.ravel())
+    # t <= -r: inside the polar, exact zeros
+    polar = np.column_stack([np.concatenate([-r * stretch, -r]),
+                             np.vstack([vw, vw])])
+    assert np.array_equal(lorentz_clip(polar.ravel()), np.zeros(polar.size))
+    # r = 0 and r subnormal give no NaN
+    axis = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                     [0.0, 5e-324, 0.0], [-1e-300, 0.0, 5e-324]])
+    out = lorentz_clip(axis.ravel()).reshape(-1, 3)
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out[:3], [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0]])
+    # between the two: the cone's boundary point ((t + r)/2)(1, (v, w)/r)
+    out = lorentz_clip(np.array([0.0, 3.0, 4.0]))
+    assert np.allclose(out, [2.5, 1.5, 2.0], rtol=1e-15, atol=0.0)
 
 
 def test_jacobi_identity():
