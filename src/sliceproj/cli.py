@@ -28,7 +28,7 @@ from .probe import (DEFAULT_FD_STEP, DEFAULT_POINTS, DEFAULT_T_MAX,
                     report_to_json, residual_exact)
 from .project import (SolverConfig, project_cone, project_polar,
                       project_slice_dykstra, project_slice_fixedpoint)
-from .symmat import read_block_matrix, write_block_matrix
+from .symmat import N_MAX, N_MIN, read_block_matrix, write_block_matrix
 from .verify import run_verify
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -52,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "LMI-representable cone family and its PSD-cone slices.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    n_help = f"cone index, {N_MIN}..{N_MAX}"
 
     def add_solver_flags(p):
         p.add_argument("--tol", type=float, default=SolverConfig.tol,
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="grid points (default %(default)s)")
 
     p_probe = sub.add_parser("probe", help="measure the semismoothness order")
-    p_probe.add_argument("--n", type=int, required=True, help="cone index (>= 2)")
+    p_probe.add_argument("--n", type=int, required=True, help=n_help)
     p_probe.add_argument("--mode", choices=("exact", "numeric"), default="exact")
     add_grid_flags(p_probe)
     p_probe.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP,
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_solver_flags(p_probe)
 
     p_project = sub.add_parser("project", help="run one projection")
-    p_project.add_argument("--n", type=int, required=True)
+    p_project.add_argument("--n", type=int, required=True, help=n_help)
     p_project.add_argument("--target", required=True,
                            choices=("K", "polar", "slice-dykstra",
                                     "slice-fixedpoint"),
@@ -93,13 +94,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--n-max", type=int, default=4,
-                          help="largest cone index exercised, 2..12 "
-                               "(default 4)")
+                          help=f"largest cone index exercised, "
+                               f"{N_MIN}..{N_MAX} (default %(default)s)")
     p_verify.add_argument("--seed", type=int, default=12345,
                           help="RNG seed for the sampled checks")
 
     p_curves = sub.add_parser("curves", help="dump curve and residual data")
-    p_curves.add_argument("--n", type=int, required=True)
+    p_curves.add_argument("--n", type=int, required=True, help=n_help)
     add_grid_flags(p_curves)
     p_curves.add_argument("--out", help="CSV file (default: stdout)")
     return parser
@@ -217,10 +218,7 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         return handler(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericFailureError as exc:

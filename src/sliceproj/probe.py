@@ -35,7 +35,7 @@ import numpy as np
 from .cones import (ConeModel, ConePoint, _is_int, curve_step, normal_curve,
                     polar_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
-from .project import SolverConfig, _project_cone_arr
+from .project import SolverConfig, _check_positive, _project_cone_arr
 
 DEFAULT_T_MIN = 1e-4
 DEFAULT_T_MAX = 1e-1
@@ -116,8 +116,7 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     cfg = cfg or SolverConfig()
     if not (0.0 < t < 1.0):
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
-    if not 0.0 < fd_step < math.inf:
-        raise InvalidInputError("fd_step must be finite and positive")
+    _check_positive(fd_step, "fd_step")
     _check_polar_fixed_point(model, 0.0, cfg)
     r_fd, norm, _ = _residual_at(model, t, cfg, fd_step)
     return ConePoint(model.n, r_fd), norm
@@ -217,10 +216,8 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
         raise InvalidInputError(f"unknown probe mode {mode!r}")
     if not (0.0 < t_min < t_max < 1.0):
         raise InvalidInputError("grid endpoints must satisfy 0 < t_min < t_max < 1")
-    if not _is_int(points):
-        raise InvalidInputError(f"points must be an integer, got {points!r}")
-    if points < 5:
-        raise InvalidInputError("grid needs at least 5 points")
+    if not _is_int(points) or points < 5:
+        raise InvalidInputError(f"points must be an integer >= 5, got {points!r}")
     cfg = cfg or SolverConfig()
     t_grid = np.logspace(math.log10(t_min), math.log10(t_max), points)
     h_norms = np.array([curve_step(model, t).norm() for t in t_grid])
@@ -228,8 +225,7 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     if mode == "exact":
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
     else:
-        if not 0.0 < fd_step < math.inf:
-            raise InvalidInputError("fd_step must be finite and positive")
+        _check_positive(fd_step, "fd_step")
         # the t = 0 endpoint is the same for every grid point: check it once
         _check_polar_fixed_point(model, 0.0, cfg)
         held = None

@@ -120,6 +120,13 @@ _NEWTON_MIN_GAIN = 1e-3
 _NEWTON_MAX_STEPS = 60
 
 
+def _check_positive(value, name: str) -> None:
+    """Raise unless value is a positive, finite real (True would mean 1)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < math.inf):
+        raise InvalidInputError(f"{name} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by the iterative projectors.
@@ -136,14 +143,9 @@ class SolverConfig:
     max_iter: int = 200_000
 
     def __post_init__(self):
-        # a bool is a number too, but True would silently mean 1
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
-                or not (0.0 < self.tol < math.inf)):
-            raise InvalidInputError("tol must be positive and finite")
-        if not _is_int(self.max_iter):
-            raise InvalidInputError("max_iter must be an integer")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be >= 1")
+        _check_positive(self.tol, "tol")
+        if not _is_int(self.max_iter) or self.max_iter < 1:
+            raise InvalidInputError("max_iter must be an integer >= 1")
         object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
@@ -592,9 +594,6 @@ def _slice_projection(model: ConeModel, X, solve):
     zeros.
     """
     if isinstance(X, SymMatrix):
-        d = 4 * model.n - 2
-        if X.dim != d:
-            raise InvalidInputError(f"matrix dimension {X.dim} does not match {d}")
         out, stats = _slice_projection(
             model, BlockSymMatrix.from_full(model.n, X), solve)
         return out.to_full(), stats

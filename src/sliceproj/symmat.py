@@ -22,6 +22,7 @@ concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,43 @@ WEIGHTS = np.array([1.0, RT2, 1.0])
 _TINY = 5e-324
 _DIAG = np.array([1.0, 0.0, 1.0])
 
+# the cone family's index range, checked by _check_index alone
+N_MIN = 2
+N_MAX = 12
+
 # Desk-scale guard for the dense eigensolver.
 JACOBI_MAX_DIM = 200
 JACOBI_MAX_SWEEPS = 50
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is an int too, but True would
+    silently mean 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_index(n, name: str = "n") -> int:
+    """n as an int, after checking that it is an integer (not a bool) in
+    [N_MIN, N_MAX]: the one rule for a cone index, wherever it enters."""
+    if not _is_int(n) or not N_MIN <= n <= N_MAX:
+        raise InvalidInputError(
+            f"{name} must be an integer in [{N_MIN}, {N_MAX}], got {n!r}")
+    return int(n)
+
+
+def _init_array(obj, name: str) -> None:
+    """The __post_init__ of ConePoint and BlockSymMatrix: obj.n becomes a
+    checked index, and field `name` a finite array of shape obj._shape(n)."""
+    n = _check_index(obj.n)
+    arr = np.asarray(getattr(obj, name), dtype=float)
+    shape = obj._shape(n)
+    if arr.shape != shape:
+        raise InvalidInputError(
+            f"expected shape {shape} for n={n}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{type(obj).__name__} entries must be finite")
+    object.__setattr__(obj, "n", n)
+    object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,18 +118,10 @@ class BlockSymMatrix:
 
     n: int
     blocks: np.ndarray
+    _shape = staticmethod(lambda n: (2 * n - 1, 3))
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidInputError("cone index n must be >= 2")
-        blocks = np.asarray(self.blocks, dtype=float)
-        if blocks.shape != (2 * self.n - 1, 3):
-            raise InvalidInputError(
-                f"expected {2 * self.n - 1} blocks of 3 entries, got shape {blocks.shape}"
-            )
-        if not np.all(np.isfinite(blocks)):
-            raise InvalidInputError("BlockSymMatrix entries must be finite")
-        object.__setattr__(self, "blocks", blocks)
+        _init_array(self, "blocks")
 
     def to_full(self) -> SymMatrix:
         """Assemble the (4n-2) x (4n-2) block-diagonal matrix."""
@@ -107,17 +134,17 @@ class BlockSymMatrix:
     @classmethod
     def from_full(cls, n: int, mat: SymMatrix) -> "BlockSymMatrix":
         """Extract the 2x2 diagonal blocks of a (4n-2)-dimensional matrix."""
+        n = _check_index(n)
         if mat.dim != 4 * n - 2:
-            raise InvalidInputError("matrix dimension does not match 4n-2")
+            raise InvalidInputError(
+                f"matrix dimension {mat.dim} does not match {4 * n - 2}")
         k = np.arange(2 * n - 1)
         blocks = mat.dense.reshape(k.size, 2, k.size, 2)[k, :, k, :]
         # (a, b, c) of each block, b read above the diagonal
         return cls(n, blocks.reshape(-1, 4)[:, (0, 1, 3)])
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.blocks[:, 0] ** 2
-                                    + 2.0 * self.blocks[:, 1] ** 2
-                                    + self.blocks[:, 2] ** 2)))
+        return math.sqrt(self.inner(self))
 
     def inner(self, other: "BlockSymMatrix") -> float:
         """Trace inner product with another block matrix of the same shape."""
@@ -282,28 +309,30 @@ def jacobi_eig(mat):
     return w[order], V[:, order]
 
 
+def _read_text(text: str, cls):
+    """Parse the text format of ConePoint and BlockSymMatrix into a cls:
+    the cone index n alone on the first line, then the entries of the
+    cls._shape(n) array, separated by whitespace."""
+    first, *rest = text.strip().splitlines() or [""]
+    try:
+        n = int(first)
+    except ValueError as exc:
+        raise InvalidInputError("first line must hold the cone index n") from exc
+    shape = cls._shape(_check_index(n))
+    tokens = " ".join(rest).split()
+    try:
+        vals = np.array([float(tok) for tok in tokens]).reshape(shape)
+    except ValueError as exc:
+        raise InvalidInputError(
+            f"expected {math.prod(shape)} reals after the first line: {exc}") from exc
+    return cls(n, vals)
+
+
 def read_block_matrix(text: str) -> BlockSymMatrix:
     """Parse the BlockSymMatrix text format: first line n, then 3(2n-1) reals."""
-    lines = text.strip().splitlines()
-    if not lines:
-        raise InvalidInputError("empty BlockSymMatrix input")
-    try:
-        n = int(lines[0].split()[0])
-    except (ValueError, IndexError) as exc:
-        raise InvalidInputError("first line must hold the cone index n") from exc
-    tokens = " ".join(lines[1:]).split()
-    expected = 3 * (2 * n - 1)
-    if len(tokens) != expected:
-        raise InvalidInputError(f"expected {expected} entries, got {len(tokens)}")
-    try:
-        vals = np.array([float(tok) for tok in tokens]).reshape(-1, 3)
-    except ValueError as exc:
-        raise InvalidInputError("non-numeric entry in BlockSymMatrix input") from exc
-    return BlockSymMatrix(n, vals)
+    return _read_text(text, BlockSymMatrix)
 
 
 def write_block_matrix(mat: BlockSymMatrix) -> str:
-    lines = [str(mat.n)]
-    for a, b, c in mat.blocks:
-        lines.append(" ".join(format(v, ".17g") for v in (a, b, c)))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(format(v, ".17g") for v in row) for row in mat.blocks)
+    return "\n".join([str(mat.n), *rows]) + "\n"

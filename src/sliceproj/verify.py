@@ -32,19 +32,22 @@ class GroupResult:
 
 
 def check_kernel(rng, draws, n_max):
-    """Blockwise PSD projection of random block matrices, n in [2, n_max],
+    """Blockwise PSD projection of random block matrices, n in
+    [N_MIN, n_max], by psd_clip_rows and by the solvers' lorentz_clip,
     against the clipped Jacobi eigendecomposition of the full matrix; also
     the projection's idempotence and nonexpansiveness."""
     worst_gap = worst_idem = 0.0
     projected = []
     for _ in range(draws):
-        n = int(rng.integers(2, n_max + 1))
+        n = int(rng.integers(symmat.N_MIN, n_max + 1))
         mat = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)) * 2.0)
         once = symmat.psd_project_block(mat)
+        lorentz = symmat.to_lorentz(mat.blocks * symmat.WEIGHTS)
+        solvers = project._from_lorentz(n, symmat.lorentz_clip(lorentz))
         w, V = symmat.jacobi_eig(mat.to_full())
         full = (V * np.maximum(w, 0.0)) @ V.T
-        worst_gap = max(worst_gap, float(np.linalg.norm(
-            once.to_full().to_dense() - full)))
+        worst_gap = max(worst_gap, *(float(np.linalg.norm(
+            c.to_full().to_dense() - full)) for c in (once, solvers)))
         twice = symmat.psd_project_block(once)
         worst_idem = max(worst_idem, float(np.linalg.norm(
             twice.blocks - once.blocks)))
@@ -61,8 +64,8 @@ def check_kernel(rng, draws, n_max):
         worst_nonexp = max(worst_nonexp, float(
             np.linalg.norm(d_proj) - np.linalg.norm(d_in)))
     ok = worst_gap <= 1e-10 and worst_idem <= 1e-10 and worst_nonexp <= 1e-12
-    return ok, (f"worst blockwise vs full-eigendecomposition gap "
-                f"{worst_gap:.2e} (tol 1e-10), idempotence {worst_idem:.2e} "
+    return ok, (f"worst (a, b, c) and Lorentz clip vs full-eigendecomposition "
+                f"gap {worst_gap:.2e} (tol 1e-10), idempotence {worst_idem:.2e} "
                 f"(tol 1e-10), nonexpansiveness excess {worst_nonexp:.1e} "
                 f"(tol 1e-12)")
 
@@ -279,7 +282,7 @@ def _check_probe_exact(ns):
 
 def _groups(n_max):
     """(name, check of an rng) for each group, at the reduced counts."""
-    ns = range(2, n_max + 1)
+    ns = range(symmat.N_MIN, n_max + 1)
     return (
         ("kernel", lambda rng: check_kernel(rng, 10, n_max)),
         ("adjoint", lambda rng: _check_adjoint(ns, rng)),
@@ -296,13 +299,10 @@ def _groups(n_max):
 def run_verify(n_max: int = 4, seed: int = 12345):
     """Run every invariant group; returns the ordered list of GroupResult.
 
-    Raises InvalidInputError unless n_max is an integer in [2, 12] and seed
-    a non-negative integer (Python or numpy ints, not bools).
+    Raises InvalidInputError unless n_max is a cone index in [N_MIN, N_MAX]
+    and seed a non-negative integer (Python or numpy ints, not bools).
     """
-    if not cones._is_int(n_max):
-        raise InvalidInputError(f"n_max must be an integer, got {n_max!r}")
-    if not 2 <= n_max <= 12:
-        raise InvalidInputError(f"n_max must lie in [2, 12], got {n_max}")
+    symmat._check_index(n_max, "n_max")
     if not cones._is_int(seed) or seed < 0:
         raise InvalidInputError(
             f"seed must be a non-negative integer, got {seed!r}")

@@ -54,7 +54,7 @@ def test_probe_exact_n6():
 def test_probe_rejects_small_n():
     proc = run_cli("probe", "--n", "1", "--mode", "exact")
     assert proc.returncode == 2
-    assert "n must be >= 2" in proc.stderr
+    assert "n must be an integer in [2, 12], got 1" in proc.stderr
 
 
 def test_probe_rejects_bad_grid():
@@ -167,6 +167,18 @@ def test_project_parse_failure(tmp_path):
     src.write_text("2\n1.0 2.0\n")  # too few coordinates
     proc = run_cli("project", "--n", "2", "--target", "K", "--in", str(src))
     assert proc.returncode == 2
+    # the index is checked before the entry count is computed from it: a
+    # first line of -1 used to report "expected -1 coordinates"
+    index = "error: n must be an integer in [2, 12], got {}"
+    first_line = "error: first line must hold the cone index n"
+    for first, want in (("-1", index.format(-1)), ("0", index.format(0)),
+                        ("2.0", first_line), ("2 3", first_line)):
+        src.write_text(f"{first}\n1 2 3\n")
+        for target in ("K", "slice-dykstra"):
+            proc = run_cli("project", "--n", "2", "--target", target,
+                           "--in", str(src))
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.strip().splitlines() == [want]
     proc = run_cli("project", "--n", "2", "--target", "K",
                    "--in", str(tmp_path / "missing.txt"))
     assert proc.returncode == 2
@@ -320,7 +332,7 @@ def test_verify_rejects_out_of_range_n_max(n_max):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [
-        f"error: n_max must lie in [2, 12], got {n_max}"]
+        f"error: n_max must be an integer in [2, 12], got {n_max}"]
 
 
 def test_verify_rejects_negative_seed():

@@ -31,11 +31,12 @@ def test_make_cone_exponents(models):
 
 
 def test_make_cone_guards():
-    for bad in (1, 0, -3, 13):
-        with pytest.raises(InvalidInputError):
+    for bad in (1, 0, -3, 13, 2.5, True, np.float64(2.0)):
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
             make_cone(bad)
-    with pytest.raises(InvalidInputError):
-        make_cone(2.5)
+    # the index of a W that fits the shape rule is checked too
+    with pytest.raises(InvalidInputError, match="n must be an integer"):
+        ConeModel.from_lmi(np.eye(3))
 
 
 def _gram(model):
@@ -337,13 +338,25 @@ def test_cone_point_accessors_and_guards():
         ConePoint(2, np.zeros(4))
     with pytest.raises(InvalidInputError):
         ConePoint(2, np.array([np.nan, 0, 0, 0, 0]))
+    # each of these fits the 2n+1 shape rule, and was accepted
+    for n, size in ((True, 3), (2.5, 6), (0, 1), (13, 27)):
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            ConePoint(n, np.zeros(size))
+    assert type(ConePoint(np.int64(2), np.zeros(5)).n) is int
 
 
 def test_cone_point_text_round_trip():
     rng = np.random.default_rng(67)
-    p = ConePoint(4, rng.standard_normal(9))
-    again = read_cone_point(write_cone_point(p))
-    assert again.n == 4
-    assert np.array_equal(again.coords, p.coords)
+    for n in range(2, 13):
+        p = ConePoint(n, rng.standard_normal(2 * n + 1)
+                      * 10.0 ** rng.uniform(-300, 300, 2 * n + 1))
+        again = read_cone_point(write_cone_point(p))
+        assert again.n == n
+        assert np.array_equal(again.coords, p.coords)
     with pytest.raises(InvalidInputError):
         read_cone_point("3\n1 2 3")
+    # the index is checked before the count 2n+1 is computed from it
+    for first in ("-1", "0", "13"):
+        with pytest.raises(InvalidInputError,
+                           match=f"n must be an integer in \\[2, 12\\], got {first}"):
+            read_cone_point(f"{first}\n1 2 3")

@@ -309,9 +309,10 @@ def test_numeric_probe_checks_origin_once(models, monkeypatch):
     residual_numeric(model, 0.3, CFG)
     assert times_solved(origin) == 1
     assert times_solved(polar_curve(model, 0.3).coords) == 1
-    # a bad step is rejected before any solve
+    # a bad step is rejected before any solve; fd_step=True ran with a
+    # step of 1.0
     solved.clear()
-    for fd_step in (0.0, math.inf, math.nan):
+    for fd_step in (0.0, math.inf, math.nan, True, "1e-6"):
         with pytest.raises(InvalidInputError, match="fd_step"):
             probe_semismoothness(model, "numeric", fd_step=fd_step)
         with pytest.raises(InvalidInputError, match="fd_step"):

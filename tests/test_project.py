@@ -513,8 +513,10 @@ _X2 = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
     (project_cone, [_Q2], [_X2, _X2.to_full()]),
     (project_polar, [_Q2], [_X2, _X2.to_full()]),
     (project_range, [_X2], [_Q2, _X2.to_full()]),
-    (project_slice_dykstra, [_X2, _X2.to_full()], [_Q2]),
-    (project_slice_fixedpoint, [_X2, _X2.to_full()], [_Q2]),
+    (project_slice_dykstra, [_X2, _X2.to_full()],
+     [_Q2, SymMatrix(np.eye(10))]),
+    (project_slice_fixedpoint, [_X2, _X2.to_full()],
+     [_Q2, SymMatrix(np.eye(10))]),
 ], ids=["cone", "polar", "range", "dykstra", "fixedpoint"])
 def test_projectors_check_the_kind_of_input(models, project, good, bad):
     # a wrong kind of input used to raise AttributeError;

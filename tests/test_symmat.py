@@ -310,6 +310,12 @@ def test_block_matrix_shape_guard():
         BlockSymMatrix(2, np.zeros((4, 3)))
     with pytest.raises(InvalidInputError):
         BlockSymMatrix(1, np.zeros((1, 3)))
+    # each fits the (2n-1, 3) shape rule, and 2.5 was accepted
+    for n, blocks in ((2.5, 4), (True, 1), (13, 25)):
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            BlockSymMatrix(n, np.zeros((blocks, 3)))
+    with pytest.raises(InvalidInputError, match="n must be an integer"):
+        BlockSymMatrix.from_full(2.5, SymMatrix(np.eye(8)))
     for bad in (math.nan, -math.inf):
         blocks = np.zeros((3, 3))
         blocks[1, 2] = bad
@@ -347,10 +353,13 @@ def test_block_full_index_map_matches_loops():
 
 def test_text_formats_round_trip():
     rng = np.random.default_rng(37)
-    blk = BlockSymMatrix(3, rng.standard_normal((5, 3)))
-    again = read_block_matrix(write_block_matrix(blk))
-    assert again.n == blk.n
-    assert np.array_equal(again.blocks, blk.blocks)
+    for n in range(2, 13):
+        shape = (2 * n - 1, 3)
+        blk = BlockSymMatrix(n, rng.standard_normal(shape)
+                             * 10.0 ** rng.uniform(-300, 300, shape))
+        again = read_block_matrix(write_block_matrix(blk))
+        assert again.n == blk.n
+        assert np.array_equal(again.blocks, blk.blocks)
 
 
 def test_text_format_errors():
@@ -358,3 +367,12 @@ def test_text_format_errors():
         read_block_matrix("2\n1 2 3")  # needs 9 entries
     with pytest.raises(InvalidInputError):
         read_block_matrix("2\n" + " ".join(["x"] * 9))
+    # the index is checked before the count 3(2n-1) is computed from it: a
+    # first line of -1 reported "expected -9 entries"
+    for first in ("-1", "0", "1"):
+        with pytest.raises(InvalidInputError,
+                           match=f"n must be an integer in \\[2, 12\\], got {first}"):
+            read_block_matrix(f"{first}\n1 2 3")
+    for first in ("", "2.0", "2 3", "n"):
+        with pytest.raises(InvalidInputError, match="first line"):
+            read_block_matrix(f"{first}\n1 2 3")
