@@ -30,7 +30,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import InvalidInputError
 from .symmat import (N_MAX, N_MIN, RT2, WEIGHTS, BlockSymMatrix,  # noqa: F401
-                     _check_index, _init_array, _is_int, _read_text, to_lorentz)
+                     _check_index, _init_array, _is_int, _is_real, _read_text,
+                     to_lorentz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +111,8 @@ class ConeModel:
     determinant of block k; and slice_model, built on first use. kappa and
     lam are 2^n and 2^n/(2^n - 1).
 
-    The solvers hold blocks in Lorentz coordinates (symmat.to_lorentz), in
-    which each 2x2 PSD block is a 3-d second-order cone, and their
+    The solvers hold blocks in Lorentz coordinates (BlockSymMatrix.lorentz),
+    in which each 2x2 PSD block is a 3-d second-order cone, and their
     operators live in that basis: lmi_lorentz = L = blockdiag(R) W for the
     rotation R of each block; range_proj, the orthogonal projector onto
     the range of A; and the cone projector's ADMM operators
@@ -210,17 +211,21 @@ def _check_input(model: ConeModel, x, kind: type):
     return x
 
 
+def _lmi_rows(model: ConeModel, p: np.ndarray) -> np.ndarray:
+    """The (a_k.p, b_k.p, c_k.p) rows of the LMI image of p, one per block."""
+    return (model.lmi_weighted @ p).reshape(-1, 3) / WEIGHTS
+
+
 def lmi_apply(model: ConeModel, p: ConePoint) -> BlockSymMatrix:
     """Apply the LMI map: the block-diagonal matrix whose PSD-ness defines
     membership of p in the cone."""
-    rows = model.lmi_weighted @ _check_input(model, p, ConePoint).coords
-    return BlockSymMatrix(model.n, rows.reshape(-1, 3) / WEIGHTS)
+    coords = _check_input(model, p, ConePoint).coords
+    return BlockSymMatrix(model.n, _lmi_rows(model, coords))
 
 
 def lmi_adjoint(model: ConeModel, mat: BlockSymMatrix) -> ConePoint:
     """Adjoint of the LMI map under the trace inner product on blocks."""
-    _check_input(model, mat, BlockSymMatrix)
-    weighted = (mat.blocks * WEIGHTS).ravel()
+    weighted = _check_input(model, mat, BlockSymMatrix).weighted()
     return ConePoint(model.n, model.lmi_weighted.T @ weighted)
 
 
@@ -278,11 +283,10 @@ def _pow_one_minus(u: float, alpha: float) -> float:
     return math.exp(alpha * math.log1p(-u))
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError(f"t={t} outside [0.0, 1.0]")
-    return t
+def _check_t(t) -> float:
+    if not _is_real(t) or not 0.0 <= t <= 1.0:
+        raise InvalidInputError(f"t={t!r} is not a real number in [0.0, 1.0]")
+    return float(t)
 
 
 def polar_curve(model: ConeModel, t: float) -> ConePoint:

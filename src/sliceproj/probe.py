@@ -218,6 +218,7 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
         raise InvalidInputError("grid endpoints must satisfy 0 < t_min < t_max < 1")
     if not _is_int(points) or points < 5:
         raise InvalidInputError(f"points must be an integer >= 5, got {points!r}")
+    _check_positive(fd_step, "fd_step")
     cfg = cfg or SolverConfig()
     t_grid = np.logspace(math.log10(t_min), math.log10(t_max), points)
     h_norms = np.array([curve_step(model, t).norm() for t in t_grid])
@@ -225,7 +226,6 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     if mode == "exact":
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
     else:
-        _check_positive(fd_step, "fd_step")
         # the t = 0 endpoint is the same for every grid point: check it once
         _check_polar_fixed_point(model, 0.0, cfg)
         held = None

@@ -17,8 +17,8 @@ works on q / ||q|| and scales its answer back by ||q||. Its tolerance,
 stall test and refinement thresholds are therefore relative to ||q||: the
 answer scales with q, and the iteration count and the converged flag do
 not depend on q's scale (bitwise so for power-of-two rescalings). The
-projection onto the slice is positively homogeneous too, and both slice
-projectors likewise run on X / ||X|| (Dykstra on the block part of X).
+range and slice projections are positively homogeneous too: project_range
+and both slice projectors run in one frame, _unit_frame, on X / ||X||.
 
 Projections whose answer sits at (or near) the cone's apex lack strict
 complementarity, and every first-order splitting method degrades to a
@@ -38,7 +38,7 @@ a wrong active set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
 number of numpy calls per iteration, not flops. Both iterative solvers
-hold the blocks in Lorentz coordinates (symmat.to_lorentz), an
+hold the blocks in Lorentz coordinates (BlockSymMatrix.lorentz), an
 orthogonal change of basis under which each 2x2 PSD block is the 3-d
 second-order cone, so their blockwise PSD clip is that cone's closed-form
 projection, symmat.lorentz_clip, and A is the model's lmi_lorentz = L.
@@ -85,16 +85,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgesv
 
-from .cones import ConeModel, ConePoint, _check_input, _is_int
+from .cones import ConeModel, ConePoint, _check_input, _is_int, _lmi_rows
 from .errors import InvalidInputError
-from .symmat import (WEIGHTS, BlockSymMatrix, SymMatrix, block_min_eigs,
-                     from_lorentz, lorentz_clip, to_lorentz)
+from .symmat import (BlockSymMatrix, SymMatrix, _is_real, block_min_eigs,
+                     lorentz_clip)
 # unused here: perfbench installs its symmat.jacobi, project.factor and
 # project.linsolve spans on these bindings
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
@@ -122,8 +121,7 @@ _NEWTON_MAX_STEPS = 60
 
 def _check_positive(value, name: str) -> None:
     """Raise unless value is a positive, finite real (True would mean 1)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value < math.inf):
+    if not _is_real(value) or not 0.0 < value < math.inf:
         raise InvalidInputError(f"{name} must be finite and positive")
 
 
@@ -228,11 +226,6 @@ def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
     log.debug("%s: %s after %d iterations at residual %.3e", what,
               stats.exit_reason, stats.iterations, stats.final_residual)
     return stats
-
-
-def _lmi_rows(model: ConeModel, p: np.ndarray) -> np.ndarray:
-    """The (a_k.p, b_k.p, c_k.p) rows of the LMI image of p, one per block."""
-    return (model.lmi_weighted @ p).reshape(-1, 3) / WEIGHTS
 
 
 def _duals_nonnegative(rows: np.ndarray, J, nu: np.ndarray) -> bool:
@@ -529,6 +522,18 @@ def project_polar(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = Non
     return ConePoint(model.n, q.coords - p.coords), stats
 
 
+def _unit_frame(model: ConeModel, X: BlockSymMatrix, solve):
+    """The block-matrix projections' frame: solve maps the Lorentz vector of
+    X / ||X|| (normalised before it is rotated, which could overflow) to its
+    projection, rotated back and rescaled, and SolveStats; 0 gives zeros."""
+    _check_input(model, X, BlockSymMatrix)
+    xn = _input_norm(X.weighted())
+    if xn == 0.0:
+        return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
+    out, stats = solve(X.lorentz(xn))
+    return BlockSymMatrix.from_lorentz(model.n, out, xn), stats
+
+
 def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     """Orthogonal projection onto the range of the LMI map.
 
@@ -536,18 +541,7 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     annihilated by the adjoint, which is the defining property of the
     orthogonal projection onto a range space.
     """
-    _check_input(model, X, BlockSymMatrix)
-    flat = to_lorentz(X.blocks * WEIGHTS).ravel()
-    return _from_lorentz(model.n, model.range_proj @ flat)
-
-
-def _from_lorentz(n: int, flat: np.ndarray,
-                  scale: float = 1.0) -> BlockSymMatrix:
-    """scale times the block matrix whose flat Lorentz coordinates (the
-    to_lorentz rotation of its weighted rows) are flat, rotated back before
-    it is scaled."""
-    rows = from_lorentz(flat.reshape(-1, 3)) / WEIGHTS
-    return BlockSymMatrix(n, scale * rows)
+    return _unit_frame(model, X, lambda x: (model.range_proj @ x, None))[0]
 
 
 def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
@@ -578,9 +572,8 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
 
 
 def _slice_projection(model: ConeModel, X, solve):
-    """The slice projectors' shared input handling around solve, which maps
-    a unit flat vector of Lorentz block coordinates to its projection and
-    SolveStats.
+    """:func:`_unit_frame` for the slice projectors, which also take a
+    SymMatrix.
 
     The range of the LMI map is block-diagonal, so the slice lies in the
     subspace B of block-diagonal matrices, and by Pythagoras the projection
@@ -588,29 +581,15 @@ def _slice_projection(model: ConeModel, X, solve):
     Pi_B X. A SymMatrix input is therefore reduced to those blocks, and the
     answer comes back as a SymMatrix whose off-block entries are exactly 0;
     a BlockSymMatrix input gets a BlockSymMatrix. Anything else is
-    rejected. The projection is positively homogeneous, so solve runs on
-    Pi_B X / ||Pi_B X|| (Frobenius norm, by math.hypot) and the answer is
-    scaled back. An input whose diagonal blocks are all zero returns exact
-    zeros.
+    rejected.
     """
     if isinstance(X, SymMatrix):
-        out, stats = _slice_projection(
+        out, stats = _unit_frame(
             model, BlockSymMatrix.from_full(model.n, X), solve)
         return out.to_full(), stats
     if not isinstance(X, BlockSymMatrix):
         raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")
-    _check_input(model, X, BlockSymMatrix)
-    # the norm of the weighted rows comes first: rotating them before they
-    # are normalised could overflow at a finite norm. A sqrt(2) b that
-    # overflows to inf is a norm above the largest double, which
-    # _input_norm rejects.
-    with np.errstate(over="ignore"):
-        weighted = X.blocks * WEIGHTS
-    xn = _input_norm(weighted.ravel())
-    if xn == 0.0:
-        return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
-    out, stats = solve(to_lorentz(weighted / xn).ravel())
-    return _from_lorentz(model.n, out, xn), stats
+    return _unit_frame(model, X, solve)
 
 
 def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):

@@ -5,8 +5,9 @@ blocks and a cyclic threshold Jacobi eigensolver for full symmetric
 matrices. A 2x2 block in weighted coordinates (a, sqrt(2) b, c) is, after
 the orthogonal change of basis to_lorentz, a point (t, v, w) of R^3 that is
 PSD exactly when t >= ||(v, w)||: the PSD cone of 2x2 matrices is the 3-d
-second-order (Lorentz) cone. The solvers hold their blocks in that basis
-and clip them with lorentz_clip, the cone's closed-form projection.
+second-order (Lorentz) cone. BlockSymMatrix alone converts to and from
+these coordinates. The solvers hold their blocks in that basis and clip
+them with lorentz_clip, the cone's closed-form projection.
 psd_clip_rows is the same projection on plain (a, b, c) rows, and
 block_min_eigs gives the blocks' smallest eigenvalues.
 
@@ -49,6 +50,11 @@ def _is_int(value) -> bool:
     """A Python or numpy integer; a bool is an int too, but True would
     silently mean 1."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy real number, not a bool (as for _is_int)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_index(n, name: str = "n") -> int:
@@ -143,14 +149,31 @@ class BlockSymMatrix:
         # (a, b, c) of each block, b read above the diagonal
         return cls(n, blocks.reshape(-1, 4)[:, (0, 1, 3)])
 
+    def weighted(self) -> np.ndarray:
+        """Flat weighted rows (a, sqrt(2) b, c), whose dot product is the trace
+        inner product; a sqrt(2) b that overflows is inf, with no warning."""
+        with np.errstate(over="ignore"):
+            return (self.blocks * WEIGHTS).ravel()
+
+    def lorentz(self, scale: float) -> np.ndarray:
+        """The flat Lorentz coordinates (:func:`to_lorentz`) of self / scale,
+        rotated after the division: a scale >= norm() cannot overflow."""
+        return to_lorentz((self.weighted() / scale).reshape(-1, 3)).ravel()
+
+    @classmethod
+    def from_lorentz(cls, n: int, flat: np.ndarray, scale: float = 1.0):
+        """scale times the block matrix whose lorentz(1.0) is flat."""
+        t, v, w = flat.reshape(-1, 3).T
+        rows = np.stack([(t + v) / RT2, w, (t - v) / RT2], axis=1) / WEIGHTS
+        return cls(n, scale * rows)
+
     def norm(self) -> float:
-        return math.sqrt(self.inner(self))
+        """Trace norm, by math.hypot: inf only above the largest double."""
+        return math.hypot(*self.weighted())
 
     def inner(self, other: "BlockSymMatrix") -> float:
         """Trace inner product with another block matrix of the same shape."""
-        s, o = self.blocks, other.blocks
-        return float(np.sum(s[:, 0] * o[:, 0] + 2.0 * s[:, 1] * o[:, 1]
-                            + s[:, 2] * o[:, 2]))
+        return float(self.weighted() @ other.weighted())
 
 
 def to_lorentz(rows: np.ndarray) -> np.ndarray:
@@ -164,12 +187,6 @@ def to_lorentz(rows: np.ndarray) -> np.ndarray:
     """
     a, c = rows[:, 0], rows[:, 2]
     return np.stack([(a + c) / RT2, (a - c) / RT2, rows[:, 1]], axis=1)
-
-
-def from_lorentz(rows: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_lorentz`: the weighted rows (a, s, c)."""
-    t, v = rows[:, 0], rows[:, 1]
-    return np.stack([(t + v) / RT2, rows[:, 2], (t - v) / RT2], axis=1)
 
 
 def lorentz_clip(flat: np.ndarray) -> np.ndarray:

@@ -42,8 +42,8 @@ def check_kernel(rng, draws, n_max):
         n = int(rng.integers(symmat.N_MIN, n_max + 1))
         mat = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)) * 2.0)
         once = symmat.psd_project_block(mat)
-        lorentz = symmat.to_lorentz(mat.blocks * symmat.WEIGHTS)
-        solvers = project._from_lorentz(n, symmat.lorentz_clip(lorentz))
+        solvers = symmat.BlockSymMatrix.from_lorentz(
+            n, symmat.lorentz_clip(mat.lorentz(1.0)))
         w, V = symmat.jacobi_eig(mat.to_full())
         full = (V * np.maximum(w, 0.0)) @ V.T
         worst_gap = max(worst_gap, *(float(np.linalg.norm(

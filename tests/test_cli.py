@@ -73,6 +73,17 @@ def test_probe_rejects_infinite_fd_step():
         "error: fd_step must be finite and positive"]
 
 
+def test_exact_probe_rejects_bad_fd_step():
+    # exact mode ignores the step, and used to exit 0 with a bad one
+    for step in ("inf", "-1"):
+        proc = run_cli("probe", "--n", "2", "--mode", "exact",
+                       "--fd-step", step)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            "error: fd_step must be finite and positive"]
+
+
 def test_probe_rejects_fd_step_below_solver_accuracy():
     # the cone part of the finite-difference solve is exactly 0 here; it
     # used to exit 2 with fit_exponent's message

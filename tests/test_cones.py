@@ -8,8 +8,9 @@ import pytest
 from sliceproj import (BlockSymMatrix, ConeModel, ConePoint, InvalidInputError,
                        curve_step, holder_gap, lmi_adjoint, lmi_apply,
                        make_cone, membership_cone, membership_polar_shadow,
-                       normal_curve, polar_curve, read_cone_point, sample_cone,
-                       step_normal_inner, write_cone_point)
+                       normal_curve, polar_curve, read_cone_point,
+                       residual_exact, sample_cone, step_normal_inner,
+                       write_cone_point)
 from sliceproj.cones import _violations
 from sliceproj.probe import ProbeReport
 from sliceproj.symmat import SymMatrix, block_min_eigs
@@ -314,6 +315,19 @@ def test_curve_step_matches_curve_difference(models):
             h = curve_step(model, t)
             diff = polar_curve(model, t).coords - polar_curve(model, 0.0).coords
             assert np.allclose(h.coords, diff, atol=1e-15)
+
+
+@pytest.mark.parametrize("curve", [polar_curve, normal_curve, curve_step,
+                                   step_normal_inner, residual_exact])
+def test_curve_parameter_is_a_real_number_in_the_unit_interval(models, curve):
+    # float(t) used to let a bool or a numeric string through: True and
+    # np.True_ gave the t = 1 point, and "0.5" the t = 0.5 one
+    for bad in (True, np.True_, "0.5", None, -0.1, 1.5, math.nan):
+        with pytest.raises(InvalidInputError, match="not a real number"):
+            curve(models[2], bad)
+    # a numpy real is a real number, and gives the same answer
+    want, got = curve(models[2], 0.5), curve(models[2], np.float64(0.5))
+    assert repr(got) == repr(want)
 
 
 def test_holder_gap_examples():

@@ -313,8 +313,10 @@ def test_numeric_probe_checks_origin_once(models, monkeypatch):
     # step of 1.0
     solved.clear()
     for fd_step in (0.0, math.inf, math.nan, True, "1e-6"):
-        with pytest.raises(InvalidInputError, match="fd_step"):
-            probe_semismoothness(model, "numeric", fd_step=fd_step)
+        # exact mode ignores the step, but used to accept a bad one
+        for mode in ("numeric", "exact"):
+            with pytest.raises(InvalidInputError, match="fd_step"):
+                probe_semismoothness(model, mode, fd_step=fd_step)
         with pytest.raises(InvalidInputError, match="fd_step"):
             residual_numeric(model, 0.3, CFG, fd_step=fd_step)
     assert solved == []

@@ -547,11 +547,15 @@ def test_dense_dykstra_stops_on_stall(models):
 
 
 SLICE_PROJECTORS = ("dykstra_block", "dykstra_dense", "fixedpoint")
+# the block-matrix projections that run on X / ||X||, project_range too
+SCALED_PROJECTORS = SLICE_PROJECTORS + ("range",)
 
 
 def _project_slice(kind, model, X):
-    """One slice projector on the block matrix X; the answer as a dense
-    matrix."""
+    """One slice projector, or project_range (with stats None), on the
+    block matrix X; the answer as a dense matrix."""
+    if kind == "range":
+        return project_range(model, X).to_full().to_dense(), None
     if kind == "dykstra_block":
         out, stats = project_slice_dykstra(model, X, CFG)
         return out.to_full().to_dense(), stats
@@ -581,13 +585,13 @@ def test_slice_power_of_two_scaling_is_bitwise(models):
     rng = np.random.default_rng(151)
     for n in (2, 3):
         X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-        for kind in SLICE_PROJECTORS:
+        for kind in SCALED_PROJECTORS:
             ref, ref_stats = _project_slice(kind, models[n], X)
             for k in (-600, -40, 40, 400):
                 out, stats = _project_slice(
                     kind, models[n], BlockSymMatrix(n, 2.0 ** k * X.blocks))
                 assert np.array_equal(out, 2.0 ** k * ref), (n, kind, k)
-                assert stats.iterations == ref_stats.iterations
+                assert stats == ref_stats
 
 
 def test_overflowing_input_norm_is_rejected(models):
@@ -599,7 +603,7 @@ def test_overflowing_input_norm_is_rejected(models):
             project(models[2], q, CFG)
     # diagonal entries only, so the sqrt(2) weighting itself cannot overflow
     X = BlockSymMatrix(2, np.tile([-1.5e308, 0.0, -1.5e308], (3, 1)))
-    for kind in SLICE_PROJECTORS:
+    for kind in SCALED_PROJECTORS:
         with pytest.raises(InvalidInputError, match="largest double"):
             _project_slice(kind, models[2], X)
 
@@ -608,7 +612,7 @@ def test_overflowing_off_diagonal_weight_is_rejected_without_warning(models):
     # sqrt(2) b overflows: the norm exceeds the largest double, and numpy's
     # overflow warning used to come before the rejection
     X = BlockSymMatrix(2, np.tile([0.0, 1.5e308, 0.0], (3, 1)))
-    for kind in SLICE_PROJECTORS:
+    for kind in SCALED_PROJECTORS:
         with pytest.raises(InvalidInputError, match="largest double"):
             _project_slice(kind, models[2], X)
 
@@ -618,7 +622,7 @@ def test_input_norm_just_below_the_largest_double_is_projected(models):
     # of this block overflows, its norm sqrt(2) 1.27e308 does not
     blocks = np.zeros((3, 3))
     blocks[0] = 1.27e308, 0.0, 1.27e308
-    for kind in SLICE_PROJECTORS:
+    for kind in SCALED_PROJECTORS:
         out, stats = _project_slice(kind, models[2],
                                     BlockSymMatrix(2, blocks))
         ref, ref_stats = _project_slice(

@@ -9,8 +9,7 @@ from sliceproj import (BlockSymMatrix, InvalidInputError, NumericFailureError,
                        SymMatrix, jacobi_eig, psd_project_block,
                        read_block_matrix, write_block_matrix)
 from sliceproj import symmat
-from sliceproj.symmat import (WEIGHTS, block_min_eigs, from_lorentz,
-                              lorentz_clip, psd_clip_rows, to_lorentz)
+from sliceproj.symmat import block_min_eigs, lorentz_clip, psd_clip_rows
 
 
 def _frobenius(rows):
@@ -163,25 +162,56 @@ def test_psd_clip_matches_references_across_scales():
             full = (V * np.maximum(w, 0.0)) @ V.T
             want = (full[0, 0], full[0, 1], full[1, 1])
             assert np.all(np.abs(got - want) <= 1e-13 * sz), (exponent, row)
-        # the Lorentz form, rotated back, is the same projection
-        flat = to_lorentz(rows * WEIGHTS).ravel()
-        back = from_lorentz(lorentz_clip(flat).reshape(-1, 3)) / WEIGHTS
-        assert np.all(np.abs(back - out) <= 1e-15 * size)
+        # the Lorentz form, rotated back, is the same projection; the 68
+        # rows are block matrices of 23, 23, 13 and 9 blocks
+        for part in np.split(np.arange(len(rows)), [23, 46, 59]):
+            n = (part.size + 1) // 2
+            flat = BlockSymMatrix(n, rows[part]).lorentz(1.0)
+            back = BlockSymMatrix.from_lorentz(n, lorentz_clip(flat))
+            assert np.all(np.abs(back.blocks - out[part]) <= 1e-15 * size[part])
 
 
 def test_lorentz_coordinates_are_an_isometry_onto_the_second_order_cone():
-    rows = np.random.default_rng(43).standard_normal((200, 3))
-    weighted = rows * WEIGHTS
-    lor = to_lorentz(weighted)
-    assert np.allclose(np.linalg.norm(lor, axis=1),
-                       np.linalg.norm(weighted, axis=1), rtol=1e-15, atol=0.0)
-    assert np.allclose(from_lorentz(lor), weighted, rtol=0.0, atol=1e-15)
-    # t^2 - v^2 - w^2 = 2 det, and t >= 0 with it is a + c >= 0
-    t, v, w = lor.T
-    det = rows[:, 0] * rows[:, 2] - rows[:, 1] ** 2
-    assert np.allclose(t * t - v * v - w * w, 2.0 * det, atol=1e-14)
-    inside = t >= np.hypot(v, w)
-    assert np.array_equal(inside, block_min_eigs(rows) >= 0.0)
+    # nine block matrices of 23 blocks (n = 12)
+    rows = np.random.default_rng(43).standard_normal((9 * 23, 3))
+    for part in np.split(rows, 9):
+        mat = BlockSymMatrix(12, part)
+        weighted = mat.weighted().reshape(-1, 3)
+        lor = mat.lorentz(1.0).reshape(-1, 3)
+        assert np.allclose(np.linalg.norm(lor, axis=1),
+                           np.linalg.norm(weighted, axis=1), rtol=1e-15,
+                           atol=0.0)
+        back = BlockSymMatrix.from_lorentz(12, lor.ravel())
+        assert np.allclose(back.blocks, part, rtol=0.0, atol=1e-15)
+        # t^2 - v^2 - w^2 = 2 det, and t >= 0 with it is a + c >= 0
+        t, v, w = lor.T
+        det = part[:, 0] * part[:, 2] - part[:, 1] ** 2
+        assert np.allclose(t * t - v * v - w * w, 2.0 * det, atol=1e-14)
+        inside = t >= np.hypot(v, w)
+        assert np.array_equal(inside, block_min_eigs(part) >= 0.0)
+        # dividing by a scale comes before the rotation
+        assert np.array_equal(BlockSymMatrix(12, 2.0 ** 600 * part)
+                              .lorentz(2.0 ** 600), mat.lorentz(1.0))
+
+
+def test_block_norm_has_no_underflow_or_overflow():
+    # sqrt of the inner product used to overflow to inf (with a warning)
+    # at 1e200 and underflow to 0 at 1e-200
+    unit = BlockSymMatrix(2, np.ones((3, 3))).norm()
+    assert unit == pytest.approx(math.sqrt(12.0), rel=1e-15)
+    for a in (1e200, 1e-200):
+        norm = BlockSymMatrix(2, np.full((3, 3), a)).norm()
+        assert norm == pytest.approx(a * unit, rel=1e-15)
+    mat = BlockSymMatrix(3, np.random.default_rng(59).standard_normal((5, 3)))
+    for k in (-600, 600):
+        scaled = BlockSymMatrix(3, 2.0 ** k * mat.blocks)
+        assert scaled.norm() == 2.0 ** k * mat.norm()
+        assert scaled.inner(mat) == pytest.approx(2.0 ** k * mat.norm() ** 2,
+                                                  rel=1e-14)
+    # a sqrt(2) b above the largest double: a norm of inf, with no warning
+    huge = BlockSymMatrix(2, np.tile([0.0, 1.5e308, 0.0], (3, 1)))
+    assert huge.norm() == math.inf
+    assert huge.weighted()[1] == math.inf
 
 
 def test_lorentz_clip_exact_cases():
