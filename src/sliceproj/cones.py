@@ -237,6 +237,7 @@ def membership_cone(model: ConeModel, p: ConePoint, tol: float = 1e-9):
     worst <= tol. Cross-checkable against the smallest block eigenvalue of
     lmi_apply(p), which cuts out the same set.
     """
+    _check_tol(tol)
     worst = float(max(_violations(model, p)))
     return worst <= tol, worst
 
@@ -260,6 +261,7 @@ def membership_polar_shadow(u, model: ConeModel, tol: float = 1e-9) -> bool:
     powers are evaluated on absolute values; the dual-norm derivation forces
     this reading.
     """
+    _check_tol(tol)
     u1, u2, u3 = (float(v) for v in u)
     if not all(math.isfinite(v) for v in (u1, u2, u3)):
         raise InvalidInputError("membership_polar_shadow requires finite input")
@@ -283,10 +285,16 @@ def _pow_one_minus(u: float, alpha: float) -> float:
     return math.exp(alpha * math.log1p(-u))
 
 
-def _check_t(t) -> float:
+def _check_t(t, name: str = "t") -> float:
     if not _is_real(t) or not 0.0 <= t <= 1.0:
-        raise InvalidInputError(f"t={t!r} is not a real number in [0.0, 1.0]")
+        raise InvalidInputError(
+            f"{name}={t!r} is not a real number in [0.0, 1.0]")
     return float(t)
+
+
+def _check_tol(tol) -> None:
+    if not _is_real(tol) or not math.isfinite(tol):
+        raise InvalidInputError(f"tol={tol!r} is not a finite real number")
 
 
 def polar_curve(model: ConeModel, t: float) -> ConePoint:
@@ -347,8 +355,9 @@ def holder_gap(x, y, p: float) -> float:
     the gap is nonnegative and vanishes exactly on proportional pairs
     |x_i|^p = c |y_i|^q.
     """
-    if not p > 1.0:
-        raise InvalidInputError("holder_gap requires p > 1")
+    if not _is_real(p) or not 1.0 < p < math.inf:
+        raise InvalidInputError(
+            f"holder_gap requires a real p in (1, inf), got {p!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

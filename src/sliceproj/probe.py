@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import (ConeModel, ConePoint, _is_int, curve_step, normal_curve,
-                    polar_curve, step_normal_inner)
+from .cones import (ConeModel, ConePoint, _check_t, _is_int, curve_step,
+                    normal_curve, polar_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
 from .project import SolverConfig, _check_positive, _project_cone_arr
 
@@ -114,7 +114,7 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     object, so no central differencing).
     """
     cfg = cfg or SolverConfig()
-    if not (0.0 < t < 1.0):
+    if not 0.0 < _check_t(t) < 1.0:
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
     _check_positive(fd_step, "fd_step")
     _check_polar_fixed_point(model, 0.0, cfg)
@@ -214,7 +214,8 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     """
     if mode not in PROBE_MODES:
         raise InvalidInputError(f"unknown probe mode {mode!r}")
-    if not (0.0 < t_min < t_max < 1.0):
+    t_min, t_max = _check_t(t_min, "t_min"), _check_t(t_max, "t_max")
+    if not 0.0 < t_min < t_max < 1.0:
         raise InvalidInputError("grid endpoints must satisfy 0 < t_min < t_max < 1")
     if not _is_int(points) or points < 5:
         raise InvalidInputError(f"points must be an integer >= 5, got {points!r}")

@@ -606,14 +606,14 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
 
 
 def project_slice_fixedpoint(model: ConeModel, X, cfg: SolverConfig | None = None):
-    """Project onto the slice: the cone projection in the Gram metric.
+    """Project onto the slice by one cone solve in the Gram metric.
 
-    The answer is A z for the fixed point z of the projected gradient map
-    z <- Pi_K(z - gamma (A*A z - A*X)), 0 < gamma < 1/lam_max(A*A): the z
-    in K that minimises ||A z - X||. With A*A = U^T U (gram_factor) and
-    w = U z, ||A z - X||^2 is ||w - Q^T X||^2 plus a constant, Q = W U^-1,
-    so the fixed point is reached in one cone solve: A z = Q Pi_K'(Q^T X)
-    on K' = U K, model.slice_model, whose SolveStats are returned as is.
+    The slice is A K, so the answer is A z for the z in K that minimises
+    ||A z - X||. With A*A = U^T U (gram_factor), w = U z and Q = W U^-1,
+    ||A z - X||^2 is ||w - Q^T X||^2 plus a constant, so the answer is
+    A z = Q Pi_K'(Q^T X): one cone solve on K' = U K, model.slice_model,
+    whose SolveStats are returned as is. The name is kept because the
+    slice-fixedpoint CLI target and perfbench call this function.
 
     X is a BlockSymMatrix or a SymMatrix, and the answer is of the same
     kind, as for :func:`project_slice_dykstra`. tol is relative to

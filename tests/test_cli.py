@@ -1,30 +1,52 @@
-"""Command-line contract: exit codes, formats, round trips, determinism."""
+"""Command-line contract: exit codes, formats, round trips, determinism.
 
+The contract is tested in this process through ``cli.main(argv)``; a few
+tests at the end start the real entry point, ``python -m sliceproj``.
+"""
+
+import contextlib
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import sliceproj
-from sliceproj import (BlockSymMatrix, InvalidInputError, cli, cones,
-                       make_cone, polar_curve, read_block_matrix,
+from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError, cli,
+                       cones, make_cone, polar_curve, read_block_matrix,
                        read_cone_point, sample_cone, write_block_matrix,
                        write_cone_point)
 from sliceproj.verify import run_verify
 
-# the child interpreter imports the package from the same place this one did
-_SRC = str(Path(sliceproj.__file__).resolve().parents[1])
-_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+def _process_state():
+    root = logging.getLogger()
+    return dict(os.environ), list(sys.argv), list(root.handlers), root.level
 
 
 def run_cli(*args, check=False, env=None):
-    proc = subprocess.run([sys.executable, "-m", "sliceproj", *args],
-                          capture_output=True, text=True,
-                          env={**_ENV, **(env or {})})
+    """Run ``sliceproj *args`` through cli.main with env added to the
+    environment, and return the exit code and output as subprocess.run
+    would."""
+    before = _process_state()
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, env or {}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse: usage errors and --version
+            code = exc.code
+    # cli._setup_logging's logging.basicConfig is a no-op only while a
+    # handler (here pytest's log capture) holds the root logger; a call
+    # that changed it, or the environment, would leak into later tests
+    assert _process_state() == before, "cli.main changed the process state"
+    proc = subprocess.CompletedProcess(["sliceproj", *args], code,
+                                       out.getvalue(), err.getvalue())
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}):\n{proc.stderr}")
     return proc
@@ -397,3 +419,69 @@ def test_jobs_flag_is_gone(args):
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
+
+
+# The tests below start the real entry point in a child interpreter: only
+# there do `python -m sliceproj` (__main__.py's sys.exit(main())), the exit
+# status the shell sees, and cli._setup_logging's handler on a fresh root
+# logger run. Each start costs about 0.7 s, so they stay few.
+
+# the child interpreter imports the package from the same place this one did
+_SRC = str(Path(sliceproj.__file__).resolve().parents[1])
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def run_entry_point(*args, env=None):
+    return subprocess.run([sys.executable, "-m", "sliceproj", *args],
+                          capture_output=True, text=True,
+                          env={**_ENV, **(env or {})})
+
+
+def test_entry_point_version():
+    proc = run_entry_point("--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == sliceproj.__version__
+
+
+def test_entry_point_input_error():
+    proc = run_entry_point("probe", "--n", "1", "--mode", "exact")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: n must be an integer in [2, 12], got 1"]
+
+
+def test_entry_point_solver_failure():
+    proc = run_entry_point("probe", "--n", "2", "--mode", "numeric",
+                           "--fd-step", "1e-12")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure: ")
+
+
+def test_entry_point_unknown_log_level():
+    proc = run_entry_point("curves", "--n", "2", "--points", "3",
+                           env={"SLICEPROJ_LOG": "bogus"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "error: SLICEPROJ_LOG='bogus' is not one of error|warn|info|debug"]
+
+
+def test_entry_point_debug_log(tmp_path):
+    # README: at debug every iterative solve logs one line when it stops,
+    # with its exit reason, iteration count and residual
+    src = tmp_path / "q.txt"
+    src.write_text(write_cone_point(
+        ConePoint(2, np.random.default_rng(2).standard_normal(5))))
+    proc = run_entry_point("project", "--n", "2", "--target", "K",
+                           "--in", str(src), env={"SLICEPROJ_LOG": "debug"})
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert stats["converged"] is True
+    assert proc.stderr.strip().splitlines() == [
+        f"DEBUG sliceproj.project: cone projection: {stats['exit_reason']} "
+        f"after {stats['iterations']} iterations at residual "
+        f"{stats['final_residual']:.3e}"]

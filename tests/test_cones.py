@@ -212,6 +212,18 @@ def test_membership_basic(models):
     assert not outside and worst == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, "1e-9",
+                                 None, True])
+def test_membership_rejects_bad_tol(models, tol):
+    # a nan tol used to report the interior point below as outside, and the
+    # polar curve point as outside the polar shadow
+    point = ConePoint(2, np.array([0.0, 0.0, 1.0, 0.5, 0.5]))
+    with pytest.raises(InvalidInputError, match="tol="):
+        membership_cone(models[2], point, tol=tol)
+    with pytest.raises(InvalidInputError, match="tol="):
+        membership_polar_shadow((0.0, 1.0, -1.0), models[2], tol=tol)
+
+
 def test_membership_normal_curve(models):
     for n, model in models.items():
         for t in np.linspace(0.01, 0.99, 9):
@@ -341,6 +353,10 @@ def test_holder_gap_guards():
         holder_gap([1.0], [1.0], 1.0)
     with pytest.raises(InvalidInputError):
         holder_gap([1.0, 2.0], [1.0], 2.0)
+    # inf used to return nan, and a string raised TypeError
+    for p in (math.inf, math.nan, "2", True):
+        with pytest.raises(InvalidInputError, match="real p in"):
+            holder_gap([1.0, 2.0], [3.0, 1.0], p)
 
 
 def test_cone_point_accessors_and_guards():

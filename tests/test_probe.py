@@ -85,6 +85,10 @@ def test_residual_numeric_variants_agree(models):
 def test_residual_numeric_guards(models):
     with pytest.raises(InvalidInputError):
         residual_numeric(models[2], 0.0, CFG)
+    # "0.5" and None used to raise TypeError from the comparison with 0
+    for t in ("0.5", None, True, math.nan):
+        with pytest.raises(InvalidInputError, match="t="):
+            residual_numeric(models[2], t, CFG)
     for fd_step in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError, match="fd_step"):
             residual_numeric(models[2], 0.5, CFG, fd_step=fd_step)
@@ -215,6 +219,11 @@ def test_probe_grid_validation(models):
         probe_semismoothness(models[2], "exact", points=4)
     with pytest.raises(InvalidInputError):
         probe_semismoothness(models[2], "spectral")
+    # as for residual_numeric, these used to raise TypeError
+    for name in ("t_min", "t_max"):
+        for bad in ("0.001", None, True):
+            with pytest.raises(InvalidInputError, match=f"{name}="):
+                probe_semismoothness(models[2], "exact", **{name: bad})
 
 
 def test_probe_points_must_be_an_integer(models):
