@@ -11,6 +11,7 @@ value exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -35,14 +36,29 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _setup_logging():
+@contextlib.contextmanager
+def _logging():
+    """Send the sliceproj loggers' records at the SLICEPROJ_LOG level to
+    this call's sys.stderr while the call runs. The sliceproj logger is
+    configured, not the root logger, so each call in one process honours
+    its own level, and the host program's logging is left alone."""
     name = os.environ.get("SLICEPROJ_LOG", "warn")
     level = _LOG_LEVELS.get(name.lower())
     if level is None:
         raise InvalidInputError(f"SLICEPROJ_LOG={name!r} is not one of "
                                 f"{'|'.join(_LOG_LEVELS)}")
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logger = logging.getLogger("sliceproj")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,8 +232,8 @@ def main(argv=None) -> int:
     handler = {"probe": cmd_probe, "project": cmd_project,
                "verify": cmd_verify, "curves": cmd_curves}[args.command]
     try:
-        _setup_logging()
-        return handler(args)
+        with _logging():
+            return handler(args)
     except (InvalidInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

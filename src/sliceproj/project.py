@@ -46,8 +46,10 @@ The splitting has no penalty parameter (its penalty is 1), so its
 p-update operators depend on the model alone, and ConeModel.from_lmi
 builds them: Minv = (I + L^T L)^-1 and the gain K = Minv L^T. A solve
 computes Minv u once, for u = q / ||q||; each iteration is then
-p = Minv u + K (Z - U), the product L p, one Lorentz clip of the flat
-block vector and one product with L^T for the dual residual.
+p = Minv u + K (Z - U), the product L p and one Lorentz clip of the flat
+block vector. The residuals (one product with L^T for the dual residual,
+two subtractions and two norms) are formed only on the iterations at which
+the loop reads them (below).
 
 Dykstra alternates the Lorentz clip with the model's precomputed
 orthogonal projector P onto the range of A, in the same basis. It
@@ -55,9 +57,17 @@ carries the point z that the clip acts on: y = clip(z), x = P y, and z
 moves by -(y - x). That is one matrix-vector product per iteration.
 
 ADMM and Dykstra share one iteration loop, _iterate: each passes a step
-that returns its residual, and the loop owns the tolerance, stall and
-budget tests, the refinement schedule's checkpoints, the exit reason and
-one debug log line per exit.
+that runs one iteration and returns its residual when the loop asks for
+it, and the loop owns the tolerance, stall and budget tests, the
+refinement schedule's checkpoints, the exit reason and one debug log line
+per exit. The loop asks for a residual every _RES_STRIDE = 8 iterations,
+at each refinement checkpoint and at the budget, and runs its exit tests
+there only. Most solves end at a checkpoint, where a per-iteration
+residual would feed only tests that never fire. The iterates do not
+depend on the stride, so a solve that ends at a scheduled checkpoint or
+on its budget is the same with every stride, and one that meets tol or
+stalls in between ends at most 7 iterations after the first iteration
+whose residual would have passed.
 
 Each cone solve returns its certificate: the answer p, active set J and
 rescaled multipliers nu of the refinement that ended it, or None. A
@@ -104,6 +114,9 @@ log = logging.getLogger("sliceproj.project")
 # relative improvement below which an iteration no longer counts as progress
 _STALL_FACTOR = 1e-3
 _STALL_WINDOW = 2000
+# the loop asks its step for a residual every _RES_STRIDE iterations (and
+# at each checkpoint and the budget); in between, the step skips that work
+_RES_STRIDE = 8
 _CERT_TOL = 1e-12
 _EPS = np.finfo(float).eps
 # first ADMM iteration at which the refinement is tried, one-off and warm
@@ -161,7 +174,10 @@ class SolveStats:
     exit_reason is one of EXIT_REASONS: ``tol`` (the residual reached tol),
     ``certified`` (an exact shortcut, or an active-set refinement whose
     optimality certificate held), ``stalled`` (no progress over the stall
-    window) or ``budget`` (max_iter reached). For cone solves converged ==
+    window) or ``budget`` (max_iter reached). The exit tests read a
+    residual every 8 iterations, at each refinement checkpoint (32, 64,
+    128, ...) and at max_iter, so a tol or stalled exit's iterations is a
+    multiple of 8, a checkpoint or max_iter. For cone solves converged ==
     (final_residual <= tol). polish_attempts is the number of refinement
     attempts (Newton solves on one active set) of the solve, and
     newton_steps the number of accepted Newton steps summed over them. Both
@@ -195,13 +211,20 @@ _ZERO_STATS = SolveStats(0, 0.0, True, "certified")
 def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
     """The iteration loop of every solver.
 
-    step() runs one iteration and returns its residual. The loop stops
-    when the residual is within cfg.tol, when it has not improved by the
-    fraction _STALL_FACTOR over the last _STALL_WINDOW iterations, or after
-    cfg.max_iter iterations. checkpoint(k), if given, runs before the first
-    iteration (k = 0), at iteration _FIRST_POLISH, at each doubling of it
-    and at every exit, before the exit tests; the SolveStats it returns,
-    if any, end the solve. Each exit logs one debug line naming `what`.
+    step(fresh) runs one iteration; it returns the iteration's residual
+    when fresh is true, and None otherwise, having skipped the residual's
+    work. fresh is true every _RES_STRIDE iterations, at each refinement
+    checkpoint and at iteration cfg.max_iter, and the exit tests run on
+    fresh iterations only: the loop stops when the residual is within
+    cfg.tol, when it has not improved by the fraction _STALL_FACTOR over the
+    last _STALL_WINDOW iterations, or after cfg.max_iter iterations. So a
+    tol or stalled exit's iteration count is a stride multiple, a
+    checkpoint or the budget, up to _RES_STRIDE - 1 iterations after the
+    first iteration that passed the test, and no exit reports a stale
+    residual. checkpoint(k), if given, runs before the first iteration
+    (k = 0), at iteration _FIRST_POLISH, at each doubling of it and at
+    every exit, before the exit tests; the SolveStats it returns, if any,
+    end the solve. Each exit logs one debug line naming `what`.
     """
     tol = cfg.tol
     best_res = math.inf
@@ -210,16 +233,19 @@ def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
     stats = None if checkpoint is None else checkpoint(0)
     while stats is None:
         k += 1
-        res = step()
+        at_check = k == check_at
+        res = step(at_check or k % _RES_STRIDE == 0 or k == cfg.max_iter)
+        if res is None:
+            continue
+        if at_check:
+            check_at *= 2
         if res < best_res * (1.0 - _STALL_FACTOR):
             best_res = res
             best_iter = k
         reason = ("tol" if res <= tol
                   else "stalled" if k - best_iter > _STALL_WINDOW
                   else "budget" if k == cfg.max_iter else None)
-        if checkpoint is not None and (reason or k == check_at):
-            if k == check_at:
-                check_at *= 2
+        if checkpoint is not None and (reason or at_check):
             stats = checkpoint(k)
         if stats is None and reason:
             stats = SolveStats(k, res, res <= tol, reason)
@@ -472,16 +498,17 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     steps = []
     cert = None
 
-    def step():
+    def step(fresh):
         nonlocal p, Z, U
         p = p0 + gain @ (Z - U)
         Ap = L @ p
         X = Ap + U
         Z_new = lorentz_clip(X)
         U = X - Z_new
-        r_dual = _norm(LT @ (Z_new - Z))
+        res = (max(_norm(Ap - Z_new), _norm(LT @ (Z_new - Z))) if fresh
+               else None)
         Z = Z_new
-        return max(_norm(Ap - Z_new), r_dual)
+        return res
 
     def polish(k):
         nonlocal p, cert
@@ -557,13 +584,13 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
     """
     x = z = x0
 
-    def step():
+    def step(fresh):
         nonlocal x, z
         y = lorentz_clip(z)
         x_new = model.range_proj @ y
         gap = y - x_new
         z = z - gap
-        res = max(_norm(gap), _norm(x_new - x))
+        res = max(_norm(gap), _norm(x_new - x)) if fresh else None
         x = x_new
         return res
 

@@ -25,8 +25,9 @@ from sliceproj.verify import run_verify
 
 
 def _process_state():
-    root = logging.getLogger()
-    return dict(os.environ), list(sys.argv), list(root.handlers), root.level
+    loggers = (logging.getLogger(), logging.getLogger("sliceproj"))
+    return (dict(os.environ), list(sys.argv),
+            [(list(lg.handlers), lg.level) for lg in loggers])
 
 
 def run_cli(*args, check=False, env=None):
@@ -41,9 +42,9 @@ def run_cli(*args, check=False, env=None):
             code = cli.main(list(args))
         except SystemExit as exc:  # argparse: usage errors and --version
             code = exc.code
-    # cli._setup_logging's logging.basicConfig is a no-op only while a
-    # handler (here pytest's log capture) holds the root logger; a call
-    # that changed it, or the environment, would leak into later tests
+    # cli.main configures the sliceproj logger for the call alone; a call
+    # that left it, the root logger or the environment changed would leak
+    # into later tests
     assert _process_state() == before, "cli.main changed the process state"
     proc = subprocess.CompletedProcess(["sliceproj", *args], code,
                                        out.getvalue(), err.getvalue())
@@ -409,6 +410,29 @@ def test_unknown_log_level_is_rejected():
     assert proc.returncode == 0, proc.stderr
 
 
+def _debug_line(stats):
+    """README's SLICEPROJ_LOG=debug line of a K projection with these
+    printed stats."""
+    return ("DEBUG sliceproj.project: cone projection: "
+            f"{stats['exit_reason']} after {stats['iterations']} "
+            f"iterations at residual {stats['final_residual']:.3e}")
+
+
+def test_each_call_honours_its_own_log_level(tmp_path):
+    # successive calls in one process: the debug call logs its solve's
+    # exit line to its own stderr, and the warn calls around it log nothing
+    src = tmp_path / "q.txt"
+    src.write_text(write_cone_point(
+        ConePoint(2, np.random.default_rng(2).standard_normal(5))))
+    args = ("project", "--n", "2", "--target", "K", "--in", str(src))
+    quiet = run_cli(*args, check=True, env={"SLICEPROJ_LOG": "warn"})
+    loud = run_cli(*args, check=True, env={"SLICEPROJ_LOG": "debug"})
+    again = run_cli(*args, check=True, env={"SLICEPROJ_LOG": "warn"})
+    assert quiet.stderr == again.stderr == ""
+    stats = json.loads(loud.stdout.strip().splitlines()[-1])
+    assert loud.stderr.splitlines() == [_debug_line(stats)]
+
+
 @pytest.mark.parametrize("args", [("probe", "--n", "2"), ("verify",)])
 def test_jobs_flag_is_gone(args):
     proc = run_cli(*args, "--jobs", "2")
@@ -481,7 +505,4 @@ def test_entry_point_debug_log(tmp_path):
     assert proc.returncode == 0, proc.stderr
     stats = json.loads(proc.stdout.strip().splitlines()[-1])
     assert stats["converged"] is True
-    assert proc.stderr.strip().splitlines() == [
-        f"DEBUG sliceproj.project: cone projection: {stats['exit_reason']} "
-        f"after {stats['iterations']} iterations at residual "
-        f"{stats['final_residual']:.3e}"]
+    assert proc.stderr.strip().splitlines() == [_debug_line(stats)]

@@ -255,11 +255,20 @@ def test_exit_reasons(models):
 
 def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
     # the refinement runs before the first iteration, at iteration 32,
-    # each doubling, and the exit
+    # each doubling, and the exit; the step is asked for its residual
+    # every _RES_STRIDE = 8 iterations, at each checkpoint and at the
+    # budget, and the exit tests read only those residuals
+    assert project_module._RES_STRIDE == 8
+
     def run(residuals, max_iter, window=2000, stop_at=None):
         monkeypatch.setattr(project_module, "_STALL_WINDOW", window)
-        seen = []
+        seen, asked = [], []
         res = iter(residuals)
+
+        def step(fresh):
+            asked.append(fresh)
+            r = next(res)
+            return r if fresh else None
 
         def checkpoint(k):
             seen.append(k)
@@ -267,21 +276,81 @@ def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
                 return SolveStats(k, 0.0, True, "certified")
             return None
 
-        stats = project_module._iterate(lambda: next(res),
-                                        SolverConfig(max_iter=max_iter),
+        stats = project_module._iterate(step, SolverConfig(max_iter=max_iter),
                                         "test", checkpoint)
-        return seen, (stats.exit_reason, stats.iterations)
+        fresh_at = [k for k, fresh in enumerate(asked, 1) if fresh]
+        return seen, (stats.exit_reason, stats.iterations), fresh_at
 
     falling = [1.0 / k for k in range(1, 301)]
-    assert run(falling, 300) == ([0, 32, 64, 128, 256, 300], ("budget", 300))
-    assert run(falling[:49] + [0.0], 300) == ([0, 32, 50], ("tol", 50))
-    assert run(falling[:63] + [0.0], 300) == ([0, 32, 64], ("tol", 64))
-    assert run([1.0] * 300, 300, window=40) == ([0, 32, 42], ("stalled", 42))
-    assert run(falling, 300, stop_at=64) == ([0, 32, 64], ("certified", 64))
+    seen, out, fresh_at = run(falling, 300)
+    assert (seen, out) == ([0, 32, 64, 128, 256, 300], ("budget", 300))
+    assert fresh_at == list(range(8, 297, 8)) + [300]
+    # a residual of 0 from iteration 50 on is read at the next stride
+    # point; one at a checkpoint is read there
+    assert run(falling[:49] + [0.0] * 251, 300)[:2] == ([0, 32, 56],
+                                                       ("tol", 56))
+    assert run(falling[:63] + [0.0] * 237, 300)[:2] == ([0, 32, 64],
+                                                       ("tol", 64))
+    # the stall window counts iterations from the last fresh improvement
+    assert run([1.0] * 300, 300, window=40)[:2] == ([0, 32, 56],
+                                                    ("stalled", 56))
+    assert run(falling, 300, stop_at=64)[:2] == ([0, 32, 64],
+                                                 ("certified", 64))
     # a solve that ends before iteration 32 runs the checkpoint at 0 and
     # at its exit; one that certifies at 0 takes no iteration
-    assert run(falling, 20) == ([0, 20], ("budget", 20))
-    assert run(falling, 300, stop_at=0) == ([0], ("certified", 0))
+    assert run(falling, 20) == ([0, 20], ("budget", 20), [8, 16, 20])
+    assert run(falling, 300, stop_at=0) == ([0], ("certified", 0), [])
+    # a checkpoint off the stride is fresh too
+    monkeypatch.setattr(project_module, "_FIRST_POLISH", 12)
+    seen, out, fresh_at = run(falling, 50)
+    assert (seen, out) == ([0, 12, 24, 48, 50], ("budget", 50))
+    assert fresh_at == [8, 12, 16, 24, 32, 40, 48, 50]
+
+
+def _solves_at_stride(monkeypatch, stride, cfg):
+    """(answer, stats, input norm) of the cone and both slice projectors
+    on seeded N(0, I) inputs at n = 2..12, with residuals read every
+    stride iterations."""
+    monkeypatch.setattr(project_module, "_RES_STRIDE", stride)
+    out = []
+    for n in range(2, 13):
+        model = make_cone(n)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            q = ConePoint(n, rng.standard_normal(2 * n + 1))
+            X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+            p, stats = project_cone(model, q, cfg)
+            out.append((p.coords, stats, np.linalg.norm(q.coords)))
+            for project in (project_slice_fixedpoint, project_slice_dykstra):
+                P, stats = project(model, X, cfg)
+                out.append((P.blocks, stats, X.norm()))
+    return out
+
+
+@pytest.mark.parametrize("max_iter", [13, SolverConfig.max_iter])
+def test_residual_stride_moves_only_tol_exits(monkeypatch, max_iter):
+    # stride 1 reads a residual every iteration; the iterates do not depend
+    # on the stride, so a solve that ends at a scheduled checkpoint or on
+    # its budget is bitwise the same, and only a tol exit can land later,
+    # at the next point where the residual is read
+    cfg = SolverConfig(max_iter=max_iter)
+    every = _solves_at_stride(monkeypatch, 1, cfg)
+    strided = _solves_at_stride(monkeypatch, 8, cfg)
+    reasons = set()
+    for (a, sa, norm), (b, sb, _) in zip(every, strided):
+        k = sa.iterations
+        scheduled = k in (0, max_iter) or (k >= 32 and k & (k - 1) == 0)
+        reasons.add((sa.exit_reason, scheduled))
+        if scheduled:
+            assert np.array_equal(a, b) and sa == sb, (sa, sb)
+        else:
+            assert sa.exit_reason == "tol", sa
+            assert k <= sb.iterations <= k + 7 and sb.converged, (sa, sb)
+            assert np.abs(a - b).max() <= 1e-8 * norm
+    if max_iter == 13:
+        assert reasons == {("certified", True), ("budget", True)}
+    else:
+        assert reasons == {("certified", True), ("tol", False)}
 
 
 def test_one_off_and_warm_solves_refine_first_at_32():
