@@ -117,18 +117,23 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     if not 0.0 < _check_t(t) < 1.0:
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
     _check_positive(fd_step, "fd_step")
-    _check_polar_fixed_point(model, 0.0, cfg)
-    r_fd, norm, _ = _residual_at(model, t, cfg, fd_step)
+    _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords, cfg)
+    r_fd, norm, _ = _residual_at(model, t, cfg, _tight(cfg), fd_step)
     return ConePoint(model.n, r_fd), norm
 
 
-def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
-                             held: tuple | None = None):
-    """Raise unless polar_curve(t) is a fixed point of the polar projection,
-    i.e. its cone part (the drift, by Moreau) vanishes. held is passed to
-    the cone solve."""
-    cone_part, stats, _ = _project_cone_arr(
-        model, polar_curve(model, t).coords, cfg, held)
+def _tight(cfg: SolverConfig) -> SolverConfig:
+    """cfg with its tol lowered to at most 1e-13, for the
+    finite-difference solves, whose cone part is divided by fd_step."""
+    return replace(cfg, tol=min(cfg.tol, 1e-13))
+
+
+def _check_polar_fixed_point(model: ConeModel, t: float, base: np.ndarray,
+                             cfg: SolverConfig, held: tuple | None = None):
+    """Raise unless base, the coordinates of polar_curve(t), is a fixed
+    point of the polar projection, i.e. its cone part (the drift, by
+    Moreau) vanishes. held is passed to the cone solve."""
+    cone_part, stats, _ = _project_cone_arr(model, base, cfg, held)
     drift = float(np.linalg.norm(cone_part))
     if drift > 10.0 * cfg.tol:
         raise NumericFailureError(
@@ -137,26 +142,26 @@ def _check_polar_fixed_point(model: ConeModel, t: float, cfg: SolverConfig,
 
 
 def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
-                 fd_step: float, held: tuple | None = None):
+                 tight: SolverConfig, fd_step: float,
+                 held: tuple | None = None):
     """The finite-difference residual vector, its norm and the
     finite-difference solve's certificate at t, on checked arguments,
     without the t = 0 fixed-point check, which does not depend on t.
 
-    The finite-difference solve starts from held, and the base check from
-    its certificate.
+    The finite-difference solve runs under tight (_tight(cfg)) and starts
+    from held; the base check runs under cfg from its certificate.
     """
     # via the Moreau complement: the polar projection of base + s h equals
     # the input minus its cone projection, so the residual reduces to
     # Pi_cone(base + s h) / s
-    probe_point = (polar_curve(model, t).coords
-                   + fd_step * curve_step(model, t).coords)
-    tight = replace(cfg, tol=min(cfg.tol, 1e-13))
+    base = polar_curve(model, t).coords
+    probe_point = base + fd_step * curve_step(model, t).coords
     cone_part, stats, cert = _project_cone_arr(model, probe_point, tight, held)
     if stats.final_residual > cfg.tol:
         raise NumericFailureError(
             f"cone projection at t={t:g} reached residual "
             f"{stats.final_residual:.3e} > tol {cfg.tol:.1e}", stats=stats)
-    _check_polar_fixed_point(model, t, cfg, cert)
+    _check_polar_fixed_point(model, t, base, cfg, cert)
     # a step below the solve's certified floor leaves a cone part of exactly
     # 0, or one whose scaled norm overflows; either would be fitted as data
     with np.errstate(over="ignore"):
@@ -228,12 +233,14 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
     else:
         # the t = 0 endpoint is the same for every grid point: check it once
-        _check_polar_fixed_point(model, 0.0, cfg)
+        _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords,
+                                 cfg)
+        tight = _tight(cfg)
         held = None
         residuals = np.empty(points)
         for i in reversed(range(points)):
             _, residuals[i], held = _residual_at(model, float(t_grid[i]), cfg,
-                                                 fd_step, held)
+                                                 tight, fd_step, held)
 
     slope, _, _ = fit_exponent(t_grid, residuals)
     return ProbeReport(

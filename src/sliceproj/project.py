@@ -42,6 +42,11 @@ hold the blocks in Lorentz coordinates (BlockSymMatrix.lorentz), an
 orthogonal change of basis under which each 2x2 PSD block is the 3-d
 second-order cone, so their blockwise PSD clip is that cone's closed-form
 projection, symmat.lorentz_clip, and A is the model's lmi_lorentz = L.
+For the same reason the clip loops over Python floats at the few blocks
+of n <= 7 (up to symmat._CLIP_LOOP_BLOCKS = 13), where that costs less
+than its vectorised form's fixed nine numpy calls, and runs the
+vectorised form above; both return bitwise the same array, so no iterate
+depends on the path.
 The splitting has no penalty parameter (its penalty is 1), so its
 p-update operators depend on the model alone, and ConeModel.from_lmi
 builds them: Minv = (I + L^T L)^-1 and the gain K = Minv L^T. A solve

@@ -13,6 +13,7 @@ from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError,
                        project_slice_dykstra, project_slice_fixedpoint,
                        psd_project_block, sample_cone)
 from sliceproj import project as project_module
+from sliceproj import symmat
 from sliceproj.project import (SolveStats, _attempt_polish,
                                _duals_nonnegative, _kkt_jacobian,
                                _kkt_residual, _lmi_rows)
@@ -307,11 +308,9 @@ def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
     assert fresh_at == [8, 12, 16, 24, 32, 40, 48, 50]
 
 
-def _solves_at_stride(monkeypatch, stride, cfg):
+def _seeded_solves(cfg):
     """(answer, stats, input norm) of the cone and both slice projectors
-    on seeded N(0, I) inputs at n = 2..12, with residuals read every
-    stride iterations."""
-    monkeypatch.setattr(project_module, "_RES_STRIDE", stride)
+    on seeded N(0, I) inputs at n = 2..12."""
     out = []
     for n in range(2, 13):
         model = make_cone(n)
@@ -334,8 +333,10 @@ def test_residual_stride_moves_only_tol_exits(monkeypatch, max_iter):
     # its budget is bitwise the same, and only a tol exit can land later,
     # at the next point where the residual is read
     cfg = SolverConfig(max_iter=max_iter)
-    every = _solves_at_stride(monkeypatch, 1, cfg)
-    strided = _solves_at_stride(monkeypatch, 8, cfg)
+    monkeypatch.setattr(project_module, "_RES_STRIDE", 1)
+    every = _seeded_solves(cfg)
+    monkeypatch.setattr(project_module, "_RES_STRIDE", 8)
+    strided = _seeded_solves(cfg)
     reasons = set()
     for (a, sa, norm), (b, sb, _) in zip(every, strided):
         k = sa.iterations
@@ -351,6 +352,18 @@ def test_residual_stride_moves_only_tol_exits(monkeypatch, max_iter):
         assert reasons == {("certified", True), ("budget", True)}
     else:
         assert reasons == {("certified", True), ("tol", False)}
+
+
+def test_clip_paths_give_bitwise_equal_solves(monkeypatch):
+    # the Lorentz clip's loop and vectorised paths return bitwise the same
+    # arrays, so every iterate is the same on either path, and so is every
+    # answer and SolveStats
+    monkeypatch.setattr(symmat, "_CLIP_LOOP_BLOCKS", 0)
+    vectorised = _seeded_solves(SolverConfig())
+    monkeypatch.setattr(symmat, "_CLIP_LOOP_BLOCKS", 23)
+    loop = _seeded_solves(SolverConfig())
+    for (a, sa, _), (b, sb, _) in zip(vectorised, loop, strict=True):
+        assert a.tobytes() == b.tobytes() and sa == sb, (sa, sb)
 
 
 def test_one_off_and_warm_solves_refine_first_at_32():

@@ -214,29 +214,77 @@ def test_block_norm_has_no_underflow_or_overflow():
     assert huge.weighted()[1] == math.inf
 
 
+def _clip_in_chunks(rows, blocks):
+    """rows cycled to a whole number of chunks of `blocks` blocks, and their
+    lorentz_clip taken chunk by chunk, so that the chunk size picks the
+    clip's path."""
+    size = -(-len(rows) // blocks) * blocks
+    rows = np.resize(rows, (size, 3))
+    out = [lorentz_clip(chunk.ravel()) for chunk in np.split(rows, size // blocks)]
+    return rows, np.concatenate(out).reshape(-1, 3)
+
+
 def test_lorentz_clip_exact_cases():
     rng = np.random.default_rng(47)
     vw = rng.standard_normal((50, 2))
     r = np.hypot(vw[:, 0], vw[:, 1])
     stretch = rng.uniform(1.0, 3.0, 50)
-    # t >= r: inside the cone, bitwise unchanged, the boundary t = r too
     inside = np.column_stack([np.concatenate([r * stretch, r]),
                               np.vstack([vw, vw])])
-    assert np.array_equal(lorentz_clip(inside.ravel()), inside.ravel())
-    # t <= -r: inside the polar, exact zeros
     polar = np.column_stack([np.concatenate([-r * stretch, -r]),
                              np.vstack([vw, vw])])
-    assert np.array_equal(lorentz_clip(polar.ravel()), np.zeros(polar.size))
-    # r = 0 and r subnormal give no NaN
     axis = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                      [0.0, 5e-324, 0.0], [-1e-300, 0.0, 5e-324]])
-    out = lorentz_clip(axis.ravel()).reshape(-1, 3)
-    assert np.all(np.isfinite(out))
-    assert np.array_equal(out[:3], [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                                    [0.0, 0.0, 0.0]])
-    # between the two: the cone's boundary point ((t + r)/2)(1, (v, w)/r)
-    out = lorentz_clip(np.array([0.0, 3.0, 4.0]))
-    assert np.allclose(out, [2.5, 1.5, 2.0], rtol=1e-15, atol=0.0)
+    nan = np.array([[math.nan, 0.0, 0.0], [math.nan, 3.0, 4.0],
+                    [1.0, math.nan, 0.0], [-1.0, 0.0, math.nan],
+                    [0.0, math.nan, math.nan]])
+    # every case runs through both paths: the loop runs up to
+    # _CLIP_LOOP_BLOCKS blocks, the vectorised form above
+    loop_max = symmat._CLIP_LOOP_BLOCKS
+    for blocks in (1, loop_max, loop_max + 1, 23):
+        # t >= r: inside the cone, bitwise unchanged, the boundary t = r too
+        rows, out = _clip_in_chunks(inside, blocks)
+        assert np.array_equal(out, rows)
+        # t <= -r: inside the polar, exact zeros
+        rows, out = _clip_in_chunks(polar, blocks)
+        assert np.array_equal(out, np.zeros(rows.shape))
+        # r = 0 and r subnormal give no NaN
+        rows, out = _clip_in_chunks(axis, blocks)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out[:3], [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                        [0.0, 0.0, 0.0]])
+        # between the two: the cone's boundary point ((t + r)/2)(1, (v, w)/r)
+        rows, out = _clip_in_chunks(np.array([[0.0, 3.0, 4.0]]), blocks)
+        assert np.allclose(out, [2.5, 1.5, 2.0], rtol=1e-15, atol=0.0)
+        # NaN in gives NaN out, also at r = 0, where the loop's h / r would
+        # raise ZeroDivisionError
+        rows, out = _clip_in_chunks(nan, blocks)
+        assert np.all(np.isnan(out))
+
+
+def test_lorentz_clip_paths_agree_bitwise(monkeypatch):
+    # seeded blocks at scales 10^-300 to 10^300, with t = r and t = -r
+    # exactly, r = 0 (signed zeros too), and subnormal r and t
+    rng = np.random.default_rng(53)
+    count = 2000
+    vw = rng.standard_normal((count, 2)) * 10.0 ** rng.uniform(-300, 300,
+                                                               (count, 1))
+    vw[2::7] = np.copysign(0.0, vw[2::7])
+    vw[4::7] = 5e-324 * rng.integers(-3, 4, vw[4::7].shape)
+    r = np.hypot(vw[:, 0], vw[:, 1])
+    t = r * rng.uniform(-2.0, 2.0, count)
+    t[0::7], t[1::7] = r[0::7], -r[1::7]
+    t[3::7] = np.copysign(0.0, t[3::7])
+    t[5::7] = 5e-324 * rng.integers(-6, 7, t[5::7].shape)
+    flat = np.column_stack([t, vw]).ravel()
+    assert np.any((r == 0.0) & np.signbit(t)) and np.any(t == r)
+    assert np.any((r > 0.0) & (r < 2.2e-308))
+    monkeypatch.setattr(symmat, "_CLIP_LOOP_BLOCKS", 23)
+    for blocks in range(1, 24):
+        for start in range(0, 3 * count - 3 * blocks + 1, 3 * blocks):
+            x = flat[start:start + 3 * blocks]
+            loop, vec = lorentz_clip(x), symmat._lorentz_clip_vec(x)
+            assert loop.shape == x.shape and loop.tobytes() == vec.tobytes()
 
 
 def test_jacobi_identity():
