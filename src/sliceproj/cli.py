@@ -214,7 +214,7 @@ def cmd_curves(args) -> int:
                   residual_exact(model, t)[1]])
         lines.append(",".join(format(val, ".17g") for val in row))
         if not membership_polar_shadow((v.x1, v.x2, v.x3), model, tol=1e-9):
-            raise NumericFailureError(f"curve point at t={t:g} left the "
+            raise NumericFailureError(f"curve point at t={t!r} left the "
                                       "polar shadow")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0

@@ -17,8 +17,8 @@ are made on the polar side only.
 Numeric mode walks the grid as a path, from t_max down to t_min, passing
 each cone solve's certificate (its answer, active set and multipliers) on:
 each finite-difference solve first tries the previous grid point's
-certificate, which usually certifies at once, and falls back to ADMM from
-zeros, whose refinements try the held active set first, when it does not.
+certificate, which usually certifies at once, and is the cold solve when
+it does not.
 Each base fixed-point check starts from its grid point's finite-difference
 certificate, and its own certificate (the apex) is dropped, so it never
 becomes the next start. The walk is serial and deterministic.
@@ -137,7 +137,7 @@ def _check_polar_fixed_point(model: ConeModel, t: float, base: np.ndarray,
     drift = float(np.linalg.norm(cone_part))
     if drift > 10.0 * cfg.tol:
         raise NumericFailureError(
-            f"curve point at t={t:g} is not a polar fixed point "
+            f"curve point at t={t!r} is not a polar fixed point "
             f"(drift {drift:.3e})", stats=stats)
 
 
@@ -159,7 +159,7 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
     cone_part, stats, cert = _project_cone_arr(model, probe_point, tight, held)
     if stats.final_residual > cfg.tol:
         raise NumericFailureError(
-            f"cone projection at t={t:g} reached residual "
+            f"cone projection at t={t!r} reached residual "
             f"{stats.final_residual:.3e} > tol {cfg.tol:.1e}", stats=stats)
     _check_polar_fixed_point(model, t, base, cfg, cert)
     # a step below the solve's certified floor leaves a cone part of exactly
@@ -170,7 +170,7 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
     if not 0.0 < norm < math.inf:
         raise NumericFailureError(
             f"fd_step={fd_step:g} is below the cone solve's accuracy at "
-            f"t={t:g}: the finite-difference residual vanishes or overflows",
+            f"t={t!r}: the finite-difference residual vanishes or overflows",
             stats=stats)
     return r_fd, norm, cert
 

@@ -79,14 +79,14 @@ rescaled multipliers nu of the refinement that ended it, or None. A
 caller that solves a path of nearby cone projections (the numeric probe's
 grid) passes the last certificate to the next solve as held. The loop's
 checkpoint 0, before any iteration, tries the held J, with Newton started
-from the held nu at the held answer, and ends the solve with 0
-iterations when the certificate holds. Otherwise ADMM runs from zeros, as
-in a one-off solve, and each of its refinements tries the held J first.
-This is continuation along the path without a predictor: nearby inputs
-share their active set, and their multipliers are close, so Newton
-starts near its quadratic region. The certificate, not the start, decides
-acceptance, and ADMM never starts from held state, so a stale
-certificate costs a few refinement attempts, never accuracy.
+from the held nu at the held answer, and ends the solve with 0 iterations
+when the certificate holds. That is the held certificate's one use:
+otherwise the solve is the one-off solve of q, with the same answer,
+iterations and exit reason, plus one failed attempt. This is
+continuation along the path without a predictor: nearby inputs share
+their active set, and their multipliers are close, so Newton starts near
+its quadratic region. The certificate, not the start, decides
+acceptance, so a stale certificate costs one attempt, never accuracy.
 
 The ConeModel and the certificates are never written after they are
 built, so solves may share them across threads. The refinement's cache
@@ -432,21 +432,22 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
                     dual_flat: np.ndarray | None, held, steps: list):
     """Try the refinement's active sets in order, from p.
 
-    held is None or the (J, nu) of a warm path's last certificate: its J
-    is tried first, with Newton starting from its nu. With a dual iterate
-    (dual_flat; None at checkpoint 0) come the blocks whose dual blocks
-    exceed 1e-6 of the largest in Euclidean norm (the same in weighted and
-    in Lorentz coordinates), then all blocks when that set is smaller,
-    each from least-squares multipliers. Returns (p_hat,
-    certificate_residual, J, nu) of the first certified refinement, or
-    None. steps is passed to each :func:`_newton_polish`.
+    At checkpoint 0 (dual_flat None) the one candidate is the J of held, a
+    warm path's certificate (p, J, nu), with Newton from its nu. Later,
+    held is unused: the blocks whose dual blocks (dual_flat) exceed 1e-6 of
+    the largest in Euclidean norm (the same in weighted and in Lorentz
+    coordinates), then all blocks when that set is smaller, each from
+    least-squares multipliers. Returns (p_hat, certificate_residual, J,
+    nu) of the first certified refinement, or None. steps is passed to
+    each :func:`_newton_polish`.
     """
-    candidates = [] if held is None else [held]
-    if dual_flat is not None:
+    if dual_flat is None:
+        candidates = [held[1:]]
+    else:
         dual_rows = np.linalg.norm(dual_flat.reshape(-1, 3), axis=1)
         dual_ref = max(float(dual_rows.max()), 1e-300)
         J = np.flatnonzero(dual_rows > 1e-6 * dual_ref).tolist()
-        candidates.append((J, None))
+        candidates = [(J, None)]
         if len(J) < len(dual_rows):
             candidates.append((list(range(len(dual_rows))), None))
     for J, nu0 in candidates:
@@ -485,9 +486,10 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     Returns (p, stats, cert): cert is the (p, J, nu) of the certified
     refinement that ended the solve, or None. held is None or an earlier
     solve's cert: checkpoint 0 tries the held J alone, from the held nu,
-    at the held answer divided by ||q||, before any iteration, and every
-    later refinement tries the held J first. nu belongs to the unit-norm
-    problem, so it carries over between inputs of different ||q||.
+    at the held answer divided by ||q||, before any iteration, and no later
+    refinement uses it, so a held solve that does not certify there returns
+    the cold solve's answer, iterations and exit reason. nu belongs to the
+    unit-norm problem, so it carries over between inputs of different ||q||.
     """
     qn = _input_norm(q)
     if qn == 0.0 or block_min_eigs(_lmi_rows(model, q / qn)).min() >= -1e-13:
@@ -498,7 +500,6 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     gain = model.admm_gain
     p0 = model.admm_minv @ u
     p = None if held is None else held[0] / qn
-    held_set = None if held is None else held[1:]
     Z, U = np.zeros(L.shape[0]), np.zeros(L.shape[0])
     steps = []
     cert = None
@@ -520,8 +521,7 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
         if p is None:
             # a cold solve's checkpoint 0: no held answer to refine
             return None
-        refined = _attempt_polish(model, u, p, U if k else None, held_set,
-                                  steps)
+        refined = _attempt_polish(model, u, p, U if k else None, held, steps)
         if refined is None:
             return None
         p, cert_res, J, nu = refined

@@ -119,6 +119,26 @@ def test_probe_rejects_fd_step_below_solver_accuracy():
     assert lines[0].startswith("solver failure: fd_step=1e-12 is below")
 
 
+def test_failure_messages_name_the_grid_t(monkeypatch):
+    # :g would print the grids' last t, 1 - 1e-10, as t=1
+    t_max = 0.9999999999
+    t = float(np.logspace(np.log10(0.5), np.log10(t_max), 20)[-1])
+    assert t != 1.0
+    proc = run_cli("probe", "--n", "3", "--mode", "numeric", "--t-min", "0.5",
+                   "--t-max", str(t_max))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(
+        f"solver failure: curve point at t={t!r} is not a polar fixed point")
+    # curves: a shadow test that fails only at the grid's last point
+    monkeypatch.setattr(cli, "membership_polar_shadow",
+                        lambda v, model, tol: v[0] < t)
+    proc = run_cli("curves", "--n", "3", "--t-min", "0.5", "--t-max",
+                   str(t_max), "--points", "20")
+    assert proc.returncode == 3
+    assert proc.stderr == (f"solver failure: curve point at t={t!r} left the "
+                           "polar shadow\n")
+
+
 def test_probe_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("probe", "--n", "3", "--format", "json", "--out", str(a), check=True)

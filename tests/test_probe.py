@@ -352,18 +352,24 @@ def test_stale_warm_start_falls_back_to_cold_answer(models):
 
         q = fd_point(1e-3)
         cold, cold_stats, _ = _project_cone_arr(model, q, tight)
-        # a far grid point's certificate, and a random point's, whose
-        # active set the refinement cannot certify at q: ADMM must run, and
-        # from zeros, so no longer than the cold solve (ADMM from the
+        # a far grid point's certificate, which certifies at checkpoint 0 at
+        # every n, so ADMM does not run, and a random point's, whose active
+        # set the refinement cannot certify at q: the solve is then the
+        # cold one, bitwise, plus the one failed attempt (ADMM from the
         # random point's state once ran 131072 iterations at n = 12,
         # against 32)
         for stale in (fd_point(0.5), 5.0 * rng.standard_normal(model.dim())):
             _, _, held = _project_cone_arr(model, stale, tight)
             p, stats, cert = _project_cone_arr(model, q, tight, held)
             assert stats.converged
-            assert stats.iterations <= cold_stats.iterations, n
-            assert np.linalg.norm(p - cold) <= 1e-9 * np.linalg.norm(q)
             assert cert[0] is p
+            if (stats.iterations, stats.exit_reason) == (0, "certified"):
+                assert np.linalg.norm(p - cold) <= 1e-9 * np.linalg.norm(q)
+                continue
+            assert p.tobytes() == cold.tobytes(), n
+            assert stats.iterations == cold_stats.iterations, n
+            assert (stats.polish_attempts
+                    <= cold_stats.polish_attempts + 1), n
         assert stats.iterations > 0
     for fd_step in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError, match="fd_step"):

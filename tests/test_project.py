@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,6 +396,41 @@ def test_warm_start_is_checkpoint_0(monkeypatch):
     assert ((stats.iterations, stats.converged, stats.exit_reason)
             == (0, False, "certified"))
     assert cert[1] == held[1]
+
+
+def test_held_certificate_gets_one_attempt(monkeypatch):
+    # an incoherent warm path: each solve holds the certificate of the
+    # previous, unrelated input. A held solve either certifies at checkpoint
+    # 0, or it is the cold solve of its input, bitwise, plus the one failed
+    # attempt; a held answer of exactly 0 is refused without an attempt
+    newton = project_module._newton_polish
+    held_starts = []
+
+    def counting(model, q, p0, J, nu0=None, steps=None):
+        held_starts[-1] += nu0 is not None
+        return newton(model, q, p0, J, nu0, steps)
+
+    monkeypatch.setattr(project_module, "_newton_polish", counting)
+    rng = np.random.default_rng(0)
+    for n in (2, 7, 12):
+        model = make_cone(n)
+        held = None
+        for _ in range(20):
+            q = rng.standard_normal(model.dim()) * 10.0 ** rng.uniform(-6, 6)
+            held_starts.append(0)
+            cold, cold_stats, _ = project_module._project_cone_arr(model, q,
+                                                                    CFG)
+            p, stats, cert = project_module._project_cone_arr(model, q, CFG,
+                                                               held)
+            assert held_starts[-1] <= 1, n
+            if (stats.iterations, stats.exit_reason) != (0, "certified"):
+                assert p.tobytes() == cold.tobytes(), n
+                assert (replace(stats, newton_steps=0, polish_attempts=0)
+                        == replace(cold_stats, newton_steps=0,
+                                   polish_attempts=0)), (stats, cold_stats)
+                assert (cold_stats.polish_attempts <= stats.polish_attempts
+                        <= cold_stats.polish_attempts + 1), n
+            held = cert
 
 
 def test_hopeless_refinement_gives_up_early(monkeypatch):
