@@ -8,8 +8,8 @@ The probe measures the exponent twice: from the closed-form residual and
 from solver-based finite differences that never touch the closed form.
 """
 
-from sliceproj import (SolverConfig, make_cone, probe_semismoothness,
-                       residual_exact, residual_numeric)
+from sliceproj import (make_cone, probe_semismoothness, residual_exact,
+                       residual_numeric)
 
 print("=" * 72)
 print("Exact mode: fitted slope vs lambda, implied order vs lambda - 1")
@@ -31,15 +31,14 @@ print("=" * 72)
 print("Numeric mode (n = 2): solver-measured residuals vs the closed form")
 print("=" * 72)
 model = make_cone(2)
-cfg = SolverConfig(tol=1e-9)
 print(f"{'t':>10} {'exact':>14} {'numeric':>14} {'rel gap':>10}")
 for t in (1e-3, 1e-2, 1e-1):
     _, exact_norm = residual_exact(model, t)
-    _, numeric_norm = residual_numeric(model, t, cfg, fd_step=1e-6)
+    _, numeric_norm = residual_numeric(model, t, fd_step=1e-6)
     rel = abs(numeric_norm - exact_norm) / exact_norm
     print(f"{t:>10.0e} {exact_norm:>14.6e} {numeric_norm:>14.6e} {rel:>10.1e}")
 
-report = probe_semismoothness(model, "numeric", cfg=cfg)
+report = probe_semismoothness(model, "numeric")
 print(f"\nnumeric-mode fit: slope = {report.fitted_slope:.6f} "
       f"(lambda = {model.lam:.6f})")
 print(report.summary_line())

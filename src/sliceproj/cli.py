@@ -70,13 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     n_help = f"cone index, {N_MIN}..{N_MAX}"
 
-    def add_solver_flags(p):
-        p.add_argument("--tol", type=float, default=SolverConfig.tol,
-                       help="solver residual tolerance, relative to the "
-                            "input norm (||q|| or ||X||) (default %(default)s)")
-        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
-                       help="solver iteration budget (default %(default)s)")
-
     def add_grid_flags(p):
         p.add_argument("--t-min", type=float, default=DEFAULT_T_MIN,
                        help="smallest curve parameter (default %(default)s)")
@@ -94,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "mode) (default %(default)s)")
     p_probe.add_argument("--out", help="report file (default: stdout)")
     p_probe.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_solver_flags(p_probe)
 
     p_project = sub.add_parser("project", help="run one projection")
     p_project.add_argument("--n", type=int, required=True, help=n_help)
@@ -106,7 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="input file (cone point for K/polar, block "
                                 "matrix for the slice targets)")
     p_project.add_argument("--out", help="output file for the projected object")
-    add_solver_flags(p_project)
+    p_project.add_argument("--tol", type=float, default=SolverConfig.tol,
+                           help="solver residual tolerance, relative to the "
+                                "input norm (||q|| or ||X||) (default %(default)s)")
+    p_project.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                           help="solver iteration budget (default %(default)s)")
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--n-max", type=int, default=4,
@@ -136,10 +132,9 @@ def _write_output(text: str, path):
 
 def cmd_probe(args) -> int:
     model = make_cone(args.n)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     report = probe_semismoothness(
         model, mode=args.mode, t_min=args.t_min, t_max=args.t_max,
-        points=args.points, cfg=cfg, fd_step=args.fd_step)
+        points=args.points, fd_step=args.fd_step)
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     _write_output(text, args.out)
     print(report.summary_line())

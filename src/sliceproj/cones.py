@@ -72,7 +72,8 @@ class ConePoint:
         return self.coords[self.n + 2:]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        """Euclidean norm, by math.hypot: inf only above the largest double."""
+        return math.hypot(*self.coords)
 
 
 def _weighted_matrix(n: int) -> np.ndarray:

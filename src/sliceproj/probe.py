@@ -8,7 +8,10 @@ semismoothness order is slope - 1, to be compared against lam - 1. Exact
 mode evaluates the residual's closed form, :func:`residual_exact`, the
 package's one copy of it; numeric mode reproduces the residual from
 projection solves and a one-sided finite difference, with no use of the
-closed form.
+closed form. fd_step sets the numeric probe's accuracy, so it has no
+solver knobs: the finite-difference solves run at tol 1e-13, since their
+cone part is divided by fd_step, and the fixed-point checks and the
+residual gate at SolverConfig's default tol, 1e-9.
 
 The projection onto the cone itself shares the polar projection's order;
 this transfer is recorded here as a documented claim, while measurements
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +46,15 @@ DEFAULT_POINTS = 20
 DEFAULT_FD_STEP = 1e-6
 PROBE_MODES = ("exact", "numeric")
 
+# the finite-difference solves' config: their cone part is divided by fd_step
+_FD_CFG = SolverConfig(tol=1e-13)
+
 
 @dataclass(frozen=True, eq=False)
 class ProbeReport:
     """Grid of step sizes with the measured residual scaling.
 
-    implied_order is exactly fitted_slope - 1; target_lambda is the
+    implied_order is the property fitted_slope - 1; target_lambda is the
     conjugate exponent the slope should recover. mode is in PROBE_MODES,
     and every number is finite, so the JSON report is valid JSON.
     """
@@ -59,7 +65,6 @@ class ProbeReport:
     h_norms: np.ndarray
     residual_norms: np.ndarray
     fitted_slope: float
-    implied_order: float
     target_lambda: float
 
     def __post_init__(self):
@@ -75,9 +80,13 @@ class ProbeReport:
         if self.mode not in PROBE_MODES:
             raise InvalidInputError(f"unknown probe mode {self.mode!r}")
         for name in ("t_grid", "h_norms", "residual_norms", "fitted_slope",
-                     "implied_order", "target_lambda"):
+                     "target_lambda"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInputError(f"{name} must be finite")
+
+    @property
+    def implied_order(self) -> float:
+        return self.fitted_slope - 1.0
 
     def summary_line(self) -> str:
         gap = abs(self.fitted_slope - self.target_lambda)
@@ -103,7 +112,7 @@ def residual_exact(model: ConeModel, t: float):
     return vec, inner / math.sqrt(w_sq)
 
 
-def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None,
+def residual_numeric(model: ConeModel, t: float,
                      fd_step: float = DEFAULT_FD_STEP):
     """Measure the residual vector and norm at t in (0, 1) from projections
     alone, in the shape :func:`residual_exact` returns.
@@ -111,57 +120,50 @@ def residual_numeric(model: ConeModel, t: float, cfg: SolverConfig | None = None
     Asserts that both curve endpoints are fixed points of the polar
     projection, then takes a one-sided finite difference of the polar
     projection (the directional derivative of a projection is a one-sided
-    object, so no central differencing).
+    object, so no central differencing). The solves' accuracies are fixed,
+    as the module docstring says.
     """
-    cfg = cfg or SolverConfig()
     if not 0.0 < _check_t(t) < 1.0:
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
     _check_positive(fd_step, "fd_step")
-    _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords, cfg)
-    r_fd, norm, _ = _residual_at(model, t, cfg, _tight(cfg), fd_step)
+    _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords)
+    r_fd, norm, _ = _residual_at(model, t, fd_step)
     return ConePoint(model.n, r_fd), norm
 
 
-def _tight(cfg: SolverConfig) -> SolverConfig:
-    """cfg with its tol lowered to at most 1e-13, for the
-    finite-difference solves, whose cone part is divided by fd_step."""
-    return replace(cfg, tol=min(cfg.tol, 1e-13))
-
-
 def _check_polar_fixed_point(model: ConeModel, t: float, base: np.ndarray,
-                             cfg: SolverConfig, held: tuple | None = None):
+                             held: tuple | None = None):
     """Raise unless base, the coordinates of polar_curve(t), is a fixed
     point of the polar projection, i.e. its cone part (the drift, by
     Moreau) vanishes. held is passed to the cone solve."""
-    cone_part, stats, _ = _project_cone_arr(model, base, cfg, held)
+    cone_part, stats, _ = _project_cone_arr(model, base, SolverConfig(), held)
     drift = float(np.linalg.norm(cone_part))
-    if drift > 10.0 * cfg.tol:
+    if drift > 10.0 * SolverConfig.tol:
         raise NumericFailureError(
             f"curve point at t={t!r} is not a polar fixed point "
             f"(drift {drift:.3e})", stats=stats)
 
 
-def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
-                 tight: SolverConfig, fd_step: float,
+def _residual_at(model: ConeModel, t: float, fd_step: float,
                  held: tuple | None = None):
     """The finite-difference residual vector, its norm and the
     finite-difference solve's certificate at t, on checked arguments,
     without the t = 0 fixed-point check, which does not depend on t.
 
-    The finite-difference solve runs under tight (_tight(cfg)) and starts
-    from held; the base check runs under cfg from its certificate.
+    The finite-difference solve runs under _FD_CFG from held, gated at
+    SolverConfig.tol; the base check starts from its certificate.
     """
     # via the Moreau complement: the polar projection of base + s h equals
     # the input minus its cone projection, so the residual reduces to
     # Pi_cone(base + s h) / s
     base = polar_curve(model, t).coords
     probe_point = base + fd_step * curve_step(model, t).coords
-    cone_part, stats, cert = _project_cone_arr(model, probe_point, tight, held)
-    if stats.final_residual > cfg.tol:
+    cone_part, stats, cert = _project_cone_arr(model, probe_point, _FD_CFG, held)
+    if stats.final_residual > SolverConfig.tol:
         raise NumericFailureError(
             f"cone projection at t={t!r} reached residual "
-            f"{stats.final_residual:.3e} > tol {cfg.tol:.1e}", stats=stats)
-    _check_polar_fixed_point(model, t, base, cfg, cert)
+            f"{stats.final_residual:.3e} > tol {SolverConfig.tol:.1e}", stats=stats)
+    _check_polar_fixed_point(model, t, base, cert)
     # a step below the solve's certified floor leaves a cone part of exactly
     # 0, or one whose scaled norm overflows; either would be fitted as data
     with np.errstate(over="ignore"):
@@ -169,7 +171,7 @@ def _residual_at(model: ConeModel, t: float, cfg: SolverConfig,
         norm = float(np.linalg.norm(r_fd))
     if not 0.0 < norm < math.inf:
         raise NumericFailureError(
-            f"fd_step={fd_step:g} is below the cone solve's accuracy at "
+            f"fd_step={fd_step!r} is below the cone solve's accuracy at "
             f"t={t!r}: the finite-difference residual vanishes or overflows",
             stats=stats)
     return r_fd, norm, cert
@@ -205,17 +207,16 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
                          t_min: float = DEFAULT_T_MIN,
                          t_max: float = DEFAULT_T_MAX,
                          points: int = DEFAULT_POINTS,
-                         cfg: SolverConfig | None = None,
                          fd_step: float = DEFAULT_FD_STEP) -> ProbeReport:
     """Run the scaling probe on a log-spaced grid and fit the exponent.
 
     Exact mode uses the closed-form residual; numeric mode uses the
     finite difference of :func:`residual_numeric`, checking the
     shared t = 0 endpoint once for the whole grid and starting each grid
-    point's solves from the next larger t's certificate. The implied
-    order is the fitted slope minus one, reported against lam - 1 (since
-    the step norm is of order t, which the report's h_norms let callers
-    verify).
+    point's solves from the next larger t's certificate; the solves'
+    accuracies are fixed (module docstring). The implied order is the
+    fitted slope minus one, reported against lam - 1 (since the step norm
+    is of order t, which the report's h_norms let callers verify).
     """
     if mode not in PROBE_MODES:
         raise InvalidInputError(f"unknown probe mode {mode!r}")
@@ -225,7 +226,6 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
     if not _is_int(points) or points < 5:
         raise InvalidInputError(f"points must be an integer >= 5, got {points!r}")
     _check_positive(fd_step, "fd_step")
-    cfg = cfg or SolverConfig()
     t_grid = np.logspace(math.log10(t_min), math.log10(t_max), points)
     h_norms = np.array([curve_step(model, t).norm() for t in t_grid])
 
@@ -233,14 +233,12 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
     else:
         # the t = 0 endpoint is the same for every grid point: check it once
-        _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords,
-                                 cfg)
-        tight = _tight(cfg)
+        _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords)
         held = None
         residuals = np.empty(points)
         for i in reversed(range(points)):
-            _, residuals[i], held = _residual_at(model, float(t_grid[i]), cfg,
-                                                 tight, fd_step, held)
+            _, residuals[i], held = _residual_at(model, float(t_grid[i]),
+                                                 fd_step, held)
 
     slope, _, _ = fit_exponent(t_grid, residuals)
     return ProbeReport(
@@ -250,7 +248,6 @@ def probe_semismoothness(model: ConeModel, mode: str = "exact",
         h_norms=h_norms,
         residual_norms=residuals,
         fitted_slope=slope,
-        implied_order=slope - 1.0,
         target_lambda=model.lam,
     )
 

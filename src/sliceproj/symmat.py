@@ -117,7 +117,8 @@ class SymMatrix:
         return self.dense.copy()
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.dense))
+        """Frobenius norm, by math.hypot: inf only above the largest double."""
+        return math.hypot(*self.dense.ravel())
 
 
 @dataclass(frozen=True, eq=False)

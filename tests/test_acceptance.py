@@ -11,13 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from sliceproj import (SolverConfig, make_cone, probe_semismoothness,
-                       residual_exact, residual_numeric)
+from sliceproj import (make_cone, probe_semismoothness, residual_exact,
+                       residual_numeric)
 from sliceproj.verify import (check_holder, check_kernel, check_moreau,
                               check_normal_ray, check_probe_fit,
                               check_probe_orders, check_slice)
-
-CFG = SolverConfig(tol=1e-9)
 
 MODELS = {n: make_cone(n) for n in range(2, 7)}
 
@@ -56,10 +54,10 @@ def test_criterion_3_numeric_mode_agreement():
         model = MODELS[n]
         for t in (1e-3, 1e-2, 1e-1):
             _, exact_norm = residual_exact(model, t)
-            _, numeric_norm = residual_numeric(model, t, CFG, fd_step=1e-6)
+            _, numeric_norm = residual_numeric(model, t, fd_step=1e-6)
             worst_rel = max(worst_rel,
                             abs(numeric_norm - exact_norm) / exact_norm)
-        report = probe_semismoothness(model, "numeric", cfg=CFG, fd_step=1e-6)
+        report = probe_semismoothness(model, "numeric", fd_step=1e-6)
         worst_slope_gap = max(worst_slope_gap,
                               abs(report.fitted_slope - model.lam))
     elapsed = time.perf_counter() - start

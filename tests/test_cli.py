@@ -9,6 +9,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,14 +110,17 @@ def test_exact_probe_rejects_bad_fd_step():
 
 def test_probe_rejects_fd_step_below_solver_accuracy():
     # the cone part of the finite-difference solve is exactly 0 here; it
-    # used to exit 2 with fit_exponent's message
-    proc = run_cli("probe", "--n", "2", "--mode", "numeric",
-                   "--fd-step", "1e-12")
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("solver failure: fd_step=1e-12 is below")
+    # used to exit 2 with fit_exponent's message. The message names the
+    # step as given: it once printed 1.00000001e-12 as 1e-12
+    for fd_step in ("1e-12", "1.00000001e-12"):
+        proc = run_cli("probe", "--n", "2", "--mode", "numeric",
+                       "--fd-step", fd_step)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert re.match(
+            rf"solver failure: fd_step={re.escape(fd_step)} is below", lines[0])
 
 
 def test_failure_messages_name_the_grid_t(monkeypatch):
@@ -458,6 +462,14 @@ def test_jobs_flag_is_gone(args):
     proc = run_cli(*args, "--jobs", "2")
     assert proc.returncode == 2
     assert "unrecognized arguments: --jobs 2" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [("--tol", "1e-9"), ("--max-iter", "10")])
+def test_probe_has_no_solver_flags(flag):
+    # the probe's solves run at fixed accuracies; fd_step sets its accuracy
+    proc = run_cli("probe", "--n", "2", "--mode", "numeric", *flag)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
 
 
 def test_version_flag():

@@ -159,7 +159,7 @@ def test_array_dataclasses_compare_by_identity():
     makers = (lambda: SymMatrix(np.eye(2)),
               lambda: BlockSymMatrix(2, np.zeros((3, 3))),
               lambda: ConePoint(2, np.ones(5)),
-              lambda: ProbeReport(2, "exact", t, t, t, 1.0, 0.0, 1.0))
+              lambda: ProbeReport(2, "exact", t, t, t, 1.0, 1.0))
     for make in makers:
         a, b = make(), make()
         assert (a == b) is False and (a == a) is True

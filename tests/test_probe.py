@@ -2,18 +2,17 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import sliceproj.probe as probe_module
-from sliceproj import (InvalidInputError, NumericFailureError, SolverConfig,
+from sliceproj import (InvalidInputError, NumericFailureError,
                        curve_step, fit_exponent, make_cone, normal_curve,
                        polar_curve, probe_semismoothness, report_to_csv,
                        report_to_json, residual_exact, residual_numeric)
 from sliceproj.project import _project_cone_arr
-
-CFG = SolverConfig()
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +72,7 @@ def test_residual_exact_endpoint_guard(models):
 def test_residual_numeric_variants_agree(models):
     model = models[2]
     t, fd_step = 0.3, 1e-6
-    vec, norm = residual_numeric(model, t, CFG, fd_step)
+    vec, norm = residual_numeric(model, t, fd_step)
     exact_vec, _ = residual_exact(model, t)
     # the finite-difference oracle against the closed form
     assert np.linalg.norm(vec.coords - exact_vec.coords) <= max(1e-4, 5.0 * fd_step)
@@ -84,27 +83,28 @@ def test_residual_numeric_variants_agree(models):
 
 def test_residual_numeric_guards(models):
     with pytest.raises(InvalidInputError):
-        residual_numeric(models[2], 0.0, CFG)
+        residual_numeric(models[2], 0.0)
     # "0.5" and None used to raise TypeError from the comparison with 0
     for t in ("0.5", None, True, math.nan):
         with pytest.raises(InvalidInputError, match="t="):
-            residual_numeric(models[2], t, CFG)
+            residual_numeric(models[2], t)
     for fd_step in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError, match="fd_step"):
-            residual_numeric(models[2], 0.5, CFG, fd_step=fd_step)
+            residual_numeric(models[2], 0.5, fd_step=fd_step)
 
 
 def test_fd_step_below_solver_accuracy_is_a_numeric_failure(models):
     # at 1e-12 the cone part of the finite-difference solve is exactly 0; at
     # 1e-300 it is 0 or overflows when scaled (n = 2 at t = 0.1). Both used
     # to reach fit_exponent, 1e-300 with a RuntimeWarning from the norm.
+    # The message names the step as given: :g printed 1.00000001e-12 as 1e-12
     for n in (2, 4):
-        for fd_step in (1e-12, 1e-300):
-            with pytest.raises(NumericFailureError,
-                               match=f"fd_step={fd_step:g} is below .* at t="):
+        for fd_step in (1e-12, 1.00000001e-12, 1e-300):
+            pattern = f"fd_step={re.escape(repr(fd_step))} is below .* at t="
+            with pytest.raises(NumericFailureError, match=pattern):
                 probe_semismoothness(models[n], "numeric", fd_step=fd_step)
     with pytest.raises(NumericFailureError, match="vanishes or overflows"):
-        residual_numeric(models[2], 0.1, CFG, fd_step=1e-300)
+        residual_numeric(models[2], 0.1, fd_step=1e-300)
     # at 1e-10 the cone part at n = 2 and t <= 6e-4 is 6e-17 to 6e-16 of
     # ||q||, below the solve's accuracy: residuals fitted there were
     # rounding noise, 12 % to 224 % off the closed form
@@ -206,7 +206,7 @@ def test_probe_exact_numeric_consistency_spot(models):
     model = models[2]
     t = 1e-2
     _, exact_norm = residual_exact(model, t)
-    _, numeric_norm = residual_numeric(model, t, CFG, 1e-6)
+    _, numeric_norm = residual_numeric(model, t, 1e-6)
     assert numeric_norm == pytest.approx(exact_norm, rel=0.05)
 
 
@@ -263,15 +263,16 @@ def test_probe_report_rejects_invalid_values(models):
     fields = dict(n=2, mode="exact", t_grid=report.t_grid,
                   h_norms=report.h_norms, residual_norms=report.residual_norms,
                   fitted_slope=report.fitted_slope,
-                  implied_order=report.implied_order,
                   target_lambda=report.target_lambda)
     json.loads(report_to_json(probe_module.ProbeReport(**fields)))
+    # implied_order is derived from the slope, so it cannot disagree with it
+    with pytest.raises(TypeError):
+        probe_module.ProbeReport(**fields, implied_order=report.implied_order)
     bad_vector = report.residual_norms.copy()
     bad_vector[3] = math.nan
     cases = [("residual_norms", bad_vector), ("h_norms", bad_vector),
              ("residual_norms", np.full(20, math.inf)),
              ("fitted_slope", math.nan), ("fitted_slope", -math.inf),
-             ("implied_order", math.nan), ("implied_order", math.inf),
              ("mode", "spectral"), ("mode", "Exact")]
     for name, value in cases:
         with pytest.raises(InvalidInputError):
@@ -281,16 +282,16 @@ def test_probe_report_rejects_invalid_values(models):
 def test_probe_numeric_mode_matches_exact_slope(models):
     model = models[2]
     report = probe_semismoothness(model, "numeric", points=6,
-                                  t_min=1e-3, t_max=1e-1, cfg=CFG)
+                                  t_min=1e-3, t_max=1e-1)
     assert abs(report.fitted_slope - model.lam) <= 0.05
 
 
 def test_probe_numeric_is_deterministic(models):
     model = models[2]
     first = probe_semismoothness(model, "numeric", points=5,
-                                 t_min=1e-2, t_max=1e-1, cfg=CFG)
+                                 t_min=1e-2, t_max=1e-1)
     second = probe_semismoothness(model, "numeric", points=5,
-                                  t_min=1e-2, t_max=1e-1, cfg=CFG)
+                                  t_min=1e-2, t_max=1e-1)
     assert np.array_equal(first.residual_norms, second.residual_norms)
     assert first.fitted_slope == second.fitted_slope
 
@@ -310,12 +311,11 @@ def test_numeric_probe_checks_origin_once(models, monkeypatch):
         return sum(np.array_equal(q, point) for q in solved)
 
     monkeypatch.setattr(probe_module, "_project_cone_arr", counting)
-    probe_semismoothness(model, "numeric", points=5, t_min=1e-2, t_max=1e-1,
-                         cfg=CFG)
+    probe_semismoothness(model, "numeric", points=5, t_min=1e-2, t_max=1e-1)
     assert times_solved(origin) == 1
     assert [times_solved(b) for b in bases] == [1] * 5
     solved.clear()
-    residual_numeric(model, 0.3, CFG)
+    residual_numeric(model, 0.3)
     assert times_solved(origin) == 1
     assert times_solved(polar_curve(model, 0.3).coords) == 1
     # a bad step is rejected before any solve; fd_step=True ran with a
@@ -327,21 +327,22 @@ def test_numeric_probe_checks_origin_once(models, monkeypatch):
             with pytest.raises(InvalidInputError, match="fd_step"):
                 probe_semismoothness(model, mode, fd_step=fd_step)
         with pytest.raises(InvalidInputError, match="fd_step"):
-            residual_numeric(model, 0.3, CFG, fd_step=fd_step)
+            residual_numeric(model, 0.3, fd_step=fd_step)
     assert solved == []
 
 
 def test_warm_probe_matches_cold_residuals(models):
     # the chained grid walk reproduces each grid point's cold measurement
     for n in (2, 3, 4):
-        report = probe_semismoothness(models[n], "numeric", points=8, cfg=CFG)
-        cold = [residual_numeric(models[n], float(t), CFG)[1]
+        report = probe_semismoothness(models[n], "numeric", points=8)
+        cold = [residual_numeric(models[n], float(t))[1]
                 for t in report.t_grid]
         assert report.residual_norms == pytest.approx(cold, rel=1e-3)
 
 
 def test_stale_warm_start_falls_back_to_cold_answer(models):
-    tight = SolverConfig(tol=1e-13)
+    # the probe's finite-difference solves' config
+    tight = probe_module._FD_CFG
     rng = np.random.default_rng(5)
     for n in (2, 3, 4, 8, 12):
         model = models[n] if n in models else make_cone(n)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sliceproj import (BlockSymMatrix, InvalidInputError, NumericFailureError,
-                       SymMatrix, jacobi_eig, psd_project_block,
-                       read_block_matrix, write_block_matrix)
+from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError,
+                       NumericFailureError, SymMatrix, jacobi_eig,
+                       psd_project_block, read_block_matrix,
+                       write_block_matrix)
 from sliceproj import symmat
 from sliceproj.symmat import block_min_eigs, lorentz_clip, psd_clip_rows
 
@@ -212,6 +213,16 @@ def test_block_norm_has_no_underflow_or_overflow():
     huge = BlockSymMatrix(2, np.tile([0.0, 1.5e308, 0.0], (3, 1)))
     assert huge.norm() == math.inf
     assert huge.weighted()[1] == math.inf
+
+
+def test_point_and_matrix_norms_do_not_overflow():
+    # np.linalg.norm squared the entries: inf, with an overflow warning, at
+    # 1e200 entries, which the projectors accept
+    for a in (1e200, 1e-200):
+        assert ConePoint(2, np.full(5, a)).norm() == pytest.approx(
+            a * math.sqrt(5.0), rel=1e-15)
+        assert SymMatrix(np.full((6, 6), a)).norm() == pytest.approx(
+            6.0 * a, rel=1e-15)
 
 
 def _clip_in_chunks(rows, blocks):
