@@ -2,8 +2,8 @@
 cone family and the matching PSD-cone slices, with semismoothness-order
 probes along the family's boundary curves."""
 
-from .cones import (ConeModel, ConePoint, curve_step, holder_gap, lmi_adjoint,
-                    lmi_apply, make_cone, membership_cone,
+from .cones import (ChainCone, ConeModel, ConePoint, curve_step, holder_gap,
+                    lmi_adjoint, lmi_apply, make_cone, membership_cone,
                     membership_polar_shadow, normal_curve, polar_curve,
                     read_cone_point, sample_cone, step_normal_inner,
                     write_cone_point)
@@ -20,10 +20,10 @@ from .symmat import (BlockSymMatrix, SymMatrix, jacobi_eig, psd_project_block,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSymMatrix", "ConeModel", "ConePoint", "InvalidInputError",
-    "NumericFailureError", "ProbeReport", "SolveStats", "SolverConfig",
-    "SymMatrix", "curve_step", "fit_exponent", "holder_gap", "jacobi_eig",
-    "lmi_adjoint", "lmi_apply", "make_cone", "membership_cone",
+    "BlockSymMatrix", "ChainCone", "ConeModel", "ConePoint",
+    "InvalidInputError", "NumericFailureError", "ProbeReport", "SolveStats",
+    "SolverConfig", "SymMatrix", "curve_step", "fit_exponent", "holder_gap",
+    "jacobi_eig", "lmi_adjoint", "lmi_apply", "make_cone", "membership_cone",
     "membership_polar_shadow", "normal_curve", "polar_curve",
     "probe_semismoothness", "project_cone", "project_polar",
     "project_range", "project_slice_dykstra", "project_slice_fixedpoint",

@@ -13,10 +13,12 @@ block plus the two doubling chains). Its shadow on (x1, x2, x3) is the
 kappa-norm cone { ||(x1,x2)||_kappa <= x3 } with kappa = 2^n, whose polar is
 governed by the conjugate exponent lambda = 2^n / (2^n - 1).
 
-A ConeModel is immutable, the cone projector's ADMM operators included
+A ConeModel is the cone {p : W p blockwise PSD} of any LMI matrix W, with
+its solvers' arrays; make_cone(n) builds K_n's, a ChainCone, which alone
+holds n, kappa and lam. A model is immutable, its ADMM operators included
 (built per model, with no penalty parameter), so it may be shared across
-concurrent workers (two racing on its lazy slice_model at worst build it
-twice); every operation here is a pure function.
+concurrent workers (two racing on a lazy slice_model or lam at worst
+compute it twice); every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ class ConeModel:
     operator A*A = W^T W, from which range_proj and slice_model are built
     (solve_gram, a solve with it, has no caller here and stays as a
     perfbench span target); the forms det_forms, p^T B_k p being the
-    determinant of block k; and slice_model, built on first use. kappa and
-    lam are 2^n and 2^n/(2^n - 1).
+    determinant of block k; and slice_model, built on first use. W is any
+    (3m, d) matrix; the typed API takes a W of shape (6n - 3, 2n + 1).
 
     The solvers hold blocks in Lorentz coordinates (BlockSymMatrix.lorentz),
     in which each 2x2 PSD block is a 3-d second-order cone, and their
@@ -132,9 +134,6 @@ class ConeModel:
     hashable and works as a dict key.
     """
 
-    n: int
-    kappa: float
-    lam: float
     gram_factor: tuple = field(repr=False)
     lmi_weighted: np.ndarray = field(repr=False)
     lmi_lorentz: np.ndarray = field(repr=False)
@@ -147,13 +146,16 @@ class ConeModel:
     def from_lmi(cls, W) -> "ConeModel":
         """The model whose LMI map has weighted matrix W (rows a_k,
         sqrt(2) b_k, c_k per block). Raises InvalidInputError unless W is a
-        finite (3(2n-1), 2n+1) matrix whose Gram matrix is positive definite.
+        finite (3m, d) matrix, m, d >= 1, with positive-definite W^T W.
         """
-        W = np.array(W, dtype=float, ndmin=2)
-        n = (W.shape[-1] - 1) // 2
-        if W.shape != (6 * n - 3, 2 * n + 1) or not np.isfinite(W).all():
-            raise InvalidInputError("W must be a finite (6n-3, 2n+1) matrix")
-        _check_index(n)
+        try:
+            W = np.array(W, dtype=float, ndmin=2)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError("W must be a real matrix") from exc
+        if (W.ndim != 2 or not W.size or W.shape[0] % 3
+                or not np.isfinite(W).all()):
+            raise InvalidInputError(
+                "W must be a finite (3m, d) matrix with m, d >= 1")
         gram = W.T @ W
         try:
             gram_factor = cho_factor(gram)
@@ -171,9 +173,7 @@ class ConeModel:
         for arr in (W, L, gram_factor[0], range_proj, det_forms, admm_minv,
                     admm_gain):
             arr.setflags(write=False)
-        kappa = 2.0 ** n
-        return cls(n=n, kappa=kappa, lam=kappa / (kappa - 1.0),
-                   gram_factor=gram_factor, lmi_weighted=W, lmi_lorentz=L,
+        return cls(gram_factor=gram_factor, lmi_weighted=W, lmi_lorentz=L,
                    det_forms=det_forms, range_proj=range_proj,
                    admm_minv=admm_minv, admm_gain=admm_gain)
 
@@ -192,23 +192,36 @@ class ConeModel:
         return cho_solve(self.gram_factor, rhs)
 
     def dim(self) -> int:
-        return 2 * self.n + 1
+        return self.lmi_weighted.shape[1]
 
 
-def make_cone(n: int) -> ConeModel:
-    """Build the ConeModel for index n (N_MIN <= n <= N_MAX)."""
-    return ConeModel.from_lmi(_weighted_matrix(_check_index(n)))
+@dataclass(frozen=True, eq=False)
+class ChainCone(ConeModel):
+    """K_n's ConeModel, W = _weighted_matrix(n), with its kappa and lam."""
+
+    n: int
+    kappa = functools.cached_property(lambda s: 2.0 ** s.n)
+    lam = functools.cached_property(lambda s: s.kappa / (s.kappa - 1.0))
+
+
+def make_cone(n: int) -> ChainCone:
+    """The ChainCone of index n (N_MIN <= n <= N_MAX): n and the fields of
+    from_lmi's model, which a fresh model's vars() holds exactly."""
+    n = _check_index(n)
+    return ChainCone(n=n, **vars(ConeModel.from_lmi(_weighted_matrix(n))))
 
 
 def _check_input(model: ConeModel, x, kind: type):
     """x, after checking that it is a kind (ConePoint or BlockSymMatrix)
-    with the model's n; raises InvalidInputError otherwise."""
+    whose n fits W, of shape (6n-3, 2n+1); else raises InvalidInputError."""
     if not isinstance(x, kind):
         raise InvalidInputError(
             f"input must be a {kind.__name__}, got {type(x).__name__}")
-    if x.n != model.n:
+    rows, d = model.lmi_weighted.shape
+    if (rows, d) != (6 * x.n - 3, 2 * x.n + 1):
         what = "point" if kind is ConePoint else "matrix"
-        raise InvalidInputError(f"{what} has n={x.n}, model has n={model.n}")
+        has = f"n={d // 2}" if d % 2 and rows == 3 * d - 6 else f"W {rows}x{d}"
+        raise InvalidInputError(f"{what} has n={x.n}, model has {has}")
     return x
 
 
@@ -221,16 +234,16 @@ def lmi_apply(model: ConeModel, p: ConePoint) -> BlockSymMatrix:
     """Apply the LMI map: the block-diagonal matrix whose PSD-ness defines
     membership of p in the cone."""
     coords = _check_input(model, p, ConePoint).coords
-    return BlockSymMatrix(model.n, _lmi_rows(model, coords))
+    return BlockSymMatrix(p.n, _lmi_rows(model, coords))
 
 
 def lmi_adjoint(model: ConeModel, mat: BlockSymMatrix) -> ConePoint:
     """Adjoint of the LMI map under the trace inner product on blocks."""
     weighted = _check_input(model, mat, BlockSymMatrix).weighted()
-    return ConePoint(model.n, model.lmi_weighted.T @ weighted)
+    return ConePoint(mat.n, model.lmi_weighted.T @ weighted)
 
 
-def membership_cone(model: ConeModel, p: ConePoint, tol: float = 1e-9):
+def membership_cone(model: ChainCone, p: ConePoint, tol: float = 1e-9):
     """Inequality-description membership test for the cone.
 
     Returns (inside, worst) where worst is the largest constraint violation
@@ -243,7 +256,7 @@ def membership_cone(model: ConeModel, p: ConePoint, tol: float = 1e-9):
     return worst <= tol, worst
 
 
-def _violations(model: ConeModel, p: ConePoint) -> list:
+def _violations(model: ChainCone, p: ConePoint) -> list:
     """membership_cone's constraints as lhs - rhs: -x3, the coupling
     inequality, then the links of the y- and z-chains, interleaved."""
     c = _check_input(model, p, ConePoint).coords
@@ -254,7 +267,7 @@ def _violations(model: ConeModel, p: ConePoint) -> list:
     return viol + [c[0] ** 2 - x3 * y[-1], c[1] ** 2 - x3 * z[-1]]
 
 
-def membership_polar_shadow(u, model: ConeModel, tol: float = 1e-9) -> bool:
+def membership_polar_shadow(u, model: ChainCone, tol: float = 1e-9) -> bool:
     """Membership of (u1, u2, u3) in the polar of the cone's 3-variable shadow.
 
     The shadow is the kappa-norm cone, so its polar is the lambda-norm cone
@@ -263,9 +276,13 @@ def membership_polar_shadow(u, model: ConeModel, tol: float = 1e-9) -> bool:
     this reading.
     """
     _check_tol(tol)
-    u1, u2, u3 = (float(v) for v in u)
+    try:
+        u1, u2, u3 = (float(v) if _is_real(v) else math.nan for v in u)
+    except (TypeError, ValueError, OverflowError):
+        u1 = u2 = u3 = math.nan
     if not all(math.isfinite(v) for v in (u1, u2, u3)):
-        raise InvalidInputError("membership_polar_shadow requires finite input")
+        raise InvalidInputError(
+            "membership_polar_shadow requires u of 3 finite real numbers")
     if u3 > tol:
         return False
     lhs = abs(u1) ** model.lam + abs(u2) ** model.lam
@@ -298,7 +315,7 @@ def _check_tol(tol) -> None:
         raise InvalidInputError(f"tol={tol!r} is not a finite real number")
 
 
-def polar_curve(model: ConeModel, t: float) -> ConePoint:
+def polar_curve(model: ChainCone, t: float) -> ConePoint:
     """Boundary curve of the polar cone: (t, (1-t^lam)^(1/lam), -1, 0, ..., 0)."""
     t = _check_t(t)
     coords = np.zeros(model.dim())
@@ -308,7 +325,7 @@ def polar_curve(model: ConeModel, t: float) -> ConePoint:
     return ConePoint(model.n, coords)
 
 
-def normal_curve(model: ConeModel, t: float) -> ConePoint:
+def normal_curve(model: ChainCone, t: float) -> ConePoint:
     """Generator of the normal ray of the polar cone at polar_curve(t).
 
     Head is (t^(lam/kappa), (1-t^lam)^(1/kappa), 1); the tails follow the
@@ -328,7 +345,7 @@ def normal_curve(model: ConeModel, t: float) -> ConePoint:
     return ConePoint(n, coords)
 
 
-def curve_step(model: ConeModel, t: float) -> ConePoint:
+def curve_step(model: ChainCone, t: float) -> ConePoint:
     """The step h = polar_curve(t) - polar_curve(0), with the second coordinate
     evaluated through expm1/log1p so tiny steps keep full precision."""
     t = _check_t(t)
@@ -338,7 +355,7 @@ def curve_step(model: ConeModel, t: float) -> ConePoint:
     return ConePoint(model.n, coords)
 
 
-def step_normal_inner(model: ConeModel, t: float) -> float:
+def step_normal_inner(model: ChainCone, t: float) -> float:
     """Closed form of <polar_curve(t) - polar_curve(0), normal_curve(t)>.
 
     Equals 1 - (1 - t^lam)^(1/kappa), which scales like t^lam / kappa as
@@ -359,10 +376,15 @@ def holder_gap(x, y, p: float) -> float:
     if not _is_real(p) or not 1.0 < p < math.inf:
         raise InvalidInputError(
             f"holder_gap requires a real p in (1, inf), got {p!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("holder_gap requires real vectors") from exc
     if x.shape != y.shape or x.ndim != 1:
         raise InvalidInputError("holder_gap requires equal-length vectors")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidInputError("holder_gap requires finite vectors")
     q = p / (p - 1.0)
     lhs = float(np.sum(np.abs(x * y)))
     rhs = float(np.sum(np.abs(x) ** p) ** (1.0 / p)
@@ -370,7 +392,7 @@ def holder_gap(x, y, p: float) -> float:
     return rhs - lhs
 
 
-def sample_cone(model: ConeModel, rng: np.random.Generator) -> ConePoint:
+def sample_cone(model: ChainCone, rng: np.random.Generator) -> ConePoint:
     """Draw a random cone member by walking the doubling chains, each chain
     inequality with a uniform slack factor.
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (ConeModel, ConePoint, _check_t, _is_int, curve_step,
+from .cones import (ChainCone, ConePoint, _check_t, _is_int, curve_step,
                     normal_curve, polar_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
 from .project import SolverConfig, _check_positive, _project_cone_arr
@@ -95,7 +95,7 @@ class ProbeReport:
                 f"target={self.target_lambda - 1.0:.6g} |delta|={gap:.3g}")
 
 
-def residual_exact(model: ConeModel, t: float):
+def residual_exact(model: ChainCone, t: float):
     """Closed-form residual vector and norm at curve parameter t in [0, 1].
 
     The residual is the normal-ray component of the curve step h: the normal
@@ -112,7 +112,7 @@ def residual_exact(model: ConeModel, t: float):
     return vec, inner / math.sqrt(w_sq)
 
 
-def residual_numeric(model: ConeModel, t: float,
+def residual_numeric(model: ChainCone, t: float,
                      fd_step: float = DEFAULT_FD_STEP):
     """Measure the residual vector and norm at t in (0, 1) from projections
     alone, in the shape :func:`residual_exact` returns.
@@ -131,7 +131,7 @@ def residual_numeric(model: ConeModel, t: float,
     return ConePoint(model.n, r_fd), norm
 
 
-def _check_polar_fixed_point(model: ConeModel, t: float, base: np.ndarray,
+def _check_polar_fixed_point(model: ChainCone, t: float, base: np.ndarray,
                              held: tuple | None = None):
     """Raise unless base, the coordinates of polar_curve(t), is a fixed
     point of the polar projection, i.e. its cone part (the drift, by
@@ -144,7 +144,7 @@ def _check_polar_fixed_point(model: ConeModel, t: float, base: np.ndarray,
             f"(drift {drift:.3e})", stats=stats)
 
 
-def _residual_at(model: ConeModel, t: float, fd_step: float,
+def _residual_at(model: ChainCone, t: float, fd_step: float,
                  held: tuple | None = None):
     """The finite-difference residual vector, its norm and the
     finite-difference solve's certificate at t, on checked arguments,
@@ -203,7 +203,7 @@ def fit_exponent(t_grid, residual_norms):
     return float(slope), float(intercept), deviation
 
 
-def probe_semismoothness(model: ConeModel, mode: str = "exact",
+def probe_semismoothness(model: ChainCone, mode: str = "exact",
                          t_min: float = DEFAULT_T_MIN,
                          t_max: float = DEFAULT_T_MAX,
                          points: int = DEFAULT_POINTS,

@@ -544,14 +544,14 @@ def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None
     """
     _check_input(model, q, ConePoint)
     p, stats, _ = _project_cone_arr(model, q.coords, cfg or SolverConfig())
-    return ConePoint(model.n, p), stats
+    return ConePoint(q.n, p), stats
 
 
 def project_polar(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
     """Metric projection onto the polar cone via the Moreau decomposition:
     the polar part is q minus the cone part, and the two are orthogonal."""
     p, stats = project_cone(model, q, cfg)
-    return ConePoint(model.n, q.coords - p.coords), stats
+    return ConePoint(q.n, q.coords - p.coords), stats
 
 
 def _unit_frame(model: ConeModel, X: BlockSymMatrix, solve):
@@ -561,9 +561,9 @@ def _unit_frame(model: ConeModel, X: BlockSymMatrix, solve):
     _check_input(model, X, BlockSymMatrix)
     xn = _input_norm(X.weighted())
     if xn == 0.0:
-        return BlockSymMatrix(model.n, np.zeros_like(X.blocks)), _ZERO_STATS
+        return BlockSymMatrix(X.n, np.zeros_like(X.blocks)), _ZERO_STATS
     out, stats = solve(X.lorentz(xn))
-    return BlockSymMatrix.from_lorentz(model.n, out, xn), stats
+    return BlockSymMatrix.from_lorentz(X.n, out, xn), stats
 
 
 def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
@@ -617,7 +617,7 @@ def _slice_projection(model: ConeModel, X, solve):
     """
     if isinstance(X, SymMatrix):
         out, stats = _unit_frame(
-            model, BlockSymMatrix.from_full(model.n, X), solve)
+            model, BlockSymMatrix.from_full(model.dim() // 2, X), solve)
         return out.to_full(), stats
     if not isinstance(X, BlockSymMatrix):
         raise InvalidInputError("input must be a BlockSymMatrix or SymMatrix")

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sliceproj import (BlockSymMatrix, ConeModel, ConePoint, InvalidInputError,
-                       curve_step, holder_gap, lmi_adjoint, lmi_apply,
-                       make_cone, membership_cone, membership_polar_shadow,
-                       normal_curve, polar_curve, read_cone_point,
-                       residual_exact, sample_cone, step_normal_inner,
-                       write_cone_point)
+from sliceproj import (BlockSymMatrix, ChainCone, ConeModel, ConePoint,
+                       InvalidInputError, curve_step, holder_gap,
+                       lmi_adjoint, lmi_apply, make_cone, membership_cone,
+                       membership_polar_shadow, normal_curve, polar_curve,
+                       read_cone_point, residual_exact, sample_cone,
+                       step_normal_inner, write_cone_point)
 from sliceproj.cones import _violations
 from sliceproj.probe import ProbeReport
 from sliceproj.symmat import SymMatrix, block_min_eigs
@@ -35,9 +35,11 @@ def test_make_cone_guards():
     for bad in (1, 0, -3, 13, 2.5, True, np.float64(2.0)):
         with pytest.raises(InvalidInputError, match="n must be an integer"):
             make_cone(bad)
-    # the index of a W that fits the shape rule is checked too
-    with pytest.raises(InvalidInputError, match="n must be an integer"):
-        ConeModel.from_lmi(np.eye(3))
+    # the index rule is the family's: from_lmi builds the 3x3 W of n = 1,
+    # the 2x2 PSD cone, as a plain ConeModel
+    model = ConeModel.from_lmi(np.eye(3))
+    assert type(model) is ConeModel and model.dim() == 3
+    assert type(make_cone(2)) is ChainCone
 
 
 def _gram(model):
@@ -133,14 +135,17 @@ def test_from_lmi_rebuilds_make_cone_read_only():
     for n in (2, 7, 12):
         model = make_cone(n)
         again = ConeModel.from_lmi(model.lmi_weighted.tolist())
-        assert again.n == n
+        # the rebuilt model holds nothing of the family
+        assert type(again) is ConeModel and again.dim() == model.dim()
+        assert not any(hasattr(again, a) for a in ("n", "kappa", "lam"))
         for name in ("det_forms", "range_proj", "lmi_weighted", "lmi_lorentz",
                      "admm_minv", "admm_gain"):
             assert np.array_equal(getattr(again, name), getattr(model, name))
             assert not getattr(again, name).flags.writeable
         assert not again.gram_factor[0].flags.writeable
         assert np.array_equal(again.gram_factor[0], model.gram_factor[0])
-        assert (again.kappa, again.lam) == (model.kappa, model.lam)
+        kappa = 2.0 ** n
+        assert (model.kappa, model.lam) == (kappa, kappa / (kappa - 1.0))
 
 
 def test_cone_model_equality_is_identity():
@@ -184,14 +189,25 @@ def test_slice_model_is_the_cone_in_the_gram_metric():
 
 def test_from_lmi_guards():
     W = make_cone(2).lmi_weighted
-    for bad in (W[:-1], np.vstack([W, W[:3]]), W[:, :-1], W.ravel(),
-                np.zeros((0, 5)), np.where(W == 1.0, np.inf, W)):
+    # 1-D, 3-D, rows not a multiple of 3, zero rows, zero columns (which a
+    # shape test alone would pass on to a reshape that raises ValueError),
+    # non-finite, ragged, not real
+    for bad in (W.ravel(), W[None], W[:-1], np.zeros((0, 5)),
+                np.zeros((3, 0)), np.where(W == 1.0, np.inf, W),
+                np.where(W == 1.0, np.nan, W), [[1.0, 2.0], [3.0]], "W"):
         with pytest.raises(InvalidInputError, match="W must be"):
             ConeModel.from_lmi(bad)
     singular = W.copy()
     singular[:, 0] = 0.0
     with pytest.raises(InvalidInputError, match="positive definite"):
         ConeModel.from_lmi(singular)
+    # a W of any (3m, d) shape with a positive-definite Gram matrix builds:
+    # an extra block, a dropped column, the 2x2 PSD cone
+    for good in (np.vstack([W, W[:3]]), W[:, :-1], np.eye(3)):
+        model = ConeModel.from_lmi(good)
+        d = good.shape[1]
+        assert model.dim() == d
+        assert model.det_forms.shape == (len(good) // 3, d, d)
 
 
 def test_dimension_mismatch_raises(models):
@@ -269,6 +285,19 @@ def test_polar_shadow_membership(models):
         # construction sits on the unit lambda-sphere: equality up to rounding
         power = abs(v.x1) ** model.lam + abs(v.x2) ** model.lam
         assert power == pytest.approx(1.0, abs=1e-12)
+
+
+def test_polar_shadow_rejects_malformed_u(models):
+    # a wrong length or a non-real entry raised a bare ValueError, and a
+    # bool or a numeric string was read as a number
+    for bad in ((1.0, 2.0, 3.0, 4.0), (1.0, 2.0), ("a", 2.0, 3.0),
+                ("1", 2.0, 3.0), (True, 0.0, -1.0), (None, 0.0, -1.0), 5.0,
+                (math.inf, 0.0, -1.0), (0.0, math.nan, -1.0)):
+        with pytest.raises(InvalidInputError, match="3 finite real numbers"):
+            membership_polar_shadow(bad, models[2])
+    # numpy reals and ints are real numbers
+    assert membership_polar_shadow(np.array([0.0, 0.0, -1.0]), models[2])
+    assert membership_polar_shadow((0, 0, -1), models[2])
 
 
 def test_polar_curve_endpoints(models):
@@ -357,6 +386,15 @@ def test_holder_gap_guards():
     for p in (math.inf, math.nan, "2", True):
         with pytest.raises(InvalidInputError, match="real p in"):
             holder_gap([1.0, 2.0], [3.0, 1.0], p)
+
+
+def test_holder_gap_rejects_bad_entries():
+    # a non-finite entry returned nan, and a non-real one raised ValueError
+    for bad, match in ((math.inf, "finite"), (-math.inf, "finite"),
+                       (math.nan, "finite"), ("a", "real"), ([1.0], "real")):
+        for x, y in (([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, bad])):
+            with pytest.raises(InvalidInputError, match=f"{match} vectors"):
+                holder_gap(x, y, 2.0)
 
 
 def test_cone_point_accessors_and_guards():

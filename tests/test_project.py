@@ -7,18 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sliceproj import (BlockSymMatrix, ConePoint, InvalidInputError,
-                       SolverConfig, lmi_adjoint, lmi_apply, make_cone,
-                       membership_cone, normal_curve, polar_curve,
-                       project_cone, project_polar, project_range,
-                       project_slice_dykstra, project_slice_fixedpoint,
-                       psd_project_block, sample_cone)
+from sliceproj import (BlockSymMatrix, ConeModel, ConePoint,
+                       InvalidInputError, SolverConfig, lmi_adjoint,
+                       lmi_apply, make_cone, membership_cone, normal_curve,
+                       polar_curve, probe_semismoothness, project_cone,
+                       project_polar, project_range, project_slice_dykstra,
+                       project_slice_fixedpoint, psd_project_block,
+                       sample_cone)
 from sliceproj import project as project_module
 from sliceproj import symmat
-from sliceproj.project import (SolveStats, _attempt_polish,
+from sliceproj.project import (SolveStats, _attempt_polish, _dykstra_flat,
                                _duals_nonnegative, _kkt_jacobian,
-                               _kkt_residual, _lmi_rows)
-from sliceproj.symmat import SymMatrix, to_lorentz
+                               _kkt_residual, _lmi_rows, _project_cone_arr)
+from sliceproj.symmat import SymMatrix, block_min_eigs, to_lorentz
 
 CFG = SolverConfig()
 
@@ -789,6 +790,82 @@ def test_fixedpoint_fixes_cone_images(models):
         out, stats = project_slice_fixedpoint(model, X, CFG)
         assert stats.converged
         assert np.linalg.norm(out.blocks - X.blocks) <= 1e-6
+
+
+def test_generic_model_projections():
+    # m = 2 blocks in d = 4: no chain member has this shape, so the solvers
+    # run on arrays; e1 maps to identity blocks, so the cone has interior
+    rng = np.random.default_rng(41)
+    W = rng.standard_normal((6, 4))
+    W[:, 0] = (1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
+    model = ConeModel.from_lmi(W)
+    assert model.dim() == 4
+    # the typed API needs a W of a chain member's shape
+    with pytest.raises(InvalidInputError, match="model has W 6x4"):
+        project_cone(model, ConePoint(2, np.ones(5)))
+    members = [_project_cone_arr(model, g, CFG)[0]
+               for g in rng.standard_normal((20, 4))]
+    gram = model.slice_model
+    Q = gram.lmi_lorentz
+    for _ in range(10):
+        q = 3.0 * rng.standard_normal(4)
+        p, stats, _ = _project_cone_arr(model, q, CFG)
+        assert stats.converged
+        # Moreau: p in K, q - p orthogonal to p and in the polar of K, and
+        # the projection fixes p
+        assert block_min_eigs(_lmi_rows(model, p)).min() >= -1e-12
+        assert abs(p @ (q - p)) <= 1e-12 * (q @ q)
+        assert max(k @ (q - p) for k in members) <= 1e-9 * (q @ q)
+        again, _, _ = _project_cone_arr(model, p, CFG)
+        assert np.abs(again - p).max() <= 1e-12 * np.linalg.norm(q)
+        # the slice projection derived from the cone solve in the Gram
+        # metric meets the Dykstra oracle, on Lorentz vectors
+        x = rng.standard_normal(6)
+        w, stats, _ = _project_cone_arr(gram, Q.T @ x, CFG)
+        y, dykstra = _dykstra_flat(model, x, CFG)
+        assert stats.converged and dykstra.converged
+        assert np.abs(Q @ w - y).max() <= 1e-5
+
+
+def test_family_functions_reject_a_derived_model():
+    # the slice model of K_3 is another cone: it has no lam, and the probe
+    # used to measure it with K_3's lam
+    derived = make_cone(3).slice_model
+    assert type(derived) is ConeModel
+    assert not any(hasattr(derived, a) for a in ("n", "kappa", "lam"))
+    for family_call in (lambda: probe_semismoothness(derived, "numeric"),
+                        lambda: polar_curve(derived, 0.5),
+                        lambda: sample_cone(derived, np.random.default_rng(1))):
+        with pytest.raises(AttributeError):
+            family_call()
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_rotated_and_permuted_lmi_metamorphic(n):
+    # K_R = {p : W R p PSD} = R^T K for orthogonal R, so its projection is
+    # R^T Pi_K(R x), and its slice W R K_R = W K is K's; permuting W's
+    # block row triples leaves the cone itself unchanged
+    rng = np.random.default_rng(100 + n)
+    chain = make_cone(n)
+    W, d = chain.lmi_weighted, chain.dim()
+    R, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    rotated = ConeModel.from_lmi(W @ R)
+    perm = rng.permutation(2 * n - 1)
+    permuted = ConeModel.from_lmi(W.reshape(-1, 3, d)[perm].reshape(W.shape))
+    for _ in range(4):
+        x = rng.standard_normal(d)
+        p, stats = project_cone(rotated, ConePoint(n, x), CFG)
+        want, _ = project_cone(chain, ConePoint(n, R @ x), CFG)
+        assert stats.converged
+        assert np.abs(p.coords - R.T @ want.coords).max() <= 1e-12
+        p, _ = project_cone(permuted, ConePoint(n, x), CFG)
+        want, _ = project_cone(chain, ConePoint(n, x), CFG)
+        assert np.abs(p.coords - want.coords).max() <= 1e-12
+        X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
+        for project in (project_slice_dykstra, project_slice_fixedpoint):
+            got, _ = project(rotated, X, CFG)
+            want, _ = project(chain, X, CFG)
+            assert np.abs(got.blocks - want.blocks).max() <= 1e-5
 
 
 def test_admm_operator_inverts_the_unit_penalty_system():
