@@ -142,11 +142,12 @@ class ConeModel:
     admm_minv: np.ndarray = field(repr=False)
     admm_gain: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_lmi(cls, W) -> "ConeModel":
+    @staticmethod
+    def from_lmi(W) -> "ConeModel":
         """The model whose LMI map has weighted matrix W (rows a_k,
-        sqrt(2) b_k, c_k per block). Raises InvalidInputError unless W is a
-        finite (3m, d) matrix, m, d >= 1, with positive-definite W^T W.
+        sqrt(2) b_k, c_k per block): a plain ConeModel, also when called on
+        a subclass. Raises InvalidInputError unless W is a finite (3m, d)
+        matrix, m, d >= 1, with positive-definite W^T W.
         """
         try:
             W = np.array(W, dtype=float, ndmin=2)
@@ -173,9 +174,10 @@ class ConeModel:
         for arr in (W, L, gram_factor[0], range_proj, det_forms, admm_minv,
                     admm_gain):
             arr.setflags(write=False)
-        return cls(gram_factor=gram_factor, lmi_weighted=W, lmi_lorentz=L,
-                   det_forms=det_forms, range_proj=range_proj,
-                   admm_minv=admm_minv, admm_gain=admm_gain)
+        return ConeModel(gram_factor=gram_factor, lmi_weighted=W,
+                         lmi_lorentz=L, det_forms=det_forms,
+                         range_proj=range_proj, admm_minv=admm_minv,
+                         admm_gain=admm_gain)
 
     @functools.cached_property
     def slice_model(self) -> "ConeModel":

@@ -48,6 +48,9 @@ PROBE_MODES = ("exact", "numeric")
 
 # the finite-difference solves' config: their cone part is divided by fd_step
 _FD_CFG = SolverConfig(tol=1e-13)
+# the fixed-point checks' config; its tol also gates the finite-difference
+# solves
+_BASE_CFG = SolverConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +130,8 @@ def residual_numeric(model: ChainCone, t: float,
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
     _check_positive(fd_step, "fd_step")
     _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords)
-    r_fd, norm, _ = _residual_at(model, t, fd_step)
+    r_fd, norm, _ = _residual_at(model, t, curve_step(model, t).coords,
+                                 fd_step)
     return ConePoint(model.n, r_fd), norm
 
 
@@ -136,33 +140,34 @@ def _check_polar_fixed_point(model: ChainCone, t: float, base: np.ndarray,
     """Raise unless base, the coordinates of polar_curve(t), is a fixed
     point of the polar projection, i.e. its cone part (the drift, by
     Moreau) vanishes. held is passed to the cone solve."""
-    cone_part, stats, _ = _project_cone_arr(model, base, SolverConfig(), held)
+    cone_part, stats, _ = _project_cone_arr(model, base, _BASE_CFG, held)
     drift = float(np.linalg.norm(cone_part))
-    if drift > 10.0 * SolverConfig.tol:
+    if drift > 10.0 * _BASE_CFG.tol:
         raise NumericFailureError(
             f"curve point at t={t!r} is not a polar fixed point "
             f"(drift {drift:.3e})", stats=stats)
 
 
-def _residual_at(model: ChainCone, t: float, fd_step: float,
+def _residual_at(model: ChainCone, t: float, h: np.ndarray, fd_step: float,
                  held: tuple | None = None):
     """The finite-difference residual vector, its norm and the
-    finite-difference solve's certificate at t, on checked arguments,
-    without the t = 0 fixed-point check, which does not depend on t.
+    finite-difference solve's certificate at t, given the coordinates h of
+    curve_step(t), on checked arguments, without the t = 0 fixed-point
+    check, which does not depend on t.
 
     The finite-difference solve runs under _FD_CFG from held, gated at
-    SolverConfig.tol; the base check starts from its certificate.
+    _BASE_CFG.tol; the base check starts from its certificate.
     """
     # via the Moreau complement: the polar projection of base + s h equals
     # the input minus its cone projection, so the residual reduces to
     # Pi_cone(base + s h) / s
     base = polar_curve(model, t).coords
-    probe_point = base + fd_step * curve_step(model, t).coords
+    probe_point = base + fd_step * h
     cone_part, stats, cert = _project_cone_arr(model, probe_point, _FD_CFG, held)
-    if stats.final_residual > SolverConfig.tol:
+    if stats.final_residual > _BASE_CFG.tol:
         raise NumericFailureError(
             f"cone projection at t={t!r} reached residual "
-            f"{stats.final_residual:.3e} > tol {SolverConfig.tol:.1e}", stats=stats)
+            f"{stats.final_residual:.3e} > tol {_BASE_CFG.tol:.1e}", stats=stats)
     _check_polar_fixed_point(model, t, base, cert)
     # a step below the solve's certified floor leaves a cone part of exactly
     # 0, or one whose scaled norm overflows; either would be fitted as data
@@ -227,7 +232,8 @@ def probe_semismoothness(model: ChainCone, mode: str = "exact",
         raise InvalidInputError(f"points must be an integer >= 5, got {points!r}")
     _check_positive(fd_step, "fd_step")
     t_grid = np.logspace(math.log10(t_min), math.log10(t_max), points)
-    h_norms = np.array([curve_step(model, t).norm() for t in t_grid])
+    h = [curve_step(model, t) for t in t_grid]
+    h_norms = np.array([step.norm() for step in h])
 
     if mode == "exact":
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
@@ -238,7 +244,7 @@ def probe_semismoothness(model: ChainCone, mode: str = "exact",
         residuals = np.empty(points)
         for i in reversed(range(points)):
             _, residuals[i], held = _residual_at(model, float(t_grid[i]),
-                                                 fd_step, held)
+                                                 h[i].coords, fd_step, held)
 
     slope, _, _ = fit_exponent(t_grid, residuals)
     return ProbeReport(

@@ -33,8 +33,9 @@ refinement ends the solve, which is converged when the certificate
 residual is within tol. The certificate uses nothing beyond the cone's
 defining inequalities, so the refined answers remain an independent
 check on any closed-form prediction. A refinement that stops making
-progress gives up after a few Newton steps, so an early checkpoint with
-a wrong active set costs little.
+progress gives up after a few Newton steps, or as soon as its line search
+would need a step below 2^-7, so an early checkpoint with a wrong active
+set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
 number of numpy calls per iteration, not flops. Both iterative solvers
@@ -127,11 +128,13 @@ _EPS = np.finfo(float).eps
 # first ADMM iteration at which the refinement is tried, one-off and warm
 # solves alike; doubled after each
 _FIRST_POLISH = 32
-# the Newton refinement's progress test (see _newton_polish): accepted
-# refinements in the numeric probes at n = 2..11 and on N(0, I) inputs at
-# n = 2..12 never needed a step below 2^-11 and cut the residual norm by at
-# least 0.2 % over any 8 steps
-_NEWTON_HALVINGS = 16
+# the Newton refinement's progress test (see _newton_polish). No certified
+# refinement halved a step more than 6 times: 902 in the numeric probes at
+# n = 2..12 (fd_step 1e-6 and 1e-4), 639 on N(0, I) inputs (60 per n at
+# n = 2..12, default_rng(5)) and those of the benchmark's three workloads
+# (seed 1). Certified refinements cut the residual norm by at least 0.2 %
+# over any 8 steps
+_NEWTON_HALVINGS = 7
 _NEWTON_WINDOW = 8
 _NEWTON_MIN_GAIN = 1e-3
 _NEWTON_MAX_STEPS = 60
@@ -263,7 +266,8 @@ def _duals_nonnegative(rows: np.ndarray, J, nu: np.ndarray) -> bool:
     """Sign test of the active blocks' multipliers nu, each on its block's
     own scale nu_k tr M_k (the gradient of det M_k is adj M_k, of trace
     tr M_k), given the LMI rows of the unit direction pi."""
-    return bool(np.all(nu * (rows[J, 0] + rows[J, 2]) >= -1e-9))
+    active = rows.take(J, axis=0)
+    return bool((nu * (active[:, 0] + active[:, 2]) >= -1e-9).all())
 
 
 def _norm(x: np.ndarray) -> float:
@@ -365,7 +369,7 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     if mu == 0.0:
         return None
     pi = p0 / mu
-    Bs = model.det_forms[J]
+    Bs = model.det_forms.take(J, axis=0)
     nJ = len(J)
     Bs_flat = Bs.reshape(nJ, d * d)
     Bpi = Bs @ pi
@@ -386,28 +390,31 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
 
     fu = _kkt_residual(Bs, q, u, np.empty_like(u), Bpi)
     f_try = np.empty_like(fu)
-    best = float(np.abs(fu).max())
     norms = [_norm(fu)]
+    # max |f_i| <= 1e-15 bounds ||f|| by 1e-15 sqrt(len(f)), so the max is
+    # read only at norms below that bound (plus room for their rounding)
+    near = 1.01e-15 * math.sqrt(len(fu))
     info = 0
     for k in range(_NEWTON_MAX_STEPS):
-        if best <= 1e-15:
+        if norms[k] <= near and np.abs(fu).max() <= 1e-15:
             break
         if (k >= _NEWTON_WINDOW and norms[k]
                 > (1.0 - _NEWTON_MIN_GAIN) * norms[k - _NEWTON_WINDOW]):
             break
-        _, _, du, info = dgesv(_kkt_jacobian(Bs, u, Bpi, Bs_flat), -fu,
-                               overwrite_a=True, overwrite_b=True)
+        # overwrite_a and overwrite_b, passed by position: keywords cost
+        # f2py about 0.4 us a call
+        _, _, du, info = dgesv(_kkt_jacobian(Bs, u, Bpi, Bs_flat), -fu, 1, 1)
         if info:
             break
         step = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
-            u_try = u + step * du
+            # 1.0 * du is du
+            u_try = u + du if step == 1.0 else u + step * du
             Bpi_try = Bs @ u_try[1:1 + d]
             norm_try = _norm(_kkt_residual(Bs, q, u_try, f_try, Bpi_try))
             if norm_try < (1.0 - 0.25 * step) * norms[k]:
                 u, Bpi = u_try, Bpi_try
                 fu, f_try = f_try, fu
-                best = float(np.abs(fu).max())
                 norms.append(norm_try)
                 break
             step *= 0.5
@@ -415,6 +422,7 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
             break
     if steps is not None:
         steps.append(len(norms) - 1)
+    best = float(np.abs(fu).max())
     if info or best > _CERT_TOL:
         return None
     mu, pi, nu = float(u[0]), u[1:1 + d], u[1 + d:]
@@ -492,20 +500,26 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     unit-norm problem, so it carries over between inputs of different ||q||.
     """
     qn = _input_norm(q)
-    if qn == 0.0 or block_min_eigs(_lmi_rows(model, q / qn)).min() >= -1e-13:
+    if qn == 0.0:
         return q.copy(), _ZERO_STATS, None
     u = q / qn
+    if block_min_eigs(_lmi_rows(model, u)).min() >= -1e-13:
+        return q.copy(), _ZERO_STATS, None
     L = model.lmi_lorentz
     LT = L.T
     gain = model.admm_gain
-    p0 = model.admm_minv @ u
     p = None if held is None else held[0] / qn
-    Z, U = np.zeros(L.shape[0]), np.zeros(L.shape[0])
+    p0 = Z = U = None
     steps = []
     cert = None
 
     def step(fresh):
-        nonlocal p, Z, U
+        nonlocal p, p0, Z, U
+        if p0 is None:
+            # the ADMM state, built on the first iteration: a solve that
+            # certifies at checkpoint 0 needs none of it
+            p0 = model.admm_minv @ u
+            Z = U = np.zeros(L.shape[0])
         p = p0 + gain @ (Z - U)
         Ap = L @ p
         X = Ap + U
@@ -526,13 +540,16 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
             return None
         p, cert_res, J, nu = refined
         cert = (J, nu)
-        return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified")
+        # the refinement ends the solve, so its attempts are all counted
+        return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified",
+                          sum(steps), len(steps))
 
     stats = _iterate(step, cfg, "cone projection", checkpoint=polish)
+    if cert is None and steps:
+        stats = replace(stats, newton_steps=sum(steps),
+                        polish_attempts=len(steps))
     p = qn * p
-    return (p, replace(stats, newton_steps=sum(steps),
-                       polish_attempts=len(steps)),
-            None if cert is None else (p, *cert))
+    return p, stats, None if cert is None else (p, *cert)
 
 
 def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):

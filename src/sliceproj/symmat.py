@@ -82,7 +82,7 @@ def _init_array(obj, name: str) -> None:
     if arr.shape != shape:
         raise InvalidInputError(
             f"expected shape {shape} for n={n}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{type(obj).__name__} entries must be finite")
     object.__setattr__(obj, "n", n)
     object.__setattr__(obj, name, arr)

@@ -42,6 +42,17 @@ def test_make_cone_guards():
     assert type(make_cone(2)) is ChainCone
 
 
+def test_from_lmi_on_the_subclass_builds_a_plain_model():
+    # the chain's n, kappa and lam belong to K_n alone: from_lmi reached
+    # through ChainCone builds the same plain ConeModel, not a ChainCone
+    # missing its n
+    for W in (np.eye(3), make_cone(3).lmi_weighted):
+        model = ChainCone.from_lmi(W)
+        assert type(model) is ConeModel
+        assert np.array_equal(model.det_forms,
+                              ConeModel.from_lmi(W).det_forms)
+
+
 def _gram(model):
     """A*A rebuilt from the model's Cholesky factor U^T U."""
     U = np.triu(model.gram_factor[0])

@@ -437,7 +437,8 @@ def test_held_certificate_gets_one_attempt(monkeypatch):
 def test_hopeless_refinement_gives_up_early(monkeypatch):
     # among these inputs the refinement meets active sets it cannot
     # certify; without the progress test one such call runs all 60 Newton
-    # steps with 1539 KKT evaluations
+    # steps with 1539 KKT evaluations, and with line searches down to 2^-16
+    # the costliest call took 277
     model = make_cone(2)
     evals = []
     kkt = project_module._kkt_residual
@@ -458,7 +459,43 @@ def test_hopeless_refinement_gives_up_early(monkeypatch):
         q = ConePoint(2, rng.standard_normal(5))
         _, stats = project_cone(model, q, CFG)
         assert stats.converged
-    assert max(evals) <= 300
+    assert max(evals) <= 64
+
+
+def test_certified_line_searches_stay_inside_the_halving_cap(monkeypatch):
+    # the cap on the Newton line search comes from measurement: across the
+    # numeric probes at n = 2..12, at both steps CI runs, no certified
+    # refinement halves a step more than 6 times, one below the cap. Each
+    # Newton step evaluates the Jacobian once, then the KKT residual once
+    # per step length tried
+    kkt = project_module._kkt_residual
+    jac = project_module._kkt_jacobian
+    newton = project_module._newton_polish
+    tries, most = [], []
+
+    def counting_kkt(*args):
+        tries[-1] += 1
+        return kkt(*args)
+
+    def counting_jac(*args):
+        tries.append(0)
+        return jac(*args)
+
+    def counting_newton(*args):
+        tries.clear()
+        tries.append(0)
+        out = newton(*args)
+        if out is not None:
+            most.append(max(tries[1:], default=1) - 1)
+        return out
+
+    monkeypatch.setattr(project_module, "_kkt_residual", counting_kkt)
+    monkeypatch.setattr(project_module, "_kkt_jacobian", counting_jac)
+    monkeypatch.setattr(project_module, "_newton_polish", counting_newton)
+    for fd_step in (1e-6, 1e-4):
+        for n in range(2, 13):
+            probe_semismoothness(make_cone(n), "numeric", fd_step=fd_step)
+    assert 0 < max(most) <= project_module._NEWTON_HALVINGS - 1
 
 
 def test_project_cone_variational_inequality(models):
