@@ -8,11 +8,9 @@ straight back to the curve point.
 
 import numpy as np
 
-from sliceproj import (ConePoint, SolverConfig, make_cone, membership_cone,
-                       normal_curve, polar_curve, project_cone, project_polar,
-                       sample_cone)
+from sliceproj import (ConePoint, make_cone, membership_cone, normal_curve,
+                       polar_curve, project_cone, project_polar, sample_cone)
 
-cfg = SolverConfig(tol=1e-9)
 model = make_cone(3)
 rng = np.random.default_rng(1)
 
@@ -20,8 +18,8 @@ print("=" * 70)
 print("1. Moreau decomposition: q = cone part + polar part, orthogonal")
 print("=" * 70)
 q = ConePoint(3, rng.standard_normal(7) * 2.0)
-cone_part, stats = project_cone(model, q, cfg)
-polar_part, _ = project_polar(model, q, cfg)
+cone_part, stats = project_cone(model, q)
+polar_part, _ = project_polar(model, q)
 print(f"  q                 = {np.round(q.coords, 4)}")
 print(f"  projection (cone) = {np.round(cone_part.coords, 4)}")
 print(f"  projection (polar)= {np.round(polar_part.coords, 4)}")
@@ -36,11 +34,11 @@ print("=" * 70)
 print("2. Fixed points: members stay put, polar points map to the apex")
 print("=" * 70)
 member = sample_cone(model, rng)
-out, _ = project_cone(model, member, cfg)
+out, _ = project_cone(model, member)
 print(f"  cone member drift under projection: "
       f"{np.linalg.norm(out.coords - member.coords):.2e}")
 v = polar_curve(model, 0.6)
-out, _ = project_cone(model, v, cfg)
+out, _ = project_cone(model, v)
 print(f"  ||projection of a polar boundary point|| = "
       f"{np.linalg.norm(out.coords):.2e} (exact answer: 0, the apex)")
 
@@ -53,7 +51,7 @@ for t in (0.1, 0.5, 0.9):
     w = normal_curve(model, t)
     for alpha in (0.1, 1.0):
         q = ConePoint(3, v.coords + alpha * w.coords)
-        back, _ = project_polar(model, q, cfg)
+        back, _ = project_polar(model, q)
         drift = np.linalg.norm(back.coords - v.coords)
         print(f"  t={t:3.1f} alpha={alpha:3.1f}: "
               f"||polar_proj(v + alpha w) - v|| = {drift:.2e}")
@@ -66,7 +64,7 @@ print("  The ADMM loop hands its iterate to a Newton solve on the active")
 print("  block determinants; the result is kept only when the KKT residual")
 print("  vanishes with nonnegative multipliers and a feasible direction.")
 q = ConePoint(3, v.coords + 0.5 * w.coords)
-out, stats = project_cone(model, q, cfg)
+out, stats = project_cone(model, q)
 inside, worst = membership_cone(model, out, tol=1e-12)
 print(f"  example: residual {stats.final_residual:.1e} after "
       f"{stats.iterations} iterations; output in cone: {inside}")

@@ -10,12 +10,10 @@ land on the same point.
 
 import numpy as np
 
-from sliceproj import (BlockSymMatrix, SolverConfig, lmi_apply, make_cone,
-                       project_range, project_slice_dykstra,
-                       project_slice_fixedpoint, psd_project_block,
-                       sample_cone)
+from sliceproj import (BlockSymMatrix, lmi_apply, make_cone, project_range,
+                       project_slice_dykstra, project_slice_fixedpoint,
+                       psd_project_block, sample_cone)
 
-cfg = SolverConfig(tol=1e-9)
 model = make_cone(2)
 rng = np.random.default_rng(2)
 
@@ -23,7 +21,7 @@ print("=" * 70)
 print("1. Slice members are fixed points")
 print("=" * 70)
 member_image = lmi_apply(model, sample_cone(model, rng))
-out, stats = project_slice_dykstra(model, member_image, cfg)
+out, stats = project_slice_dykstra(model, member_image)
 print(f"  drift of a slice member under Dykstra: "
       f"{np.linalg.norm(out.blocks - member_image.blocks):.2e} "
       f"({stats.iterations} iterations)")
@@ -34,8 +32,8 @@ print("2. Dykstra vs the derived projection on random block matrices")
 print("=" * 70)
 for trial in range(5):
     X = BlockSymMatrix(2, rng.standard_normal((3, 3)) * 1.5)
-    via_dyk, s_dyk = project_slice_dykstra(model, X, cfg)
-    via_fp, s_fp = project_slice_fixedpoint(model, X, cfg)
+    via_dyk, s_dyk = project_slice_dykstra(model, X)
+    via_fp, s_fp = project_slice_fixedpoint(model, X)
     gap = np.linalg.norm(via_dyk.blocks - via_fp.blocks)
     print(f"  trial {trial}: agreement {gap:.2e}   "
           f"(dykstra {s_dyk.iterations} it, derived {s_fp.iterations} it, "
@@ -46,7 +44,7 @@ print("=" * 70)
 print("3. The output really lies in both sets")
 print("=" * 70)
 X = BlockSymMatrix(2, rng.standard_normal((3, 3)) * 2.0)
-out, _ = project_slice_dykstra(model, X, cfg)
+out, _ = project_slice_dykstra(model, X)
 psd_drift = np.linalg.norm(psd_project_block(out).blocks - out.blocks)
 range_drift = np.linalg.norm(project_range(model, out).blocks - out.blocks)
 print(f"  distance to PSD blocks:   {psd_drift:.2e}")

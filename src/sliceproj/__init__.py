@@ -11,9 +11,8 @@ from .errors import InvalidInputError, NumericFailureError
 from .probe import (ProbeReport, fit_exponent, probe_semismoothness,
                     report_to_csv, report_to_json, residual_exact,
                     residual_numeric)
-from .project import (SolveStats, SolverConfig, project_cone, project_polar,
-                      project_range, project_slice_dykstra,
-                      project_slice_fixedpoint)
+from .project import (SolveStats, project_cone, project_polar, project_range,
+                      project_slice_dykstra, project_slice_fixedpoint)
 from .symmat import (BlockSymMatrix, SymMatrix, jacobi_eig, psd_project_block,
                      read_block_matrix, write_block_matrix)
 
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockSymMatrix", "ChainCone", "ConeModel", "ConePoint",
     "InvalidInputError", "NumericFailureError", "ProbeReport", "SolveStats",
-    "SolverConfig", "SymMatrix", "curve_step", "fit_exponent", "holder_gap",
+    "SymMatrix", "curve_step", "fit_exponent", "holder_gap",
     "jacobi_eig", "lmi_adjoint", "lmi_apply", "make_cone", "membership_cone",
     "membership_polar_shadow", "normal_curve", "polar_curve",
     "probe_semismoothness", "project_cone", "project_polar",

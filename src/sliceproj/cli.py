@@ -27,7 +27,7 @@ from .errors import InvalidInputError, NumericFailureError
 from .probe import (DEFAULT_FD_STEP, DEFAULT_POINTS, DEFAULT_T_MAX,
                     DEFAULT_T_MIN, probe_semismoothness, report_to_csv,
                     report_to_json, residual_exact)
-from .project import (SolverConfig, project_cone, project_polar,
+from .project import (DEFAULT_TOL, project_cone, project_polar,
                       project_slice_dykstra, project_slice_fixedpoint)
 from .symmat import N_MAX, N_MIN, read_block_matrix, write_block_matrix
 from .verify import run_verify
@@ -98,11 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="input file (cone point for K/polar, block "
                                 "matrix for the slice targets)")
     p_project.add_argument("--out", help="output file for the projected object")
-    p_project.add_argument("--tol", type=float, default=SolverConfig.tol,
+    p_project.add_argument("--tol", type=float, default=DEFAULT_TOL,
                            help="solver residual tolerance, relative to the "
                                 "input norm (||q|| or ||X||) (default %(default)s)")
-    p_project.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
-                           help="solver iteration budget (default %(default)s)")
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--n-max", type=int, default=4,
@@ -145,7 +143,6 @@ def cmd_probe(args) -> int:
 
 def cmd_project(args) -> int:
     model = make_cone(args.n)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     try:
         with open(args.input_path) as fh:
             text = fh.read()
@@ -155,19 +152,14 @@ def cmd_project(args) -> int:
     except UnicodeDecodeError as exc:
         raise InvalidInputError(
             f"cannot read {args.input_path}: not a text file") from exc
+    project = {"K": project_cone, "polar": project_polar,
+               "slice-dykstra": project_slice_dykstra,
+               "slice-fixedpoint": project_slice_fixedpoint}[args.target]
     if args.target in ("K", "polar"):
-        point = read_cone_point(text)
-        if args.target == "K":
-            result, stats = project_cone(model, point, cfg)
-        else:
-            result, stats = project_polar(model, point, cfg)
+        result, stats = project(model, read_cone_point(text), args.tol)
         out_text = write_cone_point(result)
     else:
-        mat = read_block_matrix(text)
-        if args.target == "slice-dykstra":
-            result, stats = project_slice_dykstra(model, mat, cfg)
-        else:
-            result, stats = project_slice_fixedpoint(model, mat, cfg)
+        result, stats = project(model, read_block_matrix(text), args.tol)
         out_text = write_block_matrix(result)
     _write_output(out_text, args.out)
     print(json.dumps(stats.to_json_dict()))

@@ -33,7 +33,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from .errors import InvalidInputError
 from .symmat import (N_MAX, N_MIN, RT2, WEIGHTS, BlockSymMatrix,  # noqa: F401
                      _check_index, _init_array, _is_int, _is_real, _read_text,
-                     to_lorentz)
+                     _real_array, to_lorentz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +149,7 @@ class ConeModel:
         a subclass. Raises InvalidInputError unless W is a finite (3m, d)
         matrix, m, d >= 1, with positive-definite W^T W.
         """
-        try:
-            W = np.array(W, dtype=float, ndmin=2)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError("W must be a real matrix") from exc
+        W = np.array(_real_array(W, "W must be a real matrix"), ndmin=2)
         if (W.ndim != 2 or not W.size or W.shape[0] % 3
                 or not np.isfinite(W).all()):
             raise InvalidInputError(
@@ -378,11 +375,8 @@ def holder_gap(x, y, p: float) -> float:
     if not _is_real(p) or not 1.0 < p < math.inf:
         raise InvalidInputError(
             f"holder_gap requires a real p in (1, inf), got {p!r}")
-    try:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError("holder_gap requires real vectors") from exc
+    x = _real_array(x, "holder_gap requires real vectors")
+    y = _real_array(y, "holder_gap requires real vectors")
     if x.shape != y.shape or x.ndim != 1:
         raise InvalidInputError("holder_gap requires equal-length vectors")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

@@ -11,7 +11,7 @@ projection solves and a one-sided finite difference, with no use of the
 closed form. fd_step sets the numeric probe's accuracy, so it has no
 solver knobs: the finite-difference solves run at tol 1e-13, since their
 cone part is divided by fd_step, and the fixed-point checks and the
-residual gate at SolverConfig's default tol, 1e-9.
+residual gate at the projectors' default tol, 1e-9.
 
 The projection onto the cone itself shares the polar projection's order;
 this transfer is recorded here as a documented claim, while measurements
@@ -38,7 +38,7 @@ import numpy as np
 from .cones import (ChainCone, ConePoint, _check_t, _is_int, curve_step,
                     normal_curve, polar_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
-from .project import SolverConfig, _check_positive, _project_cone_arr
+from .project import DEFAULT_TOL, _check_positive, _project_cone_arr
 
 DEFAULT_T_MIN = 1e-4
 DEFAULT_T_MAX = 1e-1
@@ -46,11 +46,10 @@ DEFAULT_POINTS = 20
 DEFAULT_FD_STEP = 1e-6
 PROBE_MODES = ("exact", "numeric")
 
-# the finite-difference solves' config: their cone part is divided by fd_step
-_FD_CFG = SolverConfig(tol=1e-13)
-# the fixed-point checks' config; its tol also gates the finite-difference
-# solves
-_BASE_CFG = SolverConfig()
+# the finite-difference solves' tol: their cone part is divided by fd_step.
+# The fixed-point checks run at DEFAULT_TOL, which also gates the
+# finite-difference solves
+_FD_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +139,9 @@ def _check_polar_fixed_point(model: ChainCone, t: float, base: np.ndarray,
     """Raise unless base, the coordinates of polar_curve(t), is a fixed
     point of the polar projection, i.e. its cone part (the drift, by
     Moreau) vanishes. held is passed to the cone solve."""
-    cone_part, stats, _ = _project_cone_arr(model, base, _BASE_CFG, held)
+    cone_part, stats, _ = _project_cone_arr(model, base, DEFAULT_TOL, held)
     drift = float(np.linalg.norm(cone_part))
-    if drift > 10.0 * _BASE_CFG.tol:
+    if drift > 10.0 * DEFAULT_TOL:
         raise NumericFailureError(
             f"curve point at t={t!r} is not a polar fixed point "
             f"(drift {drift:.3e})", stats=stats)
@@ -155,19 +154,19 @@ def _residual_at(model: ChainCone, t: float, h: np.ndarray, fd_step: float,
     curve_step(t), on checked arguments, without the t = 0 fixed-point
     check, which does not depend on t.
 
-    The finite-difference solve runs under _FD_CFG from held, gated at
-    _BASE_CFG.tol; the base check starts from its certificate.
+    The finite-difference solve runs at _FD_TOL from held, gated at
+    DEFAULT_TOL; the base check starts from its certificate.
     """
     # via the Moreau complement: the polar projection of base + s h equals
     # the input minus its cone projection, so the residual reduces to
     # Pi_cone(base + s h) / s
     base = polar_curve(model, t).coords
     probe_point = base + fd_step * h
-    cone_part, stats, cert = _project_cone_arr(model, probe_point, _FD_CFG, held)
-    if stats.final_residual > _BASE_CFG.tol:
+    cone_part, stats, cert = _project_cone_arr(model, probe_point, _FD_TOL, held)
+    if stats.final_residual > DEFAULT_TOL:
         raise NumericFailureError(
             f"cone projection at t={t!r} reached residual "
-            f"{stats.final_residual:.3e} > tol {_BASE_CFG.tol:.1e}", stats=stats)
+            f"{stats.final_residual:.3e} > tol {DEFAULT_TOL:.1e}", stats=stats)
     _check_polar_fixed_point(model, t, base, cert)
     # a step below the solve's certified floor leaves a cone part of exactly
     # 0, or one whose scaled norm overflows; either would be fitted as data

@@ -32,10 +32,9 @@ ADMM iterate is kept. One rule holds at every checkpoint: a certified
 refinement ends the solve, which is converged when the certificate
 residual is within tol. The certificate uses nothing beyond the cone's
 defining inequalities, so the refined answers remain an independent
-check on any closed-form prediction. A refinement that stops making
-progress gives up after a few Newton steps, or as soon as its line search
-would need a step below 2^-7, so an early checkpoint with a wrong active
-set costs little.
+check on any closed-form prediction. A refinement gives up as soon as its
+line search would need a step below 2^-7, so an early checkpoint with a
+wrong active set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
 number of numpy calls per iteration, not flops. Both iterative solvers
@@ -106,7 +105,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgesv
 
-from .cones import ConeModel, ConePoint, _check_input, _is_int, _lmi_rows
+from .cones import ConeModel, ConePoint, _check_input, _lmi_rows
 from .errors import InvalidInputError
 from .symmat import (BlockSymMatrix, SymMatrix, _is_real, block_min_eigs,
                      lorentz_clip)
@@ -128,44 +127,23 @@ _EPS = np.finfo(float).eps
 # first ADMM iteration at which the refinement is tried, one-off and warm
 # solves alike; doubled after each
 _FIRST_POLISH = 32
-# the Newton refinement's progress test (see _newton_polish). No certified
-# refinement halved a step more than 6 times: 902 in the numeric probes at
-# n = 2..12 (fd_step 1e-6 and 1e-4), 639 on N(0, I) inputs (60 per n at
-# n = 2..12, default_rng(5)) and those of the benchmark's three workloads
-# (seed 1). Certified refinements cut the residual norm by at least 0.2 %
-# over any 8 steps
+# the Newton refinement's line-search cap (see _newton_polish). No
+# certified refinement halved a step more than 6 times: 902 in the numeric
+# probes at n = 2..12 (fd_step 1e-6 and 1e-4), 639 on N(0, I) inputs (60
+# per n at n = 2..12, default_rng(5)) and those of the benchmark's three
+# workloads (seed 1)
 _NEWTON_HALVINGS = 7
-_NEWTON_WINDOW = 8
-_NEWTON_MIN_GAIN = 1e-3
 _NEWTON_MAX_STEPS = 60
+# every projector's tolerance unless given one, relative to the input's norm
+DEFAULT_TOL = 1e-9
+# the iteration budget of every solve, read at call time
+_MAX_ITER = 200_000
 
 
 def _check_positive(value, name: str) -> None:
     """Raise unless value is a positive, finite real (True would mean 1)."""
     if not _is_real(value) or not 0.0 < value < math.inf:
         raise InvalidInputError(f"{name} must be finite and positive")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs shared by the iterative projectors.
-
-    Every projector works on its input divided by the input's norm (q / ||q||
-    for cone solves, X / ||X|| for the slice projectors), so tol is relative
-    to ||q|| or ||X||.
-
-    tol is a real number (not a bool), positive and finite; max_iter is an
-    integer (a Python or numpy int, not a bool) >= 1.
-    """
-
-    tol: float = 1e-9
-    max_iter: int = 200_000
-
-    def __post_init__(self):
-        _check_positive(self.tol, "tol")
-        if not _is_int(self.max_iter) or self.max_iter < 1:
-            raise InvalidInputError("max_iter must be an integer >= 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 # why a solve stopped; see SolveStats
@@ -182,10 +160,10 @@ class SolveStats:
     exit_reason is one of EXIT_REASONS: ``tol`` (the residual reached tol),
     ``certified`` (an exact shortcut, or an active-set refinement whose
     optimality certificate held), ``stalled`` (no progress over the stall
-    window) or ``budget`` (max_iter reached). The exit tests read a
+    window) or ``budget`` (_MAX_ITER reached). The exit tests read a
     residual every 8 iterations, at each refinement checkpoint (32, 64,
-    128, ...) and at max_iter, so a tol or stalled exit's iterations is a
-    multiple of 8, a checkpoint or max_iter. For cone solves converged ==
+    128, ...) and at _MAX_ITER, so a tol or stalled exit's iterations is a
+    multiple of 8, a checkpoint or _MAX_ITER. For cone solves converged ==
     (final_residual <= tol). polish_attempts is the number of refinement
     attempts (Newton solves on one active set) of the solve, and
     newton_steps the number of accepted Newton steps summed over them. Both
@@ -216,16 +194,16 @@ class SolveStats:
 _ZERO_STATS = SolveStats(0, 0.0, True, "certified")
 
 
-def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
+def _iterate(step, tol: float, what: str, checkpoint=None) -> SolveStats:
     """The iteration loop of every solver.
 
     step(fresh) runs one iteration; it returns the iteration's residual
     when fresh is true, and None otherwise, having skipped the residual's
     work. fresh is true every _RES_STRIDE iterations, at each refinement
-    checkpoint and at iteration cfg.max_iter, and the exit tests run on
+    checkpoint and at iteration _MAX_ITER, and the exit tests run on
     fresh iterations only: the loop stops when the residual is within
-    cfg.tol, when it has not improved by the fraction _STALL_FACTOR over the
-    last _STALL_WINDOW iterations, or after cfg.max_iter iterations. So a
+    tol, when it has not improved by the fraction _STALL_FACTOR over the
+    last _STALL_WINDOW iterations, or after _MAX_ITER iterations. So a
     tol or stalled exit's iteration count is a stride multiple, a
     checkpoint or the budget, up to _RES_STRIDE - 1 iterations after the
     first iteration that passed the test, and no exit reports a stale
@@ -234,7 +212,7 @@ def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
     every exit, before the exit tests; the SolveStats it returns, if any,
     end the solve. Each exit logs one debug line naming `what`.
     """
-    tol = cfg.tol
+    max_iter = _MAX_ITER
     best_res = math.inf
     best_iter = k = 0
     check_at = _FIRST_POLISH
@@ -242,7 +220,7 @@ def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
     while stats is None:
         k += 1
         at_check = k == check_at
-        res = step(at_check or k % _RES_STRIDE == 0 or k == cfg.max_iter)
+        res = step(at_check or k % _RES_STRIDE == 0 or k == max_iter)
         if res is None:
             continue
         if at_check:
@@ -252,7 +230,7 @@ def _iterate(step, cfg: SolverConfig, what: str, checkpoint=None) -> SolveStats:
             best_iter = k
         reason = ("tol" if res <= tol
                   else "stalled" if k - best_iter > _STALL_WINDOW
-                  else "budget" if k == cfg.max_iter else None)
+                  else "budget" if k == max_iter else None)
         if checkpoint is not None and (reason or at_check):
             stats = checkpoint(k)
         if stats is None and reason:
@@ -351,12 +329,10 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
     multipliers at (mu, pi). steps, if given, is a list to which the
     attempt appends the number of Newton steps it took.
 
-    Damped Newton stops early once it stops making progress: when the
-    line search needs a step shorter than 2^-_NEWTON_HALVINGS, or when the
-    last _NEWTON_WINDOW steps together cut the residual norm by less than
-    the fraction _NEWTON_MIN_GAIN. Either way the certificate then decides
-    on the best point reached, so a hopeless active set costs a few steps
-    instead of _NEWTON_MAX_STEPS full line searches.
+    Damped Newton stops at convergence, after _NEWTON_MAX_STEPS steps, or
+    early when the line search needs a step shorter than
+    2^-_NEWTON_HALVINGS, so a hopeless active set costs a few line
+    searches. The certificate then decides on the last point reached.
 
     The systems have at most 2d - 1 <= 49 unknowns, so each LAPACK routine
     is called directly: one dgelsd for the least-squares multipliers and
@@ -390,16 +366,13 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
 
     fu = _kkt_residual(Bs, q, u, np.empty_like(u), Bpi)
     f_try = np.empty_like(fu)
-    norms = [_norm(fu)]
+    norm = _norm(fu)
     # max |f_i| <= 1e-15 bounds ||f|| by 1e-15 sqrt(len(f)), so the max is
     # read only at norms below that bound (plus room for their rounding)
     near = 1.01e-15 * math.sqrt(len(fu))
-    info = 0
-    for k in range(_NEWTON_MAX_STEPS):
-        if norms[k] <= near and np.abs(fu).max() <= 1e-15:
-            break
-        if (k >= _NEWTON_WINDOW and norms[k]
-                > (1.0 - _NEWTON_MIN_GAIN) * norms[k - _NEWTON_WINDOW]):
+    info = taken = 0
+    while taken < _NEWTON_MAX_STEPS:
+        if norm <= near and np.abs(fu).max() <= 1e-15:
             break
         # overwrite_a and overwrite_b, passed by position: keywords cost
         # f2py about 0.4 us a call
@@ -412,16 +385,17 @@ def _newton_polish(model: ConeModel, q: np.ndarray, p0: np.ndarray, J,
             u_try = u + du if step == 1.0 else u + step * du
             Bpi_try = Bs @ u_try[1:1 + d]
             norm_try = _norm(_kkt_residual(Bs, q, u_try, f_try, Bpi_try))
-            if norm_try < (1.0 - 0.25 * step) * norms[k]:
+            if norm_try < (1.0 - 0.25 * step) * norm:
                 u, Bpi = u_try, Bpi_try
                 fu, f_try = f_try, fu
-                norms.append(norm_try)
+                norm = norm_try
                 break
             step *= 0.5
         else:
             break
+        taken += 1
     if steps is not None:
-        steps.append(len(norms) - 1)
+        steps.append(taken)
     best = float(np.abs(fu).max())
     if info or best > _CERT_TOL:
         return None
@@ -466,7 +440,7 @@ def _attempt_polish(model: ConeModel, q: np.ndarray, p: np.ndarray,
     return None
 
 
-def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
+def _project_cone_arr(model: ConeModel, q: np.ndarray, tol: float,
                       held: tuple | None = None):
     """ADMM projection onto the cone, on raw coordinate arrays.
 
@@ -541,10 +515,10 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
         p, cert_res, J, nu = refined
         cert = (J, nu)
         # the refinement ends the solve, so its attempts are all counted
-        return SolveStats(k, cert_res, cert_res <= cfg.tol, "certified",
+        return SolveStats(k, cert_res, cert_res <= tol, "certified",
                           sum(steps), len(steps))
 
-    stats = _iterate(step, cfg, "cone projection", checkpoint=polish)
+    stats = _iterate(step, tol, "cone projection", checkpoint=polish)
     if cert is None and steps:
         stats = replace(stats, newton_steps=sum(steps),
                         polish_attempts=len(steps))
@@ -552,22 +526,24 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, cfg: SolverConfig,
     return p, stats, None if cert is None else (p, *cert)
 
 
-def project_cone(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
+def project_cone(model: ConeModel, q: ConePoint, tol: float = DEFAULT_TOL):
     """Metric projection onto the cone.
 
     Returns the nearest cone member to q and the solve statistics. The
     optimizer is ADMM over the LMI splitting plus the certified active-set
-    refinement described in the module docstring.
+    refinement described in the module docstring. tol, a finite positive
+    real, is relative to ||q||.
     """
     _check_input(model, q, ConePoint)
-    p, stats, _ = _project_cone_arr(model, q.coords, cfg or SolverConfig())
+    _check_positive(tol, "tol")
+    p, stats, _ = _project_cone_arr(model, q.coords, tol)
     return ConePoint(q.n, p), stats
 
 
-def project_polar(model: ConeModel, q: ConePoint, cfg: SolverConfig | None = None):
+def project_polar(model: ConeModel, q: ConePoint, tol: float = DEFAULT_TOL):
     """Metric projection onto the polar cone via the Moreau decomposition:
     the polar part is q minus the cone part, and the two are orthogonal."""
-    p, stats = project_cone(model, q, cfg)
+    p, stats = project_cone(model, q, tol)
     return ConePoint(q.n, q.coords - p.coords), stats
 
 
@@ -593,7 +569,7 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
     return _unit_frame(model, X, lambda x: (model.range_proj @ x, None))[0]
 
 
-def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
+def _dykstra_flat(model: ConeModel, x0: np.ndarray, tol: float):
     """Dykstra alternation between the blockwise PSD cone and the range
     subspace, on a flat vector of Lorentz block coordinates.
 
@@ -616,7 +592,7 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, cfg: SolverConfig):
         x = x_new
         return res
 
-    stats = _iterate(step, cfg, "Dykstra")
+    stats = _iterate(step, tol, "Dykstra")
     return x, stats
 
 
@@ -641,7 +617,7 @@ def _slice_projection(model: ConeModel, X, solve):
     return _unit_frame(model, X, solve)
 
 
-def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
+def project_slice_dykstra(model: ConeModel, X, tol: float = DEFAULT_TOL):
     """Project onto the slice (PSD cone intersected with the LMI range) by
     Dykstra's alternation, an oracle independent of the cone projector.
 
@@ -650,11 +626,11 @@ def project_slice_dykstra(model: ConeModel, X, cfg: SolverConfig | None = None):
     to ||Pi_B X|| <= ||X||, and a power-of-two rescaling of X rescales the
     answer bitwise with equal iterations.
     """
-    cfg = cfg or SolverConfig()
-    return _slice_projection(model, X, lambda x: _dykstra_flat(model, x, cfg))
+    _check_positive(tol, "tol")
+    return _slice_projection(model, X, lambda x: _dykstra_flat(model, x, tol))
 
 
-def project_slice_fixedpoint(model: ConeModel, X, cfg: SolverConfig | None = None):
+def project_slice_fixedpoint(model: ConeModel, X, tol: float = DEFAULT_TOL):
     """Project onto the slice by one cone solve in the Gram metric.
 
     The slice is A K, so the answer is A z for the z in K that minimises
@@ -668,12 +644,12 @@ def project_slice_fixedpoint(model: ConeModel, X, cfg: SolverConfig | None = Non
     kind, as for :func:`project_slice_dykstra`. tol is relative to
     ||Q^T X|| <= ||X||.
     """
-    cfg = cfg or SolverConfig()
+    _check_positive(tol, "tol")
 
     def solve(x):
         gram = model.slice_model
         Q = gram.lmi_lorentz
-        w, stats, _ = _project_cone_arr(gram, Q.T @ x, cfg)
+        w, stats, _ = _project_cone_arr(gram, Q.T @ x, tol)
         return Q @ w, stats
 
     return _slice_projection(model, X, solve)

@@ -73,11 +73,21 @@ def _check_index(n, name: str = "n") -> int:
     return int(n)
 
 
+def _real_array(value, message: str) -> np.ndarray:
+    """value as a float array; InvalidInputError(message) if it is not one
+    (a string, a ragged list)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(message) from exc
+
+
 def _init_array(obj, name: str) -> None:
     """The __post_init__ of ConePoint and BlockSymMatrix: obj.n becomes a
     checked index, and field `name` a finite array of shape obj._shape(n)."""
     n = _check_index(obj.n)
-    arr = np.asarray(getattr(obj, name), dtype=float)
+    arr = _real_array(getattr(obj, name),
+                      f"{type(obj).__name__} needs a real array")
     shape = obj._shape(n)
     if arr.shape != shape:
         raise InvalidInputError(
@@ -99,7 +109,7 @@ class SymMatrix:
     dense: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.dense, dtype=float)
+        mat = _real_array(self.dense, "SymMatrix needs a real array")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise InvalidInputError("SymMatrix needs a nonempty square array")
         lower = np.tril(mat)
@@ -149,6 +159,8 @@ class BlockSymMatrix:
     def from_full(cls, n: int, mat: SymMatrix) -> "BlockSymMatrix":
         """Extract the 2x2 diagonal blocks of a (4n-2)-dimensional matrix."""
         n = _check_index(n)
+        if not isinstance(mat, SymMatrix):
+            raise InvalidInputError("from_full needs a SymMatrix")
         if mat.dim != 4 * n - 2:
             raise InvalidInputError(
                 f"matrix dimension {mat.dim} does not match {4 * n - 2}")
@@ -289,6 +301,8 @@ def psd_project_block(mat: BlockSymMatrix) -> BlockSymMatrix:
     The PSD projection of a block-diagonal matrix decomposes over the
     diagonal blocks, so each 2x2 block is projected independently.
     """
+    if not isinstance(mat, BlockSymMatrix):
+        raise InvalidInputError("psd_project_block needs a BlockSymMatrix")
     return BlockSymMatrix(mat.n, psd_clip_rows(mat.blocks))
 
 
@@ -318,10 +332,11 @@ def jacobi_eig(mat):
         Eigenvalues sorted descending (ties broken by original index order)
         and the matching orthonormal eigenvector columns.
     """
-    A = mat.dense if isinstance(mat, SymMatrix) else np.asarray(mat, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d):
+    A = (mat.dense if isinstance(mat, SymMatrix)
+         else _real_array(mat, "jacobi_eig needs a real array"))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError("jacobi_eig requires a square matrix")
+    d = A.shape[0]
     if d > JACOBI_MAX_DIM:
         raise InvalidInputError(f"jacobi_eig supports dimension <= {JACOBI_MAX_DIM}")
     if not np.isfinite(A).all():

@@ -165,14 +165,13 @@ def check_moreau(rng, ns, draws, idempotence_draws):
     n: orthogonality and Pythagoras relative to max(1, ||q||^2), and the
     cone projection's nonexpansiveness (on consecutive draws) and
     idempotence, all within 100 * tol."""
-    cfg = project.SolverConfig()
     worst_orth = worst_pyth = worst_idem = worst_nonexp = 0.0
     for n in ns:
         model = cones.make_cone(n)
         prev = None
         for _ in range(draws):
             q = cones.ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            cone_part, _ = project.project_cone(model, q, cfg)
+            cone_part, _ = project.project_cone(model, q)
             polar_part = q.coords - cone_part.coords
             qq = max(1.0, float(q.coords @ q.coords))
             worst_orth = max(worst_orth,
@@ -188,11 +187,11 @@ def check_moreau(rng, ns, draws, idempotence_draws):
             prev = (q.coords, cone_part.coords)
         for _ in range(idempotence_draws):
             q = cones.ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            once, _ = project.project_cone(model, q, cfg)
-            twice, _ = project.project_cone(model, once, cfg)
+            once, _ = project.project_cone(model, q)
+            twice, _ = project.project_cone(model, once)
             worst_idem = max(worst_idem, float(
                 np.linalg.norm(twice.coords - once.coords)))
-    bound = 100.0 * cfg.tol
+    bound = 100.0 * project.DEFAULT_TOL
     ok = (worst_orth <= bound and worst_pyth <= bound
           and worst_idem <= bound and worst_nonexp <= bound)
     return ok, (f"orth {worst_orth:.1e}, pythagoras {worst_pyth:.1e}, "
@@ -203,7 +202,6 @@ def check_moreau(rng, ns, draws, idempotence_draws):
 def check_normal_ray(ns):
     """The polar projection of v(t) + alpha w(t) is v(t), for t in
     {0.1, 0.5, 0.9} and alpha in {0.1, 1}: the normal-cone lemma."""
-    cfg = project.SolverConfig()
     worst = 0.0
     for n in ns:
         model = cones.make_cone(n)
@@ -212,7 +210,7 @@ def check_normal_ray(ns):
             w = cones.normal_curve(model, t)
             for alpha in (0.1, 1.0):
                 q = cones.ConePoint(n, v.coords + alpha * w.coords)
-                back, _ = project.project_polar(model, q, cfg)
+                back, _ = project.project_polar(model, q)
                 worst = max(worst,
                             float(np.linalg.norm(back.coords - v.coords)))
     ok = worst <= 1e-5
@@ -225,21 +223,20 @@ def check_slice(rng, ns, pairs, sweeps):
     projection derived from the cone projector agree within 1e-5 on
     `pairs` draws per n, and on `sweeps` more draws per n the derived
     projection of its own answer moves it by at most 1e-6."""
-    cfg = project.SolverConfig()
     worst_pair = 0.0
     worst_again = 0.0
     for n in ns:
         model = cones.make_cone(n)
         for _ in range(pairs):
             X = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            via_dyk, _ = project.project_slice_dykstra(model, X, cfg)
-            via_fp, _ = project.project_slice_fixedpoint(model, X, cfg)
+            via_dyk, _ = project.project_slice_dykstra(model, X)
+            via_fp, _ = project.project_slice_fixedpoint(model, X)
             worst_pair = max(worst_pair, float(np.linalg.norm(
                 via_dyk.blocks - via_fp.blocks)))
         for _ in range(sweeps):
             X = symmat.BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            once, _ = project.project_slice_fixedpoint(model, X, cfg)
-            twice, _ = project.project_slice_fixedpoint(model, once, cfg)
+            once, _ = project.project_slice_fixedpoint(model, X)
+            twice, _ = project.project_slice_fixedpoint(model, once)
             worst_again = max(worst_again, float(np.linalg.norm(
                 once.blocks - twice.blocks)))
     ok = worst_pair <= 1e-5 and worst_again <= 1e-6

@@ -295,6 +295,37 @@ def test_project_rejects_non_finite_solver_knobs(tmp_path, flag):
     assert proc.stderr.startswith(f"error: {flag[2:]} must")
 
 
+def test_project_has_no_max_iter_flag(tmp_path):
+    # every solve's iteration budget is fixed; --tol is the one solver flag
+    src = tmp_path / "q.txt"
+    src.write_text(write_cone_point(polar_curve(make_cone(2), 0.5)))
+    proc = run_cli("project", "--n", "2", "--target", "K", "--in", str(src),
+                   "--max-iter", "10")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --max-iter 10" in proc.stderr
+
+
+def test_project_tol_reaches_every_target(tmp_path):
+    # on these inputs every target ends above 1e-12 at the default tol, so
+    # a target that dropped --tol would report a converged residual above it
+    q = ConePoint(3, np.random.default_rng(47).standard_normal(7))
+    X = BlockSymMatrix(3, np.random.default_rng(47).standard_normal((5, 3)))
+    (tmp_path / "q.txt").write_text(write_cone_point(q))
+    (tmp_path / "X.txt").write_text(write_block_matrix(X))
+    for target in ("K", "polar", "slice-dykstra", "slice-fixedpoint"):
+        src = tmp_path / ("q.txt" if target in ("K", "polar") else "X.txt")
+        results = []
+        for tol in ([], ["--tol", "1e-12"]):
+            proc = run_cli("project", "--n", "3", "--target", target,
+                           "--in", str(src), "--out", str(tmp_path / "out"),
+                           *tol)
+            results.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        default, tight = results
+        assert default["converged"] and default["final_residual"] > 1e-12
+        assert tight["final_residual"] <= 1e-12 or not tight["converged"], (
+            target, tight)
+
+
 def test_project_dimension_mismatch(tmp_path):
     model = make_cone(3)
     src = tmp_path / "n3.txt"

@@ -303,9 +303,9 @@ def test_numeric_probe_checks_origin_once(models, monkeypatch):
     bases = [polar_curve(model, t).coords for t in t_grid]
     solved = []
 
-    def counting(model_, q, cfg, held=None):
+    def counting(model_, q, tol, held=None):
         solved.append(q.copy())
-        return _project_cone_arr(model_, q, cfg, held)
+        return _project_cone_arr(model_, q, tol, held)
 
     def times_solved(point):
         return sum(np.array_equal(q, point) for q in solved)
@@ -341,8 +341,8 @@ def test_warm_probe_matches_cold_residuals(models):
 
 
 def test_stale_warm_start_falls_back_to_cold_answer(models):
-    # the probe's finite-difference solves' config
-    tight = probe_module._FD_CFG
+    # the probe's finite-difference solves' tol
+    tight = probe_module._FD_TOL
     rng = np.random.default_rng(5)
     for n in (2, 3, 4, 8, 12):
         model = models[n] if n in models else make_cone(n)

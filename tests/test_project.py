@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sliceproj import (BlockSymMatrix, ConeModel, ConePoint,
-                       InvalidInputError, SolverConfig, lmi_adjoint,
+                       InvalidInputError, lmi_adjoint,
                        lmi_apply, make_cone, membership_cone, normal_curve,
                        polar_curve, probe_semismoothness, project_cone,
                        project_polar, project_range, project_slice_dykstra,
@@ -16,12 +16,13 @@ from sliceproj import (BlockSymMatrix, ConeModel, ConePoint,
                        sample_cone)
 from sliceproj import project as project_module
 from sliceproj import symmat
-from sliceproj.project import (SolveStats, _attempt_polish, _dykstra_flat,
-                               _duals_nonnegative, _kkt_jacobian,
-                               _kkt_residual, _lmi_rows, _project_cone_arr)
+from sliceproj.project import (DEFAULT_TOL, SolveStats, _attempt_polish,
+                               _dykstra_flat, _duals_nonnegative,
+                               _kkt_jacobian, _kkt_residual, _lmi_rows,
+                               _project_cone_arr)
 from sliceproj.symmat import SymMatrix, block_min_eigs, to_lorentz
 
-CFG = SolverConfig()
+TOL = DEFAULT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -29,31 +30,26 @@ def models():
     return {n: make_cone(n) for n in range(2, 6)}
 
 
-def test_solver_config_validation():
-    with pytest.raises(InvalidInputError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(InvalidInputError):
-        SolverConfig(max_iter=0)
-    # tol=True silently meant tol = 1.0
-    for bad in (math.inf, math.nan, True, "1e-9"):
-        with pytest.raises(InvalidInputError):
-            SolverConfig(tol=bad)
-    # numpy scalars stay valid
-    q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
-    _, stats = project_cone(make_cone(2), q, SolverConfig(tol=np.float64(1e-6)))
-    assert stats.converged and stats.exit_reason == "tol"
-
-
-def test_solver_config_max_iter_must_be_an_integer():
-    # 2.5 crashed the solve in range(), and True silently meant 1
-    for bad in (2.5, True, 3.0, "3"):
-        with pytest.raises(InvalidInputError):
-            SolverConfig(max_iter=bad)
-    cfg = SolverConfig(max_iter=np.int64(3))
-    assert type(cfg.max_iter) is int and cfg.max_iter == 3
-    X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
-    _, stats = project_slice_dykstra(make_cone(2), X, cfg)
-    assert (stats.exit_reason, stats.iterations) == ("budget", 3)
+def test_projectors_validate_tol():
+    # tol=True would mean tol = 1.0, and None or any other object (a
+    # config from an older API, say) is not read as the default; a zero
+    # input, which needs no solve, is checked too
+    model = make_cone(2)
+    rng = np.random.default_rng(7)
+    q, q0 = ConePoint(2, rng.standard_normal(5)), ConePoint(2, np.zeros(5))
+    X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
+    X0 = BlockSymMatrix(2, np.zeros((3, 3)))
+    calls = ((project_cone, q, q0), (project_polar, q, q0),
+             (project_slice_dykstra, X, X0), (project_slice_fixedpoint, X, X0))
+    for project, inp, zero in calls:
+        for bad in (0.0, -1.0, math.inf, math.nan, True, "1e-9", None):
+            for x in (inp, zero):
+                with pytest.raises(InvalidInputError,
+                                   match="tol must be finite and positive"):
+                    project(model, x, bad)
+        # numpy scalars stay valid
+        _, stats = project(model, inp, np.float64(1e-6))
+        assert stats.converged and stats.final_residual <= 1e-6
 
 
 def test_each_solve_logs_one_exit_line(models, caplog):
@@ -62,14 +58,14 @@ def test_each_solve_logs_one_exit_line(models, caplog):
     X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
     # an input whose ADMM answer the refinement certifies
     q4 = np.random.default_rng(0).standard_normal(9)
-    _, _, held = project_module._project_cone_arr(models[4], q4, CFG)
+    _, _, held = project_module._project_cone_arr(models[4], q4, TOL)
 
     def warm_solve():
-        return project_module._project_cone_arr(models[4], q4, CFG, held)[:2]
+        return project_module._project_cone_arr(models[4], q4, TOL, held)[:2]
 
-    for what, solve in (("cone projection", lambda: project_cone(model, q, CFG)),
+    for what, solve in (("cone projection", lambda: project_cone(model, q, TOL)),
                         ("cone projection", warm_solve),
-                        ("Dykstra", lambda: project_slice_dykstra(model, X, CFG))):
+                        ("Dykstra", lambda: project_slice_dykstra(model, X, TOL))):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="sliceproj.project"):
             _, stats = solve()
@@ -84,7 +80,7 @@ def test_each_solve_logs_one_exit_line(models, caplog):
 
 def test_solve_stats_json_dict(models):
     q = polar_curve(models[2], 0.3)
-    _, stats = project_cone(models[2], q, CFG)
+    _, stats = project_cone(models[2], q, TOL)
     d = stats.to_json_dict()
     assert set(d) == {"iterations", "final_residual", "converged",
                       "exit_reason", "newton_steps", "polish_attempts"}
@@ -129,7 +125,7 @@ def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
     for _ in range(20):
         attempts.clear()
         _, stats = project_cone(model, ConePoint(12, rng.standard_normal(25)),
-                                CFG)
+                                TOL)
         assert stats.newton_steps == sum(attempts)
         assert stats.polish_attempts == len(attempts)
         most = max(most, len(attempts))
@@ -137,11 +133,11 @@ def test_newton_steps_sum_over_attempts_and_inner_solves(models, monkeypatch):
     assert max(per_checkpoint) <= 2
     monkeypatch.setattr(project_module, "_project_cone_arr", recording_solve)
     X = BlockSymMatrix(2, np.random.default_rng(8).standard_normal((3, 3)))
-    _, stats = project_slice_fixedpoint(models[2], X, CFG)
+    _, stats = project_slice_fixedpoint(models[2], X, TOL)
     assert len(inner) == 1
     assert (stats.newton_steps, stats.polish_attempts) == inner[0]
     assert min(inner[0]) > 0
-    _, stats = project_slice_dykstra(models[2], X, CFG)
+    _, stats = project_slice_dykstra(models[2], X, TOL)
     assert stats.newton_steps == stats.polish_attempts == 0
 
 
@@ -149,13 +145,13 @@ def test_project_cone_fixes_members(models):
     rng = np.random.default_rng(71)
     for n, model in models.items():
         q = ConePoint(n, np.eye(2 * n + 1)[2])  # unit x3 is interior-ish
-        out, stats = project_cone(model, q, CFG)
+        out, stats = project_cone(model, q, TOL)
         assert stats.converged
-        assert np.linalg.norm(out.coords - q.coords) <= 10.0 * CFG.tol
+        assert np.linalg.norm(out.coords - q.coords) <= 10.0 * TOL
         for _ in range(5):
             q = sample_cone(model, rng)
-            out, _ = project_cone(model, q, CFG)
-            assert np.linalg.norm(out.coords - q.coords) <= 10.0 * CFG.tol
+            out, _ = project_cone(model, q, TOL)
+            assert np.linalg.norm(out.coords - q.coords) <= 10.0 * TOL
 
 
 def test_project_cone_negated_generator_maps_to_apex(models):
@@ -166,16 +162,16 @@ def test_project_cone_negated_generator_maps_to_apex(models):
     for _ in range(300):
         k = sample_cone(model, rng)
         assert float(-w.coords @ k.coords) <= 1e-12
-    out, stats = project_cone(model, ConePoint(2, -w.coords), CFG)
+    out, stats = project_cone(model, ConePoint(2, -w.coords), TOL)
     assert stats.converged
-    assert np.linalg.norm(out.coords) <= 10.0 * CFG.tol
+    assert np.linalg.norm(out.coords) <= 10.0 * TOL
 
 
 def test_project_cone_polar_boundary_maps_to_apex(models):
     for n, model in models.items():
         for t in (0.05, 0.3, 0.7, 0.95):
-            out, _ = project_cone(model, polar_curve(model, t), CFG)
-            assert np.linalg.norm(out.coords) <= 10.0 * CFG.tol, (n, t)
+            out, _ = project_cone(model, polar_curve(model, t), TOL)
+            assert np.linalg.norm(out.coords) <= 10.0 * TOL, (n, t)
 
 
 def test_curve_feasibility_via_moreau(models):
@@ -185,7 +181,7 @@ def test_curve_feasibility_via_moreau(models):
         model = models[n]
         for t in np.linspace(0.0, 1.0, 50):
             v = polar_curve(model, t)
-            out, _ = project_cone(model, v, CFG)
+            out, _ = project_cone(model, v, TOL)
             assert np.linalg.norm(out.coords) <= 1e-6
             w = normal_curve(model, t)
             inside, _ = membership_cone(model, w, tol=1e-10)
@@ -194,7 +190,7 @@ def test_curve_feasibility_via_moreau(models):
 
 
 def test_project_cone_zero_short_circuit(models):
-    out, stats = project_cone(models[3], ConePoint(3, np.zeros(7)), CFG)
+    out, stats = project_cone(models[3], ConePoint(3, np.zeros(7)), TOL)
     assert np.array_equal(out.coords, np.zeros(7))
     assert stats.converged and stats.iterations == 0
 
@@ -216,10 +212,10 @@ def _scale_cases():
 
 def test_project_cone_is_scale_invariant():
     for model, g in _scale_cases():
-        ref, ref_stats = project_cone(model, ConePoint(model.n, g), CFG)
+        ref, ref_stats = project_cone(model, ConePoint(model.n, g), TOL)
         assert ref_stats.converged
         for a in SCALES:
-            out, stats = project_cone(model, ConePoint(model.n, a * g), CFG)
+            out, stats = project_cone(model, ConePoint(model.n, a * g), TOL)
             err = np.linalg.norm(out.coords / a - ref.coords) / np.linalg.norm(g)
             assert err <= 1e-12, (model.n, a, err)
             assert stats.converged, (model.n, a, stats)
@@ -227,32 +223,35 @@ def test_project_cone_is_scale_invariant():
 
 def test_project_cone_power_of_two_scaling_is_bitwise():
     for model, g in _scale_cases():
-        ref, ref_stats = project_cone(model, ConePoint(model.n, g), CFG)
+        ref, ref_stats = project_cone(model, ConePoint(model.n, g), TOL)
         for k in (-600, -40, 40, 400):
             out, stats = project_cone(model, ConePoint(model.n, 2.0 ** k * g),
-                                      CFG)
+                                      TOL)
             assert np.array_equal(out.coords, 2.0 ** k * ref.coords), (model.n, k)
             assert stats.iterations == ref_stats.iterations
             assert stats.converged == ref_stats.converged
 
 
-def test_exit_reasons(models):
+def test_exit_reasons(models, monkeypatch):
     model = models[2]
     w = normal_curve(model, 0.5)
-    _, stats = project_cone(model, polar_curve(model, 0.5), CFG)
+    _, stats = project_cone(model, polar_curve(model, 0.5), TOL)
     assert (stats.exit_reason, stats.converged) == ("certified", True)
-    _, stats = project_cone(model, w, CFG)
+    _, stats = project_cone(model, w, TOL)
     assert (stats.exit_reason, stats.iterations) == ("certified", 0)
     q = ConePoint(2, np.random.default_rng(7).standard_normal(5))
-    _, stats = project_cone(model, q, SolverConfig(max_iter=3))
+    with monkeypatch.context() as patch:
+        patch.setattr(project_module, "_MAX_ITER", 3)
+        _, stats = project_cone(model, q, TOL)
     assert (stats.exit_reason, stats.converged) == ("budget", False)
     # a slice member maps into the Gram-metric cone: the derived slice
     # projection certifies it without iterating
     X = lmi_apply(model, w)
-    _, stats = project_slice_fixedpoint(model, X, CFG)
+    _, stats = project_slice_fixedpoint(model, X, TOL)
     assert (stats.exit_reason, stats.iterations) == ("certified", 0)
     Y = BlockSymMatrix(2, np.random.default_rng(5).standard_normal((3, 3)))
-    _, stats = project_slice_dykstra(model, Y, SolverConfig(max_iter=2))
+    monkeypatch.setattr(project_module, "_MAX_ITER", 2)
+    _, stats = project_slice_dykstra(model, Y, TOL)
     assert (stats.exit_reason, stats.converged) == ("budget", False)
 
 
@@ -279,8 +278,8 @@ def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
                 return SolveStats(k, 0.0, True, "certified")
             return None
 
-        stats = project_module._iterate(step, SolverConfig(max_iter=max_iter),
-                                        "test", checkpoint)
+        monkeypatch.setattr(project_module, "_MAX_ITER", max_iter)
+        stats = project_module._iterate(step, TOL, "test", checkpoint)
         fresh_at = [k for k, fresh in enumerate(asked, 1) if fresh]
         return seen, (stats.exit_reason, stats.iterations), fresh_at
 
@@ -310,7 +309,7 @@ def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
     assert fresh_at == [8, 12, 16, 24, 32, 40, 48, 50]
 
 
-def _seeded_solves(cfg):
+def _seeded_solves(tol):
     """(answer, stats, input norm) of the cone and both slice projectors
     on seeded N(0, I) inputs at n = 2..12."""
     out = []
@@ -320,25 +319,25 @@ def _seeded_solves(cfg):
         for _ in range(3):
             q = ConePoint(n, rng.standard_normal(2 * n + 1))
             X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            p, stats = project_cone(model, q, cfg)
+            p, stats = project_cone(model, q, tol)
             out.append((p.coords, stats, np.linalg.norm(q.coords)))
             for project in (project_slice_fixedpoint, project_slice_dykstra):
-                P, stats = project(model, X, cfg)
+                P, stats = project(model, X, tol)
                 out.append((P.blocks, stats, X.norm()))
     return out
 
 
-@pytest.mark.parametrize("max_iter", [13, SolverConfig.max_iter])
+@pytest.mark.parametrize("max_iter", [13, project_module._MAX_ITER])
 def test_residual_stride_moves_only_tol_exits(monkeypatch, max_iter):
     # stride 1 reads a residual every iteration; the iterates do not depend
     # on the stride, so a solve that ends at a scheduled checkpoint or on
     # its budget is bitwise the same, and only a tol exit can land later,
     # at the next point where the residual is read
-    cfg = SolverConfig(max_iter=max_iter)
+    monkeypatch.setattr(project_module, "_MAX_ITER", max_iter)
     monkeypatch.setattr(project_module, "_RES_STRIDE", 1)
-    every = _seeded_solves(cfg)
+    every = _seeded_solves(TOL)
     monkeypatch.setattr(project_module, "_RES_STRIDE", 8)
-    strided = _seeded_solves(cfg)
+    strided = _seeded_solves(TOL)
     reasons = set()
     for (a, sa, norm), (b, sb, _) in zip(every, strided):
         k = sa.iterations
@@ -361,9 +360,9 @@ def test_clip_paths_give_bitwise_equal_solves(monkeypatch):
     # arrays, so every iterate is the same on either path, and so is every
     # answer and SolveStats
     monkeypatch.setattr(symmat, "_CLIP_LOOP_BLOCKS", 0)
-    vectorised = _seeded_solves(SolverConfig())
+    vectorised = _seeded_solves(TOL)
     monkeypatch.setattr(symmat, "_CLIP_LOOP_BLOCKS", 23)
-    loop = _seeded_solves(SolverConfig())
+    loop = _seeded_solves(TOL)
     for (a, sa, _), (b, sb, _) in zip(vectorised, loop, strict=True):
         assert a.tobytes() == b.tobytes() and sa == sb, (sa, sb)
 
@@ -373,14 +372,14 @@ def test_one_off_and_warm_solves_refine_first_at_32():
     # as a one-off solve does, and the certificate keeps its answer, J and nu
     model = make_cone(4)
     q = np.random.default_rng(0).standard_normal(9)
-    p_cold, cold = project_cone(model, ConePoint(4, q), CFG)
-    p_warm, stats, cert = project_module._project_cone_arr(model, q, CFG)
+    p_cold, cold = project_cone(model, ConePoint(4, q), TOL)
+    p_warm, stats, cert = project_module._project_cone_arr(model, q, TOL)
     assert (cold.iterations, cold.exit_reason) == (32, "certified")
     assert stats == cold and np.array_equal(p_warm, p_cold.coords)
     p, J, nu = cert
     assert p is p_warm and J and len(nu) == len(J)
     # a solve that does not end on a refinement returns no certificate
-    assert project_module._project_cone_arr(model, np.eye(9)[2], CFG,
+    assert project_module._project_cone_arr(model, np.eye(9)[2], TOL,
                                             cert)[2] is None
 
 
@@ -389,11 +388,11 @@ def test_warm_start_is_checkpoint_0(monkeypatch):
     # certified, and converged only when its residual is within tol
     model = make_cone(4)
     q = np.random.default_rng(0).standard_normal(9)
-    _, _, held = project_module._project_cone_arr(model, q, CFG)
+    _, _, held = project_module._project_cone_arr(model, q, TOL)
     # Newton starts on the held J from the held nu: no least-squares solve
     monkeypatch.setattr(project_module, "dgelsd", None)
     _, stats, cert = project_module._project_cone_arr(
-        model, q, SolverConfig(tol=1e-18), held)
+        model, q, 1e-18, held)
     assert ((stats.iterations, stats.converged, stats.exit_reason)
             == (0, False, "certified"))
     assert cert[1] == held[1]
@@ -420,8 +419,8 @@ def test_held_certificate_gets_one_attempt(monkeypatch):
             q = rng.standard_normal(model.dim()) * 10.0 ** rng.uniform(-6, 6)
             held_starts.append(0)
             cold, cold_stats, _ = project_module._project_cone_arr(model, q,
-                                                                    CFG)
-            p, stats, cert = project_module._project_cone_arr(model, q, CFG,
+                                                                    TOL)
+            p, stats, cert = project_module._project_cone_arr(model, q, TOL,
                                                                held)
             assert held_starts[-1] <= 1, n
             if (stats.iterations, stats.exit_reason) != (0, "certified"):
@@ -436,9 +435,9 @@ def test_held_certificate_gets_one_attempt(monkeypatch):
 
 def test_hopeless_refinement_gives_up_early(monkeypatch):
     # among these inputs the refinement meets active sets it cannot
-    # certify; without the progress test one such call runs all 60 Newton
-    # steps with 1539 KKT evaluations, and with line searches down to 2^-16
-    # the costliest call took 277
+    # certify; with line searches down to 2^-16 and no other early stop,
+    # one such call ran all 60 Newton steps with 1539 KKT evaluations. With
+    # the cap at 2^-7 the costliest call takes 48
     model = make_cone(2)
     evals = []
     kkt = project_module._kkt_residual
@@ -457,7 +456,7 @@ def test_hopeless_refinement_gives_up_early(monkeypatch):
     rng = np.random.default_rng(2)
     for _ in range(120):
         q = ConePoint(2, rng.standard_normal(5))
-        _, stats = project_cone(model, q, CFG)
+        _, stats = project_cone(model, q, TOL)
         assert stats.converged
     assert max(evals) <= 64
 
@@ -503,8 +502,8 @@ def test_project_cone_variational_inequality(models):
     for n, model in models.items():
         for _ in range(5):
             q = ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            out, _ = project_cone(model, q, CFG)
-            inside, worst = membership_cone(model, out, tol=10.0 * CFG.tol)
+            out, _ = project_cone(model, q, TOL)
+            inside, worst = membership_cone(model, out, tol=10.0 * TOL)
             assert inside, worst
             resid = q.coords - out.coords
             for _ in range(40):
@@ -512,23 +511,23 @@ def test_project_cone_variational_inequality(models):
                 gap = float(resid @ (c.coords - out.coords))
                 scale = (np.linalg.norm(resid)
                          * np.linalg.norm(c.coords - out.coords))
-                assert gap <= 10.0 * CFG.tol * scale + 1e-15
+                assert gap <= 10.0 * TOL * scale + 1e-15
 
 
 def test_project_polar_fixes_polar_points(models):
     for n, model in models.items():
         for t in (0.1, 0.6):
             v = polar_curve(model, t)
-            out, _ = project_polar(model, v, CFG)
-            assert np.linalg.norm(out.coords - v.coords) <= 10.0 * CFG.tol
+            out, _ = project_polar(model, v, TOL)
+            assert np.linalg.norm(out.coords - v.coords) <= 10.0 * TOL
 
 
 def test_project_polar_kills_members(models):
     rng = np.random.default_rng(83)
     for n, model in models.items():
         q = sample_cone(model, rng)
-        out, _ = project_polar(model, q, CFG)
-        assert np.linalg.norm(out.coords) <= 10.0 * CFG.tol
+        out, _ = project_polar(model, q, TOL)
+        assert np.linalg.norm(out.coords) <= 10.0 * TOL
 
 
 def test_moreau_identity_orthogonality_pythagoras(models):
@@ -536,18 +535,18 @@ def test_moreau_identity_orthogonality_pythagoras(models):
     for n, model in models.items():
         for _ in range(20):
             q = ConePoint(n, rng.standard_normal(2 * n + 1) * 2.0)
-            cone_part, _ = project_cone(model, q, CFG)
-            polar_part, _ = project_polar(model, q, CFG)
+            cone_part, _ = project_cone(model, q, TOL)
+            polar_part, _ = project_polar(model, q, TOL)
             # decomposition identity is exact by construction
             assert np.allclose(cone_part.coords + polar_part.coords, q.coords,
                                atol=1e-15)
             qq = max(1.0, float(q.coords @ q.coords))
             assert abs(float(cone_part.coords @ polar_part.coords)) \
-                <= 100.0 * CFG.tol * qq
+                <= 100.0 * TOL * qq
             pyth = abs(float(cone_part.coords @ cone_part.coords
                              + polar_part.coords @ polar_part.coords
                              - q.coords @ q.coords))
-            assert pyth <= 100.0 * CFG.tol * qq
+            assert pyth <= 100.0 * TOL * qq
 
 
 def test_project_range_fixes_images(models):
@@ -580,16 +579,16 @@ def test_project_range_idempotent_and_orthogonal(models):
 def test_dykstra_fixes_slice_members(models):
     model = models[2]
     X = lmi_apply(model, normal_curve(model, 0.5))
-    out, stats = project_slice_dykstra(model, X, CFG)
+    out, stats = project_slice_dykstra(model, X, TOL)
     assert stats.converged
-    assert np.linalg.norm(out.blocks - X.blocks) <= 10.0 * CFG.tol
+    assert np.linalg.norm(out.blocks - X.blocks) <= 10.0 * TOL
 
 
 def test_dykstra_zero(models):
     model = models[3]
     X = BlockSymMatrix(3, np.zeros((5, 3)))
-    out, stats = project_slice_dykstra(model, X, CFG)
-    assert np.linalg.norm(out.blocks) <= 10.0 * CFG.tol
+    out, stats = project_slice_dykstra(model, X, TOL)
+    assert np.linalg.norm(out.blocks) <= 10.0 * TOL
     # every slice projector returns the exact answer at once
     for kind in SLICE_PROJECTORS:
         out, stats = _project_slice(kind, model, X)
@@ -603,12 +602,12 @@ def test_dykstra_output_lands_in_both_sets(models):
     for n in (2, 3):
         model = models[n]
         X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-        out, stats = project_slice_dykstra(model, X, CFG)
+        out, stats = project_slice_dykstra(model, X, TOL)
         assert stats.converged
         clipped = psd_project_block(out)
-        assert np.linalg.norm(clipped.blocks - out.blocks) <= 10.0 * CFG.tol
+        assert np.linalg.norm(clipped.blocks - out.blocks) <= 10.0 * TOL
         ranged = project_range(model, out)
-        assert np.linalg.norm(ranged.blocks - out.blocks) <= 10.0 * CFG.tol
+        assert np.linalg.norm(ranged.blocks - out.blocks) <= 10.0 * TOL
 
 
 def test_dykstra_agrees_with_fixedpoint_on_infeasible_curve_image(models):
@@ -617,8 +616,8 @@ def test_dykstra_agrees_with_fixedpoint_on_infeasible_curve_image(models):
     for n in (2, 3):
         model = models[n]
         X = lmi_apply(model, polar_curve(model, 0.4))
-        via_dyk, _ = project_slice_dykstra(model, X, CFG)
-        via_fp, _ = project_slice_fixedpoint(model, X, CFG)
+        via_dyk, _ = project_slice_dykstra(model, X, TOL)
+        via_fp, _ = project_slice_fixedpoint(model, X, TOL)
         assert np.linalg.norm(via_dyk.blocks - via_fp.blocks) <= 1e-5
     # so are N(0, 1) blocks, at every n; the derived answer is also its
     # own projection
@@ -627,12 +626,12 @@ def test_dykstra_agrees_with_fixedpoint_on_infeasible_curve_image(models):
         model = make_cone(n)
         for _ in range(3):
             X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            via_dyk, s_dyk = project_slice_dykstra(model, X, CFG)
-            via_fp, s_fp = project_slice_fixedpoint(model, X, CFG)
+            via_dyk, s_dyk = project_slice_dykstra(model, X, TOL)
+            via_fp, s_fp = project_slice_fixedpoint(model, X, TOL)
             assert s_dyk.converged and s_fp.converged
             assert (np.linalg.norm(via_dyk.blocks - via_fp.blocks)
                     <= 1e-5 * np.linalg.norm(X.blocks))
-            again, _ = project_slice_fixedpoint(model, via_fp, CFG)
+            again, _ = project_slice_fixedpoint(model, via_fp, TOL)
             assert np.linalg.norm(again.blocks - via_fp.blocks) <= 1e-6
 
 
@@ -654,8 +653,8 @@ def test_dykstra_full_matrix_path_matches_block_path(models):
     for n in (2, 3):
         for _ in range(15):
             X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
-            blocky, block_stats = project_slice_dykstra(models[n], X, CFG)
-            fully, stats = project_slice_dykstra(models[n], X.to_full(), CFG)
+            blocky, block_stats = project_slice_dykstra(models[n], X, TOL)
+            fully, stats = project_slice_dykstra(models[n], X.to_full(), TOL)
             assert isinstance(fully, SymMatrix)
             assert stats == block_stats
             assert np.array_equal(fully.dense, blocky.to_full().dense)
@@ -690,14 +689,14 @@ def test_projectors_check_the_kind_of_input(models, project, good, bad):
             project(model, x)
 
 
-def test_dense_dykstra_stops_on_stall(models):
+def test_dense_dykstra_stops_on_stall(models, monkeypatch):
     # an unreachable tol: Dykstra must stop at its floor, on either input
     rng = np.random.default_rng(5)
     model = models[2]
     X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
-    cfg = SolverConfig(tol=1e-300, max_iter=50_000)
+    monkeypatch.setattr(project_module, "_MAX_ITER", 50_000)
     for inp in (X, X.to_full(), _with_off_block(rng, X)):
-        _, stats = project_slice_dykstra(model, inp, cfg)
+        _, stats = project_slice_dykstra(model, inp, 1e-300)
         assert (stats.exit_reason, stats.converged) == ("stalled", False)
         assert stats.iterations < 10_000
 
@@ -713,12 +712,12 @@ def _project_slice(kind, model, X):
     if kind == "range":
         return project_range(model, X).to_full().to_dense(), None
     if kind == "dykstra_block":
-        out, stats = project_slice_dykstra(model, X, CFG)
+        out, stats = project_slice_dykstra(model, X, TOL)
         return out.to_full().to_dense(), stats
     if kind == "dykstra_dense":
-        out, stats = project_slice_dykstra(model, X.to_full(), CFG)
+        out, stats = project_slice_dykstra(model, X.to_full(), TOL)
         return out.to_dense(), stats
-    out, stats = project_slice_fixedpoint(model, X, CFG)
+    out, stats = project_slice_fixedpoint(model, X, TOL)
     return out.to_full().to_dense(), stats
 
 
@@ -756,7 +755,7 @@ def test_overflowing_input_norm_is_rejected(models):
     q = ConePoint(2, np.full(5, -1.5e308))
     for project in (project_cone, project_polar):
         with pytest.raises(InvalidInputError, match="largest double"):
-            project(models[2], q, CFG)
+            project(models[2], q, TOL)
     # diagonal entries only, so the sqrt(2) weighting itself cannot overflow
     X = BlockSymMatrix(2, np.tile([-1.5e308, 0.0, -1.5e308], (3, 1)))
     for kind in SCALED_PROJECTORS:
@@ -800,20 +799,20 @@ def test_dense_dykstra_projects_full_input(models):
             X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
             full = _with_off_block(rng, X)
             blocky, block_stats = project_slice_dykstra(
-                model, BlockSymMatrix.from_full(n, full), CFG)
-            fully, stats = project_slice_dykstra(model, full, CFG)
+                model, BlockSymMatrix.from_full(n, full), TOL)
+            fully, stats = project_slice_dykstra(model, full, TOL)
             assert stats.converged and stats == block_stats
             dense = fully.to_dense()
             assert np.array_equal(dense, blocky.to_full().to_dense())
             assert not dense[off_block].any()
             for k in (-600, -40, 40, 400):
                 scaled = SymMatrix(2.0 ** k * full.dense)
-                out, out_stats = project_slice_dykstra(model, scaled, CFG)
+                out, out_stats = project_slice_dykstra(model, scaled, TOL)
                 assert np.array_equal(out.dense, 2.0 ** k * fully.dense)
                 assert out_stats == stats
         # nothing on the diagonal blocks: the projection is 0
         zero = BlockSymMatrix(n, np.zeros((2 * n - 1, 3)))
-        out, stats = project_slice_dykstra(model, _with_off_block(rng, zero), CFG)
+        out, stats = project_slice_dykstra(model, _with_off_block(rng, zero), TOL)
         assert not out.dense.any()
         assert (stats.iterations, stats.converged) == (0, True)
 
@@ -824,7 +823,7 @@ def test_fixedpoint_fixes_cone_images(models):
         model = models[n]
         p = sample_cone(model, rng)
         X = lmi_apply(model, p)
-        out, stats = project_slice_fixedpoint(model, X, CFG)
+        out, stats = project_slice_fixedpoint(model, X, TOL)
         assert stats.converged
         assert np.linalg.norm(out.blocks - X.blocks) <= 1e-6
 
@@ -840,26 +839,26 @@ def test_generic_model_projections():
     # the typed API needs a W of a chain member's shape
     with pytest.raises(InvalidInputError, match="model has W 6x4"):
         project_cone(model, ConePoint(2, np.ones(5)))
-    members = [_project_cone_arr(model, g, CFG)[0]
+    members = [_project_cone_arr(model, g, TOL)[0]
                for g in rng.standard_normal((20, 4))]
     gram = model.slice_model
     Q = gram.lmi_lorentz
     for _ in range(10):
         q = 3.0 * rng.standard_normal(4)
-        p, stats, _ = _project_cone_arr(model, q, CFG)
+        p, stats, _ = _project_cone_arr(model, q, TOL)
         assert stats.converged
         # Moreau: p in K, q - p orthogonal to p and in the polar of K, and
         # the projection fixes p
         assert block_min_eigs(_lmi_rows(model, p)).min() >= -1e-12
         assert abs(p @ (q - p)) <= 1e-12 * (q @ q)
         assert max(k @ (q - p) for k in members) <= 1e-9 * (q @ q)
-        again, _, _ = _project_cone_arr(model, p, CFG)
+        again, _, _ = _project_cone_arr(model, p, TOL)
         assert np.abs(again - p).max() <= 1e-12 * np.linalg.norm(q)
         # the slice projection derived from the cone solve in the Gram
         # metric meets the Dykstra oracle, on Lorentz vectors
         x = rng.standard_normal(6)
-        w, stats, _ = _project_cone_arr(gram, Q.T @ x, CFG)
-        y, dykstra = _dykstra_flat(model, x, CFG)
+        w, stats, _ = _project_cone_arr(gram, Q.T @ x, TOL)
+        y, dykstra = _dykstra_flat(model, x, TOL)
         assert stats.converged and dykstra.converged
         assert np.abs(Q @ w - y).max() <= 1e-5
 
@@ -891,17 +890,17 @@ def test_rotated_and_permuted_lmi_metamorphic(n):
     permuted = ConeModel.from_lmi(W.reshape(-1, 3, d)[perm].reshape(W.shape))
     for _ in range(4):
         x = rng.standard_normal(d)
-        p, stats = project_cone(rotated, ConePoint(n, x), CFG)
-        want, _ = project_cone(chain, ConePoint(n, R @ x), CFG)
+        p, stats = project_cone(rotated, ConePoint(n, x), TOL)
+        want, _ = project_cone(chain, ConePoint(n, R @ x), TOL)
         assert stats.converged
         assert np.abs(p.coords - R.T @ want.coords).max() <= 1e-12
-        p, _ = project_cone(permuted, ConePoint(n, x), CFG)
-        want, _ = project_cone(chain, ConePoint(n, x), CFG)
+        p, _ = project_cone(permuted, ConePoint(n, x), TOL)
+        want, _ = project_cone(chain, ConePoint(n, x), TOL)
         assert np.abs(p.coords - want.coords).max() <= 1e-12
         X = BlockSymMatrix(n, rng.standard_normal((2 * n - 1, 3)))
         for project in (project_slice_dykstra, project_slice_fixedpoint):
-            got, _ = project(rotated, X, CFG)
-            want, _ = project(chain, X, CFG)
+            got, _ = project(rotated, X, TOL)
+            want, _ = project(chain, X, TOL)
             assert np.abs(got.blocks - want.blocks).max() <= 1e-5
 
 
@@ -968,7 +967,7 @@ def test_newton_polish_certifies_apex_case(monkeypatch):
     for q in qs:
         calls.clear()
         p, stats, _ = project_module._project_cone_arr(
-            model, q, SolverConfig(tol=1e-13))
+            model, q, 1e-13)
         assert stats.converged
         assert calls and calls[-1][2] is not None
         p_hat, cert = calls[-1][2][:2]
@@ -1028,7 +1027,7 @@ def test_newton_polish_initial_multipliers_are_least_norm(monkeypatch):
     monkeypatch.setattr(project_module, "_newton_polish", recording_newton)
     monkeypatch.setattr(project_module, "_kkt_residual", recording_kkt)
     for q in qs:
-        project_module._project_cone_arr(model, q, SolverConfig(tol=1e-13))
+        project_module._project_cone_arr(model, q, 1e-13)
     starts = [s for s in starts if s[2]]
     assert starts
     for q, p0, J, u in starts:

@@ -374,6 +374,18 @@ def test_jacobi_guards():
         jacobi_eig(np.zeros((2, 3)))
 
 
+def test_malformed_arguments_are_input_errors():
+    # each raised AttributeError, IndexError or a bare ValueError
+    cases = ((BlockSymMatrix.from_full, 2, np.eye(6)),
+             (psd_project_block, np.ones((3, 3))),
+             (jacobi_eig, "abc"), (jacobi_eig, [[1, 2], [2]]),
+             (jacobi_eig, np.float64(1.0)), (SymMatrix, "x"),
+             (BlockSymMatrix, 2, "x"), (ConePoint, 2, [[1], [2, 3]]))
+    for call, *args in cases:
+        with pytest.raises(InvalidInputError):
+            call(*args)
+
+
 def test_symmatrix_storage_round_trip():
     rng = np.random.default_rng(29)
     raw = rng.standard_normal((6, 6))
