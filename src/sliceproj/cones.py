@@ -49,9 +49,11 @@ class ConePoint:
 
     @classmethod
     def from_parts(cls, n, x1, x2, x3, y, z) -> "ConePoint":
-        coords = np.concatenate([[x1, x2, x3], np.asarray(y, dtype=float),
-                                 np.asarray(z, dtype=float)])
-        return cls(n, coords)
+        message = "ConePoint.from_parts needs real x1, x2, x3 and real vectors y and z"
+        parts = [_real_array(part, message) for part in ([x1, x2, x3], y, z)]
+        if any(part.ndim != 1 for part in parts):
+            raise InvalidInputError(message)
+        return cls(n, np.concatenate(parts))
 
     @property
     def x1(self) -> float:
@@ -316,12 +318,16 @@ def _check_tol(tol) -> None:
 
 def polar_curve(model: ChainCone, t: float) -> ConePoint:
     """Boundary curve of the polar cone: (t, (1-t^lam)^(1/lam), -1, 0, ..., 0)."""
-    t = _check_t(t)
+    return ConePoint(model.n, _polar_curve_arr(model, _check_t(t)))
+
+
+def _polar_curve_arr(model: ChainCone, t: float) -> np.ndarray:
+    """The coordinates of polar_curve(t), for a t already checked."""
     coords = np.zeros(model.dim())
     coords[0] = t
     coords[1] = _pow_one_minus(t ** model.lam, 1.0 / model.lam)
     coords[2] = -1.0
-    return ConePoint(model.n, coords)
+    return coords
 
 
 def normal_curve(model: ChainCone, t: float) -> ConePoint:
@@ -347,11 +353,15 @@ def normal_curve(model: ChainCone, t: float) -> ConePoint:
 def curve_step(model: ChainCone, t: float) -> ConePoint:
     """The step h = polar_curve(t) - polar_curve(0), with the second coordinate
     evaluated through expm1/log1p so tiny steps keep full precision."""
-    t = _check_t(t)
+    return ConePoint(model.n, _curve_step_arr(model, _check_t(t)))
+
+
+def _curve_step_arr(model: ChainCone, t: float) -> np.ndarray:
+    """The coordinates of curve_step(t), for a t already checked."""
     coords = np.zeros(model.dim())
     coords[0] = t
     coords[1] = -one_minus_pow_one_minus(t ** model.lam, 1.0 / model.lam)
-    return ConePoint(model.n, coords)
+    return coords
 
 
 def step_normal_inner(model: ChainCone, t: float) -> float:

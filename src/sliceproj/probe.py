@@ -11,7 +11,10 @@ projection solves and a one-sided finite difference, with no use of the
 closed form. fd_step sets the numeric probe's accuracy, so it has no
 solver knobs: the finite-difference solves run at tol 1e-13, since their
 cone part is divided by fd_step, and the fixed-point checks and the
-residual gate at the projectors' default tol, 1e-9.
+residual gate at the projectors' default tol, 1e-9. A step so small that
+a finite-difference solve's cone part is within 8 eps ||q|| of 0, where
+rounding q = base + fd_step h alone can move it, raises
+NumericFailureError instead of being fitted.
 
 The projection onto the cone itself shares the polar projection's order;
 this transfer is recorded here as a documented claim, while measurements
@@ -35,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (ChainCone, ConePoint, _check_t, _is_int, curve_step,
-                    normal_curve, polar_curve, step_normal_inner)
+from .cones import (ChainCone, ConePoint, _check_t, _curve_step_arr, _is_int,
+                    _polar_curve_arr, normal_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
-from .project import DEFAULT_TOL, _check_positive, _project_cone_arr
+from .project import _EPS, DEFAULT_TOL, _check_positive, _norm, _project_cone_arr
 
 DEFAULT_T_MIN = 1e-4
 DEFAULT_T_MAX = 1e-1
@@ -50,6 +53,10 @@ PROBE_MODES = ("exact", "numeric")
 # The fixed-point checks run at DEFAULT_TOL, which also gates the
 # finite-difference solves
 _FD_TOL = 1e-13
+# rounding q = base + fd_step h moves the cone projection by up to about
+# eps ||q||, so a finite-difference cone part within _FD_FLOOR eps ||q|| of
+# 0 is not resolved (the default grid's smallest is 17 eps ||q||, at n = 12)
+_FD_FLOOR = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +132,12 @@ def residual_numeric(model: ChainCone, t: float,
     object, so no central differencing). The solves' accuracies are fixed,
     as the module docstring says.
     """
-    if not 0.0 < _check_t(t) < 1.0:
+    t = _check_t(t)
+    if not 0.0 < t < 1.0:
         raise InvalidInputError("residual_numeric requires t strictly inside (0, 1)")
     _check_positive(fd_step, "fd_step")
-    _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords)
-    r_fd, norm, _ = _residual_at(model, t, curve_step(model, t).coords,
-                                 fd_step)
+    _check_polar_fixed_point(model, 0.0, _polar_curve_arr(model, 0.0))
+    r_fd, norm, _ = _residual_at(model, t, _curve_step_arr(model, t), fd_step)
     return ConePoint(model.n, r_fd), norm
 
 
@@ -160,7 +167,7 @@ def _residual_at(model: ChainCone, t: float, h: np.ndarray, fd_step: float,
     # via the Moreau complement: the polar projection of base + s h equals
     # the input minus its cone projection, so the residual reduces to
     # Pi_cone(base + s h) / s
-    base = polar_curve(model, t).coords
+    base = _polar_curve_arr(model, t)
     probe_point = base + fd_step * h
     cone_part, stats, cert = _project_cone_arr(model, probe_point, _FD_TOL, held)
     if stats.final_residual > DEFAULT_TOL:
@@ -168,15 +175,21 @@ def _residual_at(model: ChainCone, t: float, h: np.ndarray, fd_step: float,
             f"cone projection at t={t!r} reached residual "
             f"{stats.final_residual:.3e} > tol {DEFAULT_TOL:.1e}", stats=stats)
     _check_polar_fixed_point(model, t, base, cert)
-    # a step below the solve's certified floor leaves a cone part of exactly
-    # 0, or one whose scaled norm overflows; either would be fitted as data
+    # a step below the solve's accuracy leaves a cone part that would be
+    # fitted as data: exactly 0, or one whose scaled norm overflows, or one
+    # within _FD_FLOOR eps ||q|| of 0, which rounding q alone can move
+    below = f"fd_step={fd_step!r} is below the cone solve's accuracy at t={t!r}"
     with np.errstate(over="ignore"):
         r_fd = cone_part / fd_step
         norm = float(np.linalg.norm(r_fd))
     if not 0.0 < norm < math.inf:
         raise NumericFailureError(
-            f"fd_step={fd_step!r} is below the cone solve's accuracy at "
-            f"t={t!r}: the finite-difference residual vanishes or overflows",
+            f"{below}: the finite-difference residual vanishes or overflows",
+            stats=stats)
+    floor = _FD_FLOOR * _EPS * _norm(probe_point)
+    if _norm(cone_part) <= floor:
+        raise NumericFailureError(
+            f"{below}: its cone part is within {_FD_FLOOR} eps ||q|| of 0",
             stats=stats)
     return r_fd, norm, cert
 
@@ -231,19 +244,19 @@ def probe_semismoothness(model: ChainCone, mode: str = "exact",
         raise InvalidInputError(f"points must be an integer >= 5, got {points!r}")
     _check_positive(fd_step, "fd_step")
     t_grid = np.logspace(math.log10(t_min), math.log10(t_max), points)
-    h = [curve_step(model, t) for t in t_grid]
-    h_norms = np.array([step.norm() for step in h])
+    h = [_curve_step_arr(model, float(t)) for t in t_grid]
+    h_norms = np.array([math.hypot(*step) for step in h])
 
     if mode == "exact":
         residuals = np.array([residual_exact(model, t)[1] for t in t_grid])
     else:
         # the t = 0 endpoint is the same for every grid point: check it once
-        _check_polar_fixed_point(model, 0.0, polar_curve(model, 0.0).coords)
+        _check_polar_fixed_point(model, 0.0, _polar_curve_arr(model, 0.0))
         held = None
         residuals = np.empty(points)
         for i in reversed(range(points)):
             _, residuals[i], held = _residual_at(model, float(t_grid[i]),
-                                                 h[i].coords, fd_step, held)
+                                                 h[i], fd_step, held)
 
     slope, _, _ = fit_exponent(t_grid, residuals)
     return ProbeReport(

@@ -109,8 +109,8 @@ def test_exact_probe_rejects_bad_fd_step():
 
 
 def test_probe_rejects_fd_step_below_solver_accuracy():
-    # the cone part of the finite-difference solve is exactly 0 here; it
-    # used to exit 2 with fit_exponent's message. The message names the
+    # the cone part of the finite-difference solve is within rounding of 0
+    # here; it used to exit 2 with fit_exponent's message. The message names the
     # step as given: it once printed 1.00000001e-12 as 1e-12
     for fd_step in ("1e-12", "1.00000001e-12"):
         proc = run_cli("probe", "--n", "2", "--mode", "numeric",

@@ -424,6 +424,16 @@ def test_cone_point_accessors_and_guards():
     assert type(ConePoint(np.int64(2), np.zeros(5)).n) is int
 
 
+def test_cone_point_from_parts_rejects_malformed_parts():
+    # a string, ragged, scalar or 2-d y or z, or a list x1, raised a bare
+    # ValueError from numpy
+    for x1, y, z in ((1.0, ["a"], [1.0]), (1.0, [1.0], "b"),
+                     (1.0, [1.0], [[1.0], [1.0, 2.0]]), (1.0, 1.0, [1.0]),
+                     (1.0, [[1.0]], [1.0]), ([1.0, 2.0], [1.0], [1.0])):
+        with pytest.raises(InvalidInputError, match="real vectors y and z"):
+            ConePoint.from_parts(2, x1, 2.0, 3.0, y, z)
+
+
 def test_cone_point_text_round_trip():
     rng = np.random.default_rng(67)
     for n in range(2, 13):
