@@ -64,8 +64,22 @@ formed only on the iterations at which the loop reads them (below).
 
 Dykstra alternates the Lorentz clip with the model's precomputed
 orthogonal projector P onto the range of A, in the same basis. It
-carries the point z that the clip acts on: y = clip(z), x = P y, and z
-moves by -(y - x). That is one matrix-vector product per iteration.
+carries the point z that the clip acts on: y = clip(z), and z moves by
+-(I - P) y, so z stays in x0 + range(A)^perp. That is a unit-step
+projected gradient step on the dual function 1/2 dist(z, C°)^2 (C the
+blockwise PSD cone), whose gradient, the clip, is 1-Lipschitz
+(Tibshirani, 2017, reads Dykstra as coordinate descent on that dual).
+So every step in (0, 2) reaches the same projection: the range meets
+the interior of C, so the dual has a minimiser z*, and clip(z*) is the
+answer. Dykstra takes the step _DYKSTRA_RELAX = 1.6, a constant of its
+own, not ADMM's: z moves by -M y with M = 1.6 (I - P), built once per
+solve, so an iteration is one clip, one matrix-vector product and one
+subtraction, and the answer x = P y is formed at the exit alone. On 330
+N(0, 1) block inputs (n = 2..12, 30 per n, default_rng(5)) the steps 1,
+1.4, 1.5, 1.6, 1.7, 1.8 and 1.9 took 147864, 104848, 97696, 91544,
+86352, 82840 and 88344 iterations in all. 1.6 is 38 % below Dykstra's
+own step, and it and 1.7 have the lowest median per solve at n = 2 and
+3, where 1.8 is higher.
 
 ADMM and Dykstra share one iteration loop, _iterate: each passes a step
 that runs one iteration and returns its residual when the loop asks for
@@ -136,6 +150,10 @@ _FIRST_POLISH = 16
 # the ADMM over-relaxation factor, in (0, 2), where 1 is plain ADMM (see
 # _project_cone_arr); read at call time
 _RELAX = 1.8
+# Dykstra's step, in (0, 2), where 1 is Dykstra's own (see _dykstra_flat);
+# read at call time, and kept apart from _RELAX: the oracle shares no logic
+# with the cone projector
+_DYKSTRA_RELAX = 1.6
 # the Newton refinement's line-search cap (see _newton_polish). No
 # certified refinement halved a step more than 6 times: 902 in the numeric
 # probes at n = 2..12 (fd_step 1e-6 and 1e-4), 639 on N(0, I) inputs (60
@@ -582,30 +600,46 @@ def project_range(model: ConeModel, X: BlockSymMatrix) -> BlockSymMatrix:
 
 
 def _dykstra_flat(model: ConeModel, x0: np.ndarray, tol: float):
-    """Dykstra alternation between the blockwise PSD cone and the range
-    subspace, on a flat vector of Lorentz block coordinates.
+    """Over-relaxed Dykstra alternation between the blockwise PSD cone C
+    and the range subspace, on a flat vector of Lorentz block coordinates.
 
     The correction term is carried on the PSD step only; the subspace is
     linear, so its step needs no correction. Then z = x + corr, the point
-    the PSD step clips, obeys a recurrence of its own: with y the clip of z
-    and x_new = P y its projection onto the range, z moves by
-    -(y - x_new), so the loop carries z and x and no correction term. Its
-    residual is max(||y - x_new||, ||x_new - x||).
+    the PSD step clips, obeys a recurrence of its own: with y = clip(z),
+    Dykstra moves z by -(I - P) y, so z stays in x0 + range(P)^perp. That
+    is a unit-step projected gradient step on the dual function
+    1/2 dist(z, C°)^2 over that affine set, whose gradient, the clip, is
+    1-Lipschitz (Tibshirani, 2017). So any step in (0, 2) reaches a dual
+    minimiser z*, which exists because the range meets the interior of C,
+    and clip(z*) is the projection. The step is _DYKSTRA_RELAX = 1.6
+    (1 is Dykstra's own), which took 38 % fewer iterations than 1 on
+    N(0, 1) block inputs at n = 2..12 (the module docstring has the
+    sweep). The loop carries z, y and the step's one product,
+    M = _DYKSTRA_RELAX (I - P), built once per solve: z moves by -M y.
+    P y is formed only at the exit, where the answer is P y of the last
+    iteration. The residual, read where the loop asks for it, is
+    max(||y - P y||, ||P y - P y_prev||), computed as
+    ||M y|| / _DYKSTRA_RELAX and ||P (y - y_prev)||: besides the clip, a
+    fresh iteration makes six numpy calls and any other two. y_prev starts
+    at x0.
     """
-    x = z = x0
+    proj = model.range_proj
+    relax = _DYKSTRA_RELAX
+    M = relax * (np.eye(len(x0)) - proj)
+    z = y = x0
 
     def step(fresh):
-        nonlocal x, z
-        y = lorentz_clip(z)
-        x_new = model.range_proj @ y
-        gap = y - x_new
-        z = z - gap
-        res = max(_norm(gap), _norm(x_new - x)) if fresh else None
-        x = x_new
+        nonlocal z, y
+        y_new = lorentz_clip(z)
+        My = M @ y_new
+        z = z - My
+        res = (max(_norm(My) / relax, _norm(proj @ (y_new - y))) if fresh
+               else None)
+        y = y_new
         return res
 
     stats = _iterate(step, tol, "Dykstra")
-    return x, stats
+    return proj @ y, stats
 
 
 def _slice_projection(model: ConeModel, X, solve):
