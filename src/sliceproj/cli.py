@@ -100,7 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_project.add_argument("--out", help="output file for the projected object")
     p_project.add_argument("--tol", type=float, default=DEFAULT_TOL,
                            help="solver residual tolerance, relative to the "
-                                "input norm (||q|| or ||X||) (default %(default)s)")
+                                "input norm (||q|| or ||X||), at least 1e-14: "
+                                "solves bottom out near 2.4e-16 "
+                                "(default %(default)s)")
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--n-max", type=int, default=4,

@@ -42,6 +42,7 @@ from .cones import (ChainCone, ConePoint, _check_t, _curve_step_arr, _is_int,
                     _polar_curve_arr, normal_curve, step_normal_inner)
 from .errors import InvalidInputError, NumericFailureError
 from .project import _EPS, DEFAULT_TOL, _check_positive, _norm, _project_cone_arr
+from .symmat import _check_index, _is_real, _real_array
 
 DEFAULT_T_MIN = 1e-4
 DEFAULT_T_MAX = 1e-1
@@ -64,8 +65,8 @@ class ProbeReport:
     """Grid of step sizes with the measured residual scaling.
 
     implied_order is the property fitted_slope - 1; target_lambda is the
-    conjugate exponent the slope should recover. mode is in PROBE_MODES,
-    and every number is finite, so the JSON report is valid JSON.
+    conjugate exponent the slope should recover. n is a cone index, mode
+    is in PROBE_MODES, and every number a finite real: valid JSON.
     """
 
     n: int
@@ -77,9 +78,17 @@ class ProbeReport:
     target_lambda: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _check_index(self.n))
+        for name in ("fitted_slope", "target_lambda"):
+            value = getattr(self, name)
+            if not _is_real(value) or not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be a finite real")
+            object.__setattr__(self, name, float(value))
         for name in ("t_grid", "h_norms", "residual_norms"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
+            arr = _real_array(getattr(self, name), f"{name} must be real")
+            if arr.ndim != 1 or not np.isfinite(arr).all():
+                raise InvalidInputError(f"{name} must be a finite vector")
+            object.__setattr__(self, name, arr)
         if not (len(self.t_grid) == len(self.h_norms) == len(self.residual_norms)):
             raise InvalidInputError("report vectors must share one length")
         if len(self.t_grid) < 5:
@@ -88,10 +97,6 @@ class ProbeReport:
             raise InvalidInputError("t_grid must be strictly increasing")
         if self.mode not in PROBE_MODES:
             raise InvalidInputError(f"unknown probe mode {self.mode!r}")
-        for name in ("t_grid", "h_norms", "residual_norms", "fitted_slope",
-                     "target_lambda"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidInputError(f"{name} must be finite")
 
     @property
     def implied_order(self) -> float:

@@ -13,28 +13,27 @@ independent oracle for the slice:
   block-diagonal, so a full-matrix input reduces exactly to its blocks.
 
 The projection onto a cone is positively homogeneous, so the cone solver
-works on q / ||q|| and scales its answer back by ||q||. Its tolerance,
-stall test and refinement thresholds are therefore relative to ||q||: the
-answer scales with q, and the iteration count and the converged flag do
-not depend on q's scale (bitwise so for power-of-two rescalings). The
-range and slice projections are positively homogeneous too: project_range
-and both slice projectors run in one frame, _unit_frame, on X / ||X||.
+works on q / ||q|| and scales its answer back by ||q||. Its tolerance
+and refinement thresholds are therefore relative to ||q||: the answer
+scales with q, and the iteration count and the converged flag do not
+depend on q's scale (bitwise so for power-of-two rescalings). The range
+and slice projections are positively homogeneous too: project_range and
+both slice projectors run in one frame, _unit_frame, on X / ||X||.
 
 Projections whose answer sits at (or near) the cone's apex lack strict
 complementarity, and every first-order splitting method degrades to a
 sublinear crawl there. The ADMM solver therefore attempts an active-set
 Newton refinement in conically rescaled variables at iteration 16, then
-at 32, 64 and so on, as well as on reaching tol, on stalling and at the
-budget. The refined point is accepted only when an exact optimality
-certificate holds (matched KKT
-residual, nonnegative multipliers, feasible direction), otherwise the raw
-ADMM iterate is kept. One rule holds at every checkpoint: a certified
-refinement ends the solve, which is converged when the certificate
-residual is within tol. The certificate uses nothing beyond the cone's
-defining inequalities, so the refined answers remain an independent
-check on any closed-form prediction. A refinement gives up as soon as its
-line search would need a step below 2^-7, so an early checkpoint with a
-wrong active set costs little.
+at 32, 64 and so on, as well as on reaching tol and at the budget. The
+refined point is accepted only when an exact optimality certificate
+holds (matched KKT residual, nonnegative multipliers, feasible
+direction), otherwise the raw ADMM iterate is kept. One rule holds at
+every checkpoint: a certified refinement ends the solve, which is
+converged when the certificate residual is within tol. The certificate
+uses nothing beyond the cone's defining inequalities, so the refined
+answers remain an independent check on any closed-form prediction. A
+refinement gives up as soon as its line search would need a step below
+2^-7, so an early checkpoint with a wrong active set costs little.
 
 The ADMM arrays are tiny (dimension 2n+1 <= 25), so its cost is the
 number of numpy calls per iteration, not flops. Both iterative solvers
@@ -83,16 +82,17 @@ own step, and it and 1.7 have the lowest median per solve at n = 2 and
 
 ADMM and Dykstra share one iteration loop, _iterate: each passes a step
 that runs one iteration and returns its residual when the loop asks for
-it, and the loop owns the tolerance, stall and budget tests, the
-refinement schedule's checkpoints, the exit reason and one debug log line
-per exit. The loop asks for a residual every _RES_STRIDE = 8 iterations,
-at each refinement checkpoint and at the budget, and runs its exit tests
-there only. Most solves end at a checkpoint, where a per-iteration
-residual would feed only tests that never fire. The iterates do not
-depend on the stride, so a solve that ends at a scheduled checkpoint or
-on its budget is the same with every stride, and one that meets tol or
-stalls in between ends at most 7 iterations after the first iteration
-whose residual would have passed.
+it, and the loop owns the tolerance and budget tests, the refinement
+schedule's checkpoints, the exit reason and one debug log line per exit.
+The loop asks for a residual every _RES_STRIDE = 8 iterations, at each
+refinement checkpoint and at the budget, and runs its exit tests there
+only. Most solves end at a checkpoint, where a per-iteration residual
+would feed only tests that never fire. The iterates do not depend on the
+stride, so a solve that ends at a scheduled checkpoint or on its budget
+is the same with every stride, and one that meets tol in between ends at
+most 7 iterations after the first iteration whose residual would have
+passed. A tol below the rounding floor would run to the budget, so the
+public projectors reject one below _TOL_MIN.
 
 Each cone solve returns its certificate: the answer p, active set J and
 rescaled multipliers nu of the refinement that ended it, or None. A
@@ -129,16 +129,13 @@ from .cones import ConeModel, ConePoint, _check_input, _lmi_rows
 from .errors import InvalidInputError
 from .symmat import (BlockSymMatrix, SymMatrix, _is_real, block_min_eigs,
                      lorentz_clip)
-# unused here: perfbench installs its symmat.jacobi, project.factor and
-# project.linsolve spans on these bindings
+# unused here: perfbench wraps these bindings in its symmat.jacobi,
+# project.factor and project.linsolve spans
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 from .symmat import jacobi_eig  # noqa: F401
 
 log = logging.getLogger("sliceproj.project")
 
-# relative improvement below which an iteration no longer counts as progress
-_STALL_FACTOR = 1e-3
-_STALL_WINDOW = 2000
 # the loop asks its step for a residual every _RES_STRIDE iterations (and
 # at each checkpoint and the budget); in between, the step skips that work
 _RES_STRIDE = 8
@@ -163,18 +160,25 @@ _NEWTON_HALVINGS = 7
 _NEWTON_MAX_STEPS = 60
 # every projector's tolerance unless given one, relative to the input's norm
 DEFAULT_TOL = 1e-9
+# the least tol a public projector accepts. At tol 1e-300, the solves of a
+# 660-input sweep (the cone and both slice projectors, n = 2..12) that did
+# not certify stopped improving at relative residuals of at most 2.4e-16,
+# about 1 eps, so this leaves a 40x margin
+_TOL_MIN = 1e-14
 # the iteration budget of every solve, read at call time
 _MAX_ITER = 200_000
 
 
-def _check_positive(value, name: str) -> None:
-    """Raise unless value is a positive, finite real (True would mean 1)."""
-    if not _is_real(value) or not 0.0 < value < math.inf:
-        raise InvalidInputError(f"{name} must be finite and positive")
+def _check_positive(value, name: str, least: float = 0.0) -> None:
+    """Raise unless value is a positive, finite real (True would mean 1),
+    and not below least."""
+    if not _is_real(value) or not 0.0 < value < math.inf or value < least:
+        raise InvalidInputError(f"{name} must be finite and positive"
+                                + (f", at least {least:g}" if least else ""))
 
 
 # why a solve stopped; see SolveStats
-EXIT_REASONS = ("tol", "certified", "stalled", "budget")
+EXIT_REASONS = ("tol", "certified", "budget")
 
 
 @dataclass(frozen=True)
@@ -186,16 +190,15 @@ class SolveStats:
     or the refinement's certificate residual of the unit-norm problem.
     exit_reason is one of EXIT_REASONS: ``tol`` (the residual reached tol),
     ``certified`` (an exact shortcut, or an active-set refinement whose
-    optimality certificate held), ``stalled`` (no progress over the stall
-    window) or ``budget`` (_MAX_ITER reached). The exit tests read a
-    residual every 8 iterations, at each refinement checkpoint (16, 32,
-    64, ...) and at _MAX_ITER, so a tol or stalled exit's iterations is a
-    multiple of 8, a checkpoint or _MAX_ITER. For cone solves converged ==
-    (final_residual <= tol). polish_attempts is the number of refinement
-    attempts (Newton solves on one active set) of the solve, and
-    newton_steps the number of accepted Newton steps summed over them. Both
-    are 0 for Dykstra; the derived slice projection reports its one cone
-    solve's.
+    optimality certificate held) or ``budget`` (_MAX_ITER reached). The
+    exit tests read a residual every 8 iterations, at each refinement
+    checkpoint (16, 32, 64, ...) and at _MAX_ITER, so a tol exit's
+    iterations is a multiple of 8, a checkpoint or _MAX_ITER. For cone
+    solves converged == (final_residual <= tol). polish_attempts is the
+    number of refinement attempts (Newton solves on one active set) of the
+    solve, and newton_steps the number of accepted Newton steps summed over
+    them. Both are 0 for Dykstra; the derived slice projection reports its
+    one cone solve's.
     """
 
     iterations: int
@@ -229,20 +232,17 @@ def _iterate(step, tol: float, what: str, checkpoint=None) -> SolveStats:
     work. fresh is true every _RES_STRIDE iterations, at each refinement
     checkpoint and at iteration _MAX_ITER, and the exit tests run on
     fresh iterations only: the loop stops when the residual is within
-    tol, when it has not improved by the fraction _STALL_FACTOR over the
-    last _STALL_WINDOW iterations, or after _MAX_ITER iterations. So a
-    tol or stalled exit's iteration count is a stride multiple, a
-    checkpoint or the budget, up to _RES_STRIDE - 1 iterations after the
-    first iteration that passed the test, and no exit reports a stale
-    residual. checkpoint(k), if given, runs before the first iteration
-    (k = 0), at iteration _FIRST_POLISH, at each doubling of it and at
-    every exit, before the exit tests; the SolveStats it returns, if any,
-    end the solve. Each exit logs one debug line naming `what`.
+    tol or after _MAX_ITER iterations. So a tol exit's iteration count is
+    a stride multiple, a checkpoint or the budget, up to _RES_STRIDE - 1
+    iterations after the first iteration that passed the test, and no exit
+    reports a stale residual. checkpoint(k), if given, runs before the
+    first iteration (k = 0), at iteration _FIRST_POLISH, at each doubling
+    of it and at every exit, before the exit tests; the SolveStats it
+    returns, if any, end the solve. Each exit logs one debug line naming
+    `what`.
     """
     max_iter = _MAX_ITER
-    best_res = math.inf
-    best_iter = k = 0
-    check_at = _FIRST_POLISH
+    k, check_at = 0, _FIRST_POLISH
     stats = None if checkpoint is None else checkpoint(0)
     while stats is None:
         k += 1
@@ -252,12 +252,7 @@ def _iterate(step, tol: float, what: str, checkpoint=None) -> SolveStats:
             continue
         if at_check:
             check_at *= 2
-        if res < best_res * (1.0 - _STALL_FACTOR):
-            best_res = res
-            best_iter = k
-        reason = ("tol" if res <= tol
-                  else "stalled" if k - best_iter > _STALL_WINDOW
-                  else "budget" if k == max_iter else None)
+        reason = "tol" if res <= tol else "budget" if k == max_iter else None
         if checkpoint is not None and (reason or at_check):
             stats = checkpoint(k)
         if stats is None and reason:
@@ -473,9 +468,9 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, tol: float,
 
     Projection onto a cone is positively homogeneous, so the solve runs on
     the unit vector u = q / ||q|| and its answer is scaled back by ||q||:
-    tol, the stall test and the refinement's thresholds are relative to
-    ||q|| by construction. ||q|| is computed without overflow or underflow
-    in intermediate steps (math.hypot), so a power-of-two rescaling of q
+    tol and the refinement's thresholds are relative to ||q|| by
+    construction. ||q|| is computed without overflow or underflow in
+    intermediate steps (math.hypot), so a power-of-two rescaling of q
     rescales the answer bitwise and leaves the iteration count unchanged;
     a q with ||q|| above the largest double is rejected. q = 0 and q in
     the cone are their own projections.
@@ -489,10 +484,9 @@ def _project_cone_arr(model: ConeModel, q: np.ndarray, tol: float,
     d entries of p can cancel to exactly 0, while A K (Z - U) keeps a
     rounding floor in every block entry. _RELAX = 1 is plain ADMM.
     ADMM always starts from Z = U = 0. It stops on max(primal, dual)
-    residual <= tol, on a certified refinement, or when the residual
-    stalls at its attainable floor. Each refinement runs at one of the
-    loop's checkpoints; a certified one ends the solve, converged when its
-    certificate residual is within tol.
+    residual <= tol, on a certified refinement, or at the budget. Each
+    refinement runs at one of the loop's checkpoints; a certified one ends
+    the solve, converged when its certificate residual is within tol.
 
     Returns (p, stats, cert): cert is the (p, J, nu) of the certified
     refinement that ended the solve, or None. held is None or an earlier
@@ -561,11 +555,11 @@ def project_cone(model: ConeModel, q: ConePoint, tol: float = DEFAULT_TOL):
 
     Returns the nearest cone member to q and the solve statistics. The
     optimizer is ADMM over the LMI splitting plus the certified active-set
-    refinement described in the module docstring. tol, a finite positive
-    real, is relative to ||q||.
+    refinement described in the module docstring. tol, a finite real of at
+    least _TOL_MIN, is relative to ||q||.
     """
     _check_input(model, q, ConePoint)
-    _check_positive(tol, "tol")
+    _check_positive(tol, "tol", _TOL_MIN)
     p, stats, _ = _project_cone_arr(model, q.coords, tol)
     return ConePoint(q.n, p), stats
 
@@ -606,15 +600,11 @@ def _dykstra_flat(model: ConeModel, x0: np.ndarray, tol: float):
     The correction term is carried on the PSD step only; the subspace is
     linear, so its step needs no correction. Then z = x + corr, the point
     the PSD step clips, obeys a recurrence of its own: with y = clip(z),
-    Dykstra moves z by -(I - P) y, so z stays in x0 + range(P)^perp. That
-    is a unit-step projected gradient step on the dual function
-    1/2 dist(z, C°)^2 over that affine set, whose gradient, the clip, is
-    1-Lipschitz (Tibshirani, 2017). So any step in (0, 2) reaches a dual
-    minimiser z*, which exists because the range meets the interior of C,
-    and clip(z*) is the projection. The step is _DYKSTRA_RELAX = 1.6
-    (1 is Dykstra's own), which took 38 % fewer iterations than 1 on
-    N(0, 1) block inputs at n = 2..12 (the module docstring has the
-    sweep). The loop carries z, y and the step's one product,
+    Dykstra moves z by -(I - P) y, so z stays in x0 + range(P)^perp: a
+    unit-step projected gradient step on a dual function, so any step in
+    (0, 2) reaches the projection (the module docstring has why, and the
+    sweep that chose the step _DYKSTRA_RELAX = 1.6; 1 is Dykstra's own).
+    The loop carries z, y and the step's one product,
     M = _DYKSTRA_RELAX (I - P), built once per solve: z moves by -M y.
     P y is formed only at the exit, where the answer is P y of the last
     iteration. The residual, read where the loop asks for it, is
@@ -672,7 +662,7 @@ def project_slice_dykstra(model: ConeModel, X, tol: float = DEFAULT_TOL):
     to ||Pi_B X|| <= ||X||, and a power-of-two rescaling of X rescales the
     answer bitwise with equal iterations.
     """
-    _check_positive(tol, "tol")
+    _check_positive(tol, "tol", _TOL_MIN)
     return _slice_projection(model, X, lambda x: _dykstra_flat(model, x, tol))
 
 
@@ -690,7 +680,7 @@ def project_slice_fixedpoint(model: ConeModel, X, tol: float = DEFAULT_TOL):
     kind, as for :func:`project_slice_dykstra`. tol is relative to
     ||Q^T X|| <= ||X||.
     """
-    _check_positive(tol, "tol")
+    _check_positive(tol, "tol", _TOL_MIN)
 
     def solve(x):
         gram = model.slice_model

@@ -286,13 +286,16 @@ def test_project_input_without_read_permission(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--tol"])
 def test_project_rejects_non_finite_solver_knobs(tmp_path, flag):
+    # a tol below the rounding floor, 1e-14, is rejected like a non-finite
+    # one, before any iteration
     src = tmp_path / "q.txt"
     src.write_text(write_cone_point(polar_curve(make_cone(2), 0.5)))
-    proc = run_cli("project", "--n", "2", "--target", "K", "--in", str(src),
-                   flag, "inf")
-    assert proc.returncode == 2
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert proc.stderr.startswith(f"error: {flag[2:]} must")
+    for value in ("inf", "1e-300"):
+        proc = run_cli("project", "--n", "2", "--target", "K", "--in",
+                       str(src), flag, value)
+        assert proc.returncode == 2
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {flag[2:]} must")
 
 
 def test_project_has_no_max_iter_flag(tmp_path):

@@ -276,13 +276,27 @@ def test_probe_report_rejects_invalid_values(models):
         probe_module.ProbeReport(**fields, implied_order=report.implied_order)
     bad_vector = report.residual_norms.copy()
     bad_vector[3] = math.nan
+    # n=True and n=2.5 were accepted and written to JSON as true and 2.5,
+    # and a column of norms as nested lists; a string slope, a None target
+    # or a scalar grid raised a bare TypeError
     cases = [("residual_norms", bad_vector), ("h_norms", bad_vector),
              ("residual_norms", np.full(20, math.inf)),
+             ("residual_norms", ["x"] * 20), ("t_grid", 1.0),
+             ("h_norms", report.h_norms[:, None]),
              ("fitted_slope", math.nan), ("fitted_slope", -math.inf),
+             ("fitted_slope", "1.3"), ("fitted_slope", True),
+             ("target_lambda", None), ("target_lambda", "4/3"),
+             ("n", True), ("n", 2.5), ("n", 1), ("n", 13), ("n", "2"),
              ("mode", "spectral"), ("mode", "Exact")]
     for name, value in cases:
         with pytest.raises(InvalidInputError):
             probe_module.ProbeReport(**{**fields, name: value})
+    # numpy integers and reals are read as the Python numbers they hold
+    report = probe_module.ProbeReport(
+        **{**fields, "n": np.int64(2),
+           "fitted_slope": np.float32(report.fitted_slope)})
+    payload = json.loads(report_to_json(report))
+    assert type(payload["n"]) is int and type(payload["fitted_slope"]) is float
 
 
 def test_probe_numeric_mode_matches_exact_slope(models):

@@ -16,10 +16,10 @@ from sliceproj import (BlockSymMatrix, ConeModel, ConePoint,
                        sample_cone)
 from sliceproj import project as project_module
 from sliceproj import symmat
-from sliceproj.project import (DEFAULT_TOL, SolveStats, _attempt_polish,
-                               _dykstra_flat, _duals_nonnegative,
-                               _kkt_jacobian, _kkt_residual, _lmi_rows,
-                               _project_cone_arr)
+from sliceproj.project import (DEFAULT_TOL, SolveStats, _TOL_MIN,
+                               _attempt_polish, _dykstra_flat,
+                               _duals_nonnegative, _kkt_jacobian,
+                               _kkt_residual, _lmi_rows, _project_cone_arr)
 from sliceproj.symmat import SymMatrix, block_min_eigs, to_lorentz
 
 TOL = DEFAULT_TOL
@@ -30,26 +30,36 @@ def models():
     return {n: make_cone(n) for n in range(2, 6)}
 
 
-def test_projectors_validate_tol():
+def test_projectors_validate_tol(monkeypatch):
     # tol=True would mean tol = 1.0, and None or any other object (a
     # config from an older API, say) is not read as the default; a zero
-    # input, which needs no solve, is checked too
+    # input, which needs no solve, is checked too. A tol below _TOL_MIN,
+    # under the rounding floor, is rejected before any iteration: no exit
+    # test could end such a solve before its budget. The full and
+    # off-block forms of the Dykstra input take the same check
     model = make_cone(2)
     rng = np.random.default_rng(7)
     q, q0 = ConePoint(2, rng.standard_normal(5)), ConePoint(2, np.zeros(5))
     X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
     X0 = BlockSymMatrix(2, np.zeros((3, 3)))
-    calls = ((project_cone, q, q0), (project_polar, q, q0),
-             (project_slice_dykstra, X, X0), (project_slice_fixedpoint, X, X0))
-    for project, inp, zero in calls:
-        for bad in (0.0, -1.0, math.inf, math.nan, True, "1e-9", None):
-            for x in (inp, zero):
-                with pytest.raises(InvalidInputError,
-                                   match="tol must be finite and positive"):
-                    project(model, x, bad)
-        # numpy scalars stay valid
-        _, stats = project(model, inp, np.float64(1e-6))
-        assert stats.converged and stats.final_residual <= 1e-6
+    dense = (X.to_full(), _with_off_block(rng, X))
+    calls = ((project_cone, q, (q0,)), (project_polar, q, (q0,)),
+             (project_slice_dykstra, X, (X0,) + dense),
+             (project_slice_fixedpoint, X, (X0,)))
+    below = np.nextafter(_TOL_MIN, 0.0)
+    for project, inp, others in calls:
+        with monkeypatch.context() as patch:
+            patch.setattr(project_module, "_iterate", None)
+            for bad in (0.0, -1.0, math.inf, math.nan, True, "1e-9", None,
+                        1e-300, below):
+                for x in (inp,) + others:
+                    with pytest.raises(InvalidInputError,
+                                       match="tol must be finite and positive"):
+                        project(model, x, bad)
+        # numpy scalars stay valid, and so does the floor itself
+        for tol in (np.float64(1e-6), _TOL_MIN):
+            _, stats = project(model, inp, tol)
+            assert stats.converged and stats.final_residual <= tol
 
 
 def test_each_solve_logs_one_exit_line(models, caplog):
@@ -233,6 +243,14 @@ def test_project_cone_power_of_two_scaling_is_bitwise():
 
 
 def test_exit_reasons(models, monkeypatch):
+    assert project_module.EXIT_REASONS == ("tol", "certified", "budget")
+    # the floor is attainable: every seeded solve at tol _TOL_MIN converges
+    # on tol or a certificate, none on its budget
+    floor = _seeded_solves(_TOL_MIN)
+    assert len(floor) == 99
+    for _, stats, _ in floor:
+        assert stats.converged, stats
+        assert stats.exit_reason in ("tol", "certified"), stats
     model = models[2]
     w = normal_curve(model, 0.5)
     _, stats = project_cone(model, polar_curve(model, 0.5), TOL)
@@ -271,8 +289,7 @@ def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
             k *= 2
         return ks + [end]
 
-    def run(residuals, max_iter, window=2000, stop_at=None):
-        monkeypatch.setattr(project_module, "_STALL_WINDOW", window)
+    def run(residuals, max_iter, stop_at=None):
         seen, asked = [], []
         res = iter(residuals)
 
@@ -303,9 +320,6 @@ def test_iterate_checkpoints_at_doublings_and_every_exit(monkeypatch):
     check = 4 * first
     assert run(falling[:check - 1] + [0.0] * (300 - check + 1),
                300)[:2] == (schedule(check), ("tol", check))
-    # the stall window counts iterations from the last fresh improvement
-    assert run([1.0] * 300, 300, window=40)[:2] == (schedule(56),
-                                                    ("stalled", 56))
     assert run(falling, 300, stop_at=check)[:2] == (schedule(check),
                                                     ("certified", check))
     # a solve that ends before the first checkpoint runs the checkpoint at
@@ -789,18 +803,6 @@ def test_projectors_check_the_kind_of_input(models, project, good, bad):
     for x in bad + [_Q2.coords, _X2.blocks, _X2.to_full().dense]:
         with pytest.raises(InvalidInputError):
             project(model, x)
-
-
-def test_dense_dykstra_stops_on_stall(models, monkeypatch):
-    # an unreachable tol: Dykstra must stop at its floor, on either input
-    rng = np.random.default_rng(5)
-    model = models[2]
-    X = BlockSymMatrix(2, rng.standard_normal((3, 3)))
-    monkeypatch.setattr(project_module, "_MAX_ITER", 50_000)
-    for inp in (X, X.to_full(), _with_off_block(rng, X)):
-        _, stats = project_slice_dykstra(model, inp, 1e-300)
-        assert (stats.exit_reason, stats.converged) == ("stalled", False)
-        assert stats.iterations < 10_000
 
 
 SLICE_PROJECTORS = ("dykstra_block", "dykstra_dense", "fixedpoint")
